@@ -56,8 +56,6 @@ from .enumeration import (
 from .propagation import (
     MessageStore,
     fixed_point_delta,
-    node_lambda_from_evidence,
-    node_pi,
     propagate,
 )
 from .cutset import (
@@ -124,8 +122,6 @@ __all__ = [
     "load_network",
     "marginal_joint",
     "most_probable_assignment",
-    "node_lambda_from_evidence",
-    "node_pi",
     "parse_network",
     "posterior",
     "propagate",

@@ -26,8 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cutset import run_cutset_conditioning
-from .enumeration import posterior as _enum_posterior
 from .errors import (
     BeliefNetError,
     NetfileSyntaxError,
@@ -35,7 +33,6 @@ from .errors import (
 )
 from .model import Evidence, HardEvidence, SoftEvidence
 from .netfile import load_network
-from .propagation import propagate
 from .query import Method, classify_query, infer
 from .structure import d_separated, select_cutset
 from .model import joint_probability
@@ -62,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="soft evidence VAR=w:w:..., one weight per state")
     q.add_argument("--method", choices=[m.value for m in Method], default="auto")
     q.add_argument("--trace", action="store_true",
-                   help="stream each message to stderr as it is computed")
+                   help="print the answering run's message log to stderr")
 
     d = sub.add_parser("dsep", help="test d-separation between two variables")
     d.add_argument("file")
@@ -147,21 +144,10 @@ def _cmd_query(ns) -> int:
     net = load_network(ns.file)
     e = _parse_evidence(net, ns.evidence, ns.soft)
     _require_var(net, ns.target)
-    method = Method(ns.method)
+    result = infer(net, ns.target, e, Method(ns.method))
     if ns.trace:
-        resolved = method
-        if method is Method.AUTO:
-            from .structure import is_polytree
-            resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
-        if resolved is Method.POLYTREE:
-            for line in propagate(net, e).trace:
-                print(line, file=sys.stderr)
-        elif resolved is Method.CUTSET:
-            run = run_cutset_conditioning(net, ns.target, e)
-            for combo in sorted(run.traces):
-                for line in run.traces[combo]:
-                    print(line, file=sys.stderr)
-    result = infer(net, ns.target, e, method)
+        for line in result.trace:
+            print(line, file=sys.stderr)
     var = net.var(ns.target)
     for i, state in enumerate(var.states):
         print(f"P({var.id}={state}) = {result.belief[i]:.6f}")

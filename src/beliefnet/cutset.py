@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
 from .propagation import _prepare, _run
 from .structure import LoopCutset, select_cutset
 
@@ -48,7 +48,7 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
     evidence.  Zero when the instantiation contradicts the evidence."""
     for var in c:
         net.var(var)
-    prep = _prepare(net, e, extra_hard=dict(c))
+    prep = _prepare(net, _bind_evidence(net, e), e.hard_states(), dict(c))
     if prep is None:
         return 0.0
     store = _run(net, prep)
@@ -61,6 +61,7 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     net.var(target)
     if e.is_hard(target):
         raise InvalidQueryError(f"target {target!r} carries hard evidence")
+    bound, hard = _bind_evidence(net, e), e.hard_states()
     cut = select_cutset(net)
     arity = net.arity(target)
     dims = [range(net.arity(v)) for v in cut.nodes]
@@ -70,7 +71,7 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     total = 0.0
     for combo in itertools.product(*dims):
         inst = dict(zip(cut.nodes, combo))
-        prep = _prepare(net, e, extra_hard=inst)
+        prep = _prepare(net, bound, hard, inst)
         if prep is None:
             weights[combo] = 0.0
             traces[combo] = ()

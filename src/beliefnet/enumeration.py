@@ -20,7 +20,7 @@ from .model import (
     BayesianNetwork,
     Belief,
     Evidence,
-    HardEvidence,
+    _bind_evidence,
     joint_probability,
 )
 
@@ -34,19 +34,6 @@ def _check_size(net: BayesianNetwork) -> None:
         )
 
 
-def _check_evidence(net: BayesianNetwork, e: Evidence) -> None:
-    for var, entry in e.entries.items():
-        arity = net.arity(var)
-        if isinstance(entry, HardEvidence):
-            if entry.state >= arity:
-                raise ValueError(f"hard evidence state {entry.state} out of range for {var!r}")
-        elif entry.likelihood.size != arity:
-            raise ValueError(
-                f"soft evidence for {var!r} has {entry.likelihood.size} weights, "
-                f"variable has {arity} states"
-            )
-
-
 def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.ndarray:
     """The joint tensor with evidence weights multiplied in, unnormalised.
 
@@ -54,7 +41,7 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
     empty evidence the tensor is the joint itself and sums to one.
     """
     _check_size(net)
-    _check_evidence(net, e)
+    bound = _bind_evidence(net, e)
     dims = net.dims
     n = len(dims)
     arr = np.ones(dims, dtype=np.float64)
@@ -67,13 +54,8 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
         for a in axes:
             shape[a] = dims[a]
         arr = arr * np.transpose(tensor, perm).reshape(shape)
-    for var, entry in e.entries.items():
+    for var, w in bound.items():
         ax = net.index(var)
-        if isinstance(entry, HardEvidence):
-            w = np.zeros(dims[ax])
-            w[entry.state] = 1.0
-        else:
-            w = entry.likelihood
         shape = [1] * n
         shape[ax] = dims[ax]
         arr = arr * w.reshape(shape)

@@ -486,6 +486,35 @@ def joint_probability(net: BayesianNetwork, assignment: Assignment) -> float:
     return p
 
 
+def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
+    """Bind evidence to a network: one likelihood vector per evidence variable.
+
+    This is Pearl's evidence lambda.  Hard evidence becomes an indicator
+    over the variable's states, soft evidence its likelihood; every
+    vector is read-only.  Every engine binds evidence here, so this is
+    where an unknown variable, a hard state out of range and a soft
+    vector of the wrong length raise ValueError.
+    """
+    bound: dict[str, np.ndarray] = {}
+    for var, entry in e.entries.items():
+        arity = net.arity(var)
+        if isinstance(entry, HardEvidence):
+            if entry.state >= arity:
+                raise ValueError(f"hard evidence state {entry.state} out of range for {var!r}")
+            vec = np.zeros(arity)
+            vec[entry.state] = 1.0
+            vec.setflags(write=False)
+        else:
+            if entry.likelihood.size != arity:
+                raise ValueError(
+                    f"soft evidence for {var!r} has {entry.likelihood.size} weights, "
+                    f"variable has {arity} states"
+                )
+            vec = entry.likelihood
+        bound[var] = vec
+    return bound
+
+
 def evidence_weight(net: BayesianNetwork, e: Evidence, assignment: Assignment) -> float:
     """Product of the evidence weights an assignment picks up.
 
@@ -493,22 +522,11 @@ def evidence_weight(net: BayesianNetwork, e: Evidence, assignment: Assignment) -
     agrees, else 0); soft evidence contributes its likelihood entry.
     """
     w = 1.0
-    for var, entry in e.entries.items():
-        arity = net.arity(var)
+    for var, lam in _bind_evidence(net, e).items():
         if var not in assignment:
             raise MissingValueError(f"assignment lacks a value for evidence variable {var!r}")
         s = assignment[var]
-        if not 0 <= s < arity:
+        if not 0 <= s < lam.size:
             raise ValueError(f"state index {s} out of range for {var!r}")
-        if isinstance(entry, HardEvidence):
-            if entry.state >= arity:
-                raise ValueError(f"hard evidence state {entry.state} out of range for {var!r}")
-            w *= 1.0 if s == entry.state else 0.0
-        else:
-            if entry.likelihood.size != arity:
-                raise ValueError(
-                    f"soft evidence for {var!r} has {entry.likelihood.size} weights, "
-                    f"variable has {arity} states"
-                )
-            w *= float(entry.likelihood[s])
+        w *= float(lam[s])
     return w

@@ -14,6 +14,10 @@ compute every message exactly once; on a polytree that single sweep is
 a fixed point.  The belief at X is the normalised product pi(X) *
 lambda(X).
 
+Evidence enters as each node's evidence-lambda: the vector that
+``model._bind_evidence`` binds for an evidence variable, all ones for
+any other.
+
 Observed nodes cut the flow: a message leaving an observed node carries
 only its instantiated state (for pi) or its own evidence weight (for
 lambda); support that arrived from one neighbour is never reflected to
@@ -34,12 +38,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
-from .model import BayesianNetwork, Belief, Evidence, HardEvidence, SoftEvidence, Variable
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
 from .structure import is_polytree
 
 
@@ -64,78 +68,26 @@ class MessageStore:
     trace: tuple[str, ...]
 
 
-def node_lambda_from_evidence(var: Variable, e: Evidence) -> np.ndarray:
-    """The evidence-lambda vector for one variable.
-
-    All ones with no evidence, an indicator under hard evidence, a copy
-    of the likelihood under soft evidence.
-    """
-    entry = e.entries.get(var.id)
-    if entry is None:
-        return np.ones(var.arity)
-    if isinstance(entry, HardEvidence):
-        if entry.state >= var.arity:
-            raise ValueError(f"hard evidence state {entry.state} out of range for {var.id!r}")
-        out = np.zeros(var.arity)
-        out[entry.state] = 1.0
-        return out
-    if entry.likelihood.size != var.arity:
-        raise ValueError(
-            f"soft evidence for {var.id!r} has {entry.likelihood.size} weights, "
-            f"variable has {var.arity} states"
-        )
-    return entry.likelihood.copy()
-
-
-def node_pi(net: BayesianNetwork, var_id: str, parent_messages: Sequence[np.ndarray]) -> np.ndarray:
-    """Predictive support for a node from its parents' pi messages.
-
-    Contracts the CPT with one distribution per parent, in the CPT's
-    parent order; a root returns a copy of its prior.
-    """
-    ps = net.parents(var_id)
-    if len(parent_messages) != len(ps):
-        raise ValueError(f"{var_id!r} has {len(ps)} parents, got {len(parent_messages)} messages")
-    if not ps:
-        return net.cpt(var_id).table[0].copy()
-    t = net.cpt_tensor(var_id)
-    for m in parent_messages:
-        t = np.tensordot(np.asarray(m, dtype=np.float64), t, axes=(0, 0))
-    return t
-
-
 # -- internal engine -------------------------------------------------------
 
 
 @dataclass
 class _Prepared:
-    """Merged evidence: one lambda vector per variable plus the set of
-    instantiated nodes.  ``None`` from _prepare means zero probability."""
+    """The swept evidence: one lambda vector per variable plus the set
+    of instantiated nodes.  ``None`` from _prepare means zero probability."""
 
     lam: dict[str, np.ndarray]
     hard: dict[str, int]
 
 
-def _prepare(net: BayesianNetwork, e: Evidence,
+def _prepare(net: BayesianNetwork, bound: Mapping[str, np.ndarray], hard: Mapping[str, int],
              extra_hard: Mapping[str, int] | None = None) -> _Prepared | None:
+    """Extend evidence bound by ``_bind_evidence`` to every variable and
+    merge in ``extra_hard``, the instantiation of a conditioning run."""
     lam: dict[str, np.ndarray] = {}
-    hard: dict[str, int] = {}
+    hard = dict(hard)
     for v in net.variables:
-        vec = np.ones(v.arity)
-        entry = e.entries.get(v.id)
-        if isinstance(entry, HardEvidence):
-            if entry.state >= v.arity:
-                raise ValueError(f"hard evidence state {entry.state} out of range for {v.id!r}")
-            hard[v.id] = entry.state
-            vec = np.zeros(v.arity)
-            vec[entry.state] = 1.0
-        elif isinstance(entry, SoftEvidence):
-            if entry.likelihood.size != v.arity:
-                raise ValueError(
-                    f"soft evidence for {v.id!r} has {entry.likelihood.size} weights, "
-                    f"variable has {v.arity} states"
-                )
-            vec = entry.likelihood.copy()
+        vec = bound[v.id] if v.id in bound else np.ones(v.arity)
         if extra_hard is not None and v.id in extra_hard:
             s = extra_hard[v.id]
             if not 0 <= s < v.arity:
@@ -146,8 +98,8 @@ def _prepare(net: BayesianNetwork, e: Evidence,
             keep = vec[s]
             vec = np.zeros(v.arity)
             vec[s] = keep
-        if not np.any(vec > 0):
-            return None
+            if keep <= 0:
+                return None
         lam[v.id] = vec
     return _Prepared(lam, hard)
 
@@ -342,10 +294,7 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
         raise NotAPolytreeError(f"network is multiply connected (loop {loop})")
     if pivot is not None:
         net.var(pivot)
-    prep = _prepare(net, e)
-    if prep is None:
-        raise ImpossibleEvidenceError("evidence has probability zero")
-    store = _run(net, prep, pivot)
+    store = _run(net, _prepare(net, _bind_evidence(net, e), e.hard_states()), pivot)
     if store.evidence_mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
     return store
@@ -358,9 +307,7 @@ def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) ->
     the same update rules; on a polytree the sweep is a fixed point and
     the delta is numerically zero.
     """
-    prep = _prepare(net, e)
-    if prep is None:
-        raise ImpossibleEvidenceError("evidence has probability zero")
+    prep = _prepare(net, _bind_evidence(net, e), e.hard_states())
     lam_ev, hard = prep.lam, prep.hard
     worst = 0.0
     for edge in net.edges:

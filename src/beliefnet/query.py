@@ -18,7 +18,7 @@ from . import cutset as _cutset
 from . import enumeration as _enumeration
 from . import propagation as _propagation
 from .errors import InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
 from .structure import d_separated, is_polytree
 
 
@@ -45,6 +45,7 @@ class QueryClassification:
 def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClassification:
     """Name the direction of reasoning a query performs."""
     net.var(target)
+    bound = _bind_evidence(net, e)
     if e.is_empty():
         raise InvalidQueryError("classification needs at least one evidence entry")
     if e.is_hard(target):
@@ -54,7 +55,7 @@ def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClass
     desc = net.descendants(target)
     subs: dict[str, QueryClass] = {}
     for v in net.variables:
-        if v.id not in e.entries or v.id == target:
+        if v.id not in bound or v.id == target:
             continue
         rest = e.without(v.id)
         if d_separated(net, v.id, target, rest):
@@ -83,11 +84,17 @@ class Method(Enum):
 
 @dataclass(frozen=True, eq=False)
 class InferResult:
-    """A posterior plus how it was computed and what kind of query it was."""
+    """A posterior plus how it was computed and what kind of query it was.
+
+    ``trace`` is the message log of the run that produced the belief:
+    the sweep's on POLYTREE, every conditioning sweep's in instantiation
+    order on CUTSET, empty on ENUMERATION.
+    """
 
     belief: Belief
     method: Method
     classification: QueryClassification | None
+    trace: tuple[str, ...] = ()
 
 
 def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
@@ -104,11 +111,15 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     resolved = method
     if method is Method.AUTO:
         resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
+    trace: tuple[str, ...] = ()
     if resolved is Method.ENUMERATION:
         belief = _enumeration.posterior(net, target, e)
     elif resolved is Method.POLYTREE:
-        belief = _propagation.propagate(net, e).beliefs[target]
+        store = _propagation.propagate(net, e)
+        belief, trace = store.beliefs[target], store.trace
     else:
-        belief = _cutset.conditioned_posterior(net, target, e)
+        run = _cutset.run_cutset_conditioning(net, target, e)
+        belief = run.belief
+        trace = tuple(line for sweep in run.traces.values() for line in sweep)
     classification = None if e.is_empty() else classify_query(net, target, e)
-    return InferResult(belief, resolved, classification)
+    return InferResult(belief, resolved, classification, trace)

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InvalidQueryError, NotAPathError
-from .model import BayesianNetwork, Evidence
+from .errors import InvalidQueryError, NetworkValidationError, NotAPathError
+from .model import BayesianNetwork, Evidence, Violation
 
 
 class ConnectionKind(Enum):
@@ -89,7 +89,8 @@ def _evidence_below(net: BayesianNetwork, e: Evidence) -> dict[str, bool]:
     marked = set(e.entries)
     flag: dict[str, bool] = {}
     order = net.topological_order()
-    assert order is not None, "d-separation requires an acyclic network"
+    if order is None:
+        raise NetworkValidationError([Violation("cycle", "network", "directed graph has a cycle")])
     for v in reversed(order):
         flag[v] = v in marked or any(flag[c] for c in net.children(v))
     return flag

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from beliefnet import cutset, propagation
 from beliefnet.cli import run
 
 BAD_SUM = "network t\nvariable A : a, b\ncpt A\n: 0.9, 0.6\n"
@@ -93,6 +94,32 @@ def test_query_trace_on_loopy(fixture_dir, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 20  # two sweeps over five edges
     assert all(line.startswith("MSG ") for line in lines)
+
+
+@pytest.mark.parametrize("name, target, evidence, lines, sweeps, cutsets", [
+    ("serial.bn", "Z", ["--evidence", "X=true"], 4, 1, 0),
+    ("sprinkler.bn", "X3", ["--evidence", "X4=wet"], 20, 2, 1),
+    ("loopy8.bn", "H", [], 72, 4, 1),
+], ids=["serial", "sprinkler", "loopy8"])
+def test_query_trace_runs_inference_once(fixture_dir, capsys, monkeypatch,
+                                         name, target, evidence, lines, sweeps, cutsets):
+    calls = []
+
+    def counting(fn, tag):
+        def wrapped(*args, **kwargs):
+            calls.append(tag)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (propagation, cutset):
+        monkeypatch.setattr(module, "_run", counting(module._run, "sweep"))
+    monkeypatch.setattr(cutset, "select_cutset", counting(cutset.select_cutset, "cutset"))
+    code = run(["query", _fx(fixture_dir, name), "--target", target, *evidence, "--trace"])
+    _, err = capsys.readouterr()
+    assert code == 0
+    assert len(err.splitlines()) == lines
+    assert calls.count("sweep") == sweeps
+    assert calls.count("cutset") == cutsets
 
 
 def test_dsep_separated(fixture_dir, capsys):

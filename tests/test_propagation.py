@@ -13,40 +13,11 @@ from beliefnet import (
     SoftEvidence,
     Variable,
     fixed_point_delta,
-    node_lambda_from_evidence,
-    node_pi,
     posterior,
     propagate,
 )
 
 TRACE_LINE = re.compile(r"^MSG \S+ \S+ (pi|lambda) [0-9.e+-]+(,[0-9.e+-]+)*$")
-
-
-def test_node_lambda_from_evidence():
-    v = Variable("A", ("a", "b", "c"))
-    assert np.array_equal(node_lambda_from_evidence(v, Evidence.empty()), [1, 1, 1])
-    e = Evidence({"A": HardEvidence(2)})
-    assert np.array_equal(node_lambda_from_evidence(v, e), [0, 0, 1])
-    e = Evidence({"A": SoftEvidence([0.5, 1.0, 0.25])})
-    assert np.array_equal(node_lambda_from_evidence(v, e), [0.5, 1.0, 0.25])
-    with pytest.raises(ValueError):
-        node_lambda_from_evidence(v, Evidence({"A": HardEvidence(3)}))
-    with pytest.raises(ValueError):
-        node_lambda_from_evidence(v, Evidence({"A": SoftEvidence([1.0, 1.0])}))
-
-
-def test_node_pi(serial_net):
-    got = node_pi(serial_net, "Y", [np.array([0.9, 0.1])])
-    assert np.allclose(got, [0.768, 0.232], atol=1e-12)
-    assert np.array_equal(node_pi(serial_net, "X", []), [0.9, 0.1])
-    with pytest.raises(ValueError):
-        node_pi(serial_net, "Y", [])
-
-
-def test_node_pi_two_parents(converging_net):
-    got = node_pi(converging_net, "Y", [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    # row for X=true, Z=false
-    assert np.allclose(got, [0.8, 0.2], atol=1e-12)
 
 
 def test_propagate_no_evidence_gives_priors(serial_net):

@@ -12,6 +12,7 @@ from beliefnet import (
     HardEvidence,
     InvalidQueryError,
     LoopCutset,
+    NetworkValidationError,
     NotAPathError,
     SoftEvidence,
     Variable,
@@ -20,6 +21,7 @@ from beliefnet import (
     is_polytree,
     is_valid_cutset,
     select_cutset,
+    validate,
 )
 
 
@@ -232,3 +234,13 @@ def test_greedy_cutset_on_large_network():
 def test_cutset_valid_unknown_node(serial_net):
     with pytest.raises(ValueError):
         is_valid_cutset(serial_net, ("nope",))
+
+
+def test_d_separated_rejects_a_cycle_with_a_typed_error():
+    vs = (Variable("A", ("a", "b")), Variable("B", ("a", "b")))
+    cpts = (Cpt("A", ("B",), np.full((2, 2), 0.5)),
+            Cpt("B", ("A",), np.full((2, 2), 0.5)))
+    net = BayesianNetwork(vs, cpts)
+    with pytest.raises(NetworkValidationError) as exc:
+        d_separated(net, "A", "B", Evidence.empty())
+    assert exc.value.violations == [v for v in validate(net) if v.kind == "cycle"]
