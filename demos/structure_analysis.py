@@ -34,7 +34,7 @@ v = d_separated(net, "X2", "X3", Evidence.empty())
 print("X2 vs X3, nothing observed:", "separated" if v.separated else f"active path {v.active_path}")
 
 # ...independent once the season is known...
-v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0)}))
+v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0)}), witnesses=True)
 print("X2 vs X3 given X1:", "separated" if v.separated else "connected")
 for block in v.blocks:
     print("  path", "-".join(block.path), "blocked at", block.blocker)

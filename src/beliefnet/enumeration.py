@@ -38,7 +38,9 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
     """The joint tensor with evidence weights multiplied in, unnormalised.
 
     Axis i ranges over the states of the i-th declared variable.  With
-    empty evidence the tensor is the joint itself and sums to one.
+    empty evidence the tensor is the joint itself and sums to one.  The
+    factors are multiplied in place, so only one joint-sized tensor is
+    ever held.
     """
     _check_size(net)
     bound = _bind_evidence(net, e)
@@ -53,12 +55,12 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
         shape = [1] * n
         for a in axes:
             shape[a] = dims[a]
-        arr = arr * np.transpose(tensor, perm).reshape(shape)
+        arr *= np.transpose(tensor, perm).reshape(shape)
     for var, w in bound.items():
         ax = net.index(var)
         shape = [1] * n
         shape[ax] = dims[ax]
-        arr = arr * w.reshape(shape)
+        arr *= w.reshape(shape)
     return arr
 
 

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import MissingValueError
+from .errors import MissingValueError, NetworkValidationError
 
 # Tolerance for CPT row sums and belief normalisation.
 ROW_SUM_TOL = 1e-9
@@ -294,6 +294,10 @@ class BayesianNetwork:
                 out.append((p, v.id))
         return tuple(out)
 
+    @cached_property
+    def _edge_set(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.edges)
+
     def skeleton_neighbors(self, var_id: str) -> tuple[str, ...]:
         ps = [p for p in self.parents(var_id) if p in self._by_id]
         cs = list(self.children(var_id))
@@ -378,6 +382,12 @@ class BayesianNetwork:
         idx = int(np.ravel_multi_index(tuple(parent_states), pdims))
         return c.table[idx]
 
+    # -- validation ------------------------------------------------------
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_find_violations(self))
+
 
 def validate(net: BayesianNetwork) -> list[Violation]:
     """Check every structural invariant and return the violations found.
@@ -385,8 +395,14 @@ def validate(net: BayesianNetwork) -> list[Violation]:
     An empty list means the network is well formed: unique states, at
     least two states per variable, exactly one CPT per variable with
     declared distinct parents, rows of the right length summing to one,
-    probabilities in [0, 1], and an acyclic directed graph.
+    probabilities in [0, 1], and an acyclic directed graph.  The check
+    runs once per network; later calls, and the engines' own check,
+    reuse its result.
     """
+    return list(net._violations)
+
+
+def _find_violations(net: BayesianNetwork) -> list[Violation]:
     out: list[Violation] = []
     ids = {v.id for v in net.variables}
 
@@ -492,9 +508,12 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     This is Pearl's evidence lambda.  Hard evidence becomes an indicator
     over the variable's states, soft evidence its likelihood; every
     vector is read-only.  Every engine binds evidence here, so this is
-    where an unknown variable, a hard state out of range and a soft
+    where a network that fails ``validate`` raises NetworkValidationError,
+    and where an unknown variable, a hard state out of range and a soft
     vector of the wrong length raise ValueError.
     """
+    if net._violations:
+        raise NetworkValidationError(net._violations)
     bound: dict[str, np.ndarray] = {}
     for var, entry in e.entries.items():
         arity = net.arity(var)

@@ -288,13 +288,14 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
     same beliefs.  Evidence of probability zero raises
     ImpossibleEvidenceError.
     """
+    bound = _bind_evidence(net, e)
     check = is_polytree(net)
     if not check:
         loop = "-".join(check.cycle + (check.cycle[0],))
         raise NotAPolytreeError(f"network is multiply connected (loop {loop})")
     if pivot is not None:
         net.var(pivot)
-    store = _run(net, _prepare(net, _bind_evidence(net, e), e.hard_states()), pivot)
+    store = _run(net, _prepare(net, bound, e.hard_states()), pivot)
     if store.evidence_mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
     return store

@@ -1,9 +1,8 @@
 """Graph-level analysis: connection types, d-separation, loop cutsets.
 
 These operations read only the directed structure and the evidence
-pattern, never the numbers in the CPTs.  d-separation is decided by
-enumerating the simple undirected paths between the endpoints and
-checking each intermediate node against the usual blocking rules:
+pattern, never the numbers in the CPTs.  A path is blocked by any
+intermediate node that obeys the usual rules:
 
 * serial and diverging nodes block a path when they carry hard evidence;
 * a converging node blocks a path unless it or one of its descendants
@@ -11,16 +10,23 @@ checking each intermediate node against the usual blocking rules:
 
 Soft evidence opens converging nodes but never blocks a chain, because
 a likelihood on a variable leaves the variable itself unobserved.
+
+d-separation is decided by a Bayes-ball pass (Shachter 1998; Koller &
+Friedman, Alg. 3.1): a search over (node, direction of arrival) states
+that follows exactly the unblocked trails from the source, in time
+linear in the size of the graph.  Query classification makes one such
+pass from the target.  Simple paths are enumerated only for the
+witnesses a caller asks for: the first active path of a connected
+verdict, and, on request, one blocking node per path of a separated one.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidQueryError, NetworkValidationError, NotAPathError
-from .model import BayesianNetwork, Evidence, Violation
+from .model import BayesianNetwork, Evidence
 
 
 class ConnectionKind(Enum):
@@ -39,7 +45,7 @@ def classify_connection(net: BayesianNetwork, a: str, v: str, b: str) -> Connect
         net.var(x)
     if len({a, v, b}) != 3:
         raise NotAPathError(f"nodes must be distinct, got {a!r}, {v!r}, {b!r}")
-    edges = set(net.edges)
+    edges = net._edge_set
 
     def arc(u: str, w: str) -> str:
         if (u, w) in edges:
@@ -71,9 +77,9 @@ class PathBlock:
 class SeparationVerdict:
     """Outcome of a d-separation test.
 
-    When separated, ``blocks`` lists one blocking node per simple path
-    (empty if no path exists at all).  When connected, ``active_path``
-    holds one unblocked path.
+    When connected, ``active_path`` holds one unblocked path.  When
+    separated and witnesses were asked for, ``blocks`` lists one
+    blocking node per simple path (empty if no path exists at all).
     """
 
     separated: bool
@@ -84,23 +90,100 @@ class SeparationVerdict:
         return self.separated
 
 
-def _evidence_below(net: BayesianNetwork, e: Evidence) -> dict[str, bool]:
-    """For every node: does it or any descendant carry evidence?"""
-    marked = set(e.entries)
-    flag: dict[str, bool] = {}
-    order = net.topological_order()
-    if order is None:
-        raise NetworkValidationError([Violation("cycle", "network", "directed graph has a cycle")])
-    for v in reversed(order):
-        flag[v] = v in marked or any(flag[c] for c in net.children(v))
-    return flag
+def _parents(net: BayesianNetwork, v: str) -> list[str]:
+    return [p for p in net.parents(v) if p in net]
 
 
-def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> SeparationVerdict:
+def _opened(net: BayesianNetwork, e: Evidence) -> set[str]:
+    """The converging nodes evidence opens: evidence nodes and their
+    ancestors.  Raises NetworkValidationError on a cyclic graph."""
+    cycles = [v for v in net._violations if v.kind == "cycle"]
+    if cycles:
+        raise NetworkValidationError(cycles)
+    opened = set(e.entries)
+    stack = list(opened)
+    while stack:
+        for p in _parents(net, stack.pop()):
+            if p not in opened:
+                opened.add(p)
+                stack.append(p)
+    return opened
+
+
+def _reachable(net: BayesianNetwork, source: str, e: Evidence) -> set[str]:
+    """Every node a Bayes ball from ``source`` arrives at, given ``e``.
+
+    A node is reached exactly when some trail from the source to it is
+    unblocked at every intermediate node; a node carrying hard evidence
+    can be reached without being passed through.  The source must not
+    carry hard evidence.
+    """
+    opened = _opened(net, e)
+    hard = e.hard_states()
+    children = net._children
+    # States are (node, arrived from a child); the source sends both ways.
+    reached = {source}
+    seen = {(source, True)}
+    stack = [(source, True)]
+    while stack:
+        v, from_child = stack.pop()
+        reached.add(v)
+        nxt = []
+        if v not in hard:
+            nxt += [(c, False) for c in children[v]]
+            if from_child:
+                nxt += [(p, True) for p in _parents(net, v)]
+        if not from_child and v in opened:
+            nxt += [(p, True) for p in _parents(net, v)]
+        for state in nxt:
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return reached
+
+
+def _blocks(net: BayesianNetwork, a: str, v: str, b: str, e: Evidence,
+            opened: set[str]) -> bool:
+    """Does v block the path segment a - v - b?"""
+    if classify_connection(net, a, v, b) is ConnectionKind.CONVERGING:
+        return v not in opened
+    return e.is_hard(v)
+
+
+def _simple_paths(net: BayesianNetwork, x: str, z: str, e: Evidence, active_only: bool):
+    """Simple undirected x-z paths, in depth-first order over neighbours
+    in declaration order, each with its first blocking node or None.
+
+    With ``active_only`` a prefix that is already blocked is not
+    extended, which leaves the active paths and their order unchanged.
+    """
+    opened = _opened(net, e)
+    stack = [[x]]
+    while stack:
+        path = stack.pop()
+        node = path[-1]
+        if node == z:
+            blocker = next((path[i] for i in range(1, len(path) - 1)
+                            if _blocks(net, path[i - 1], path[i], path[i + 1], e, opened)), None)
+            yield tuple(path), blocker
+            continue
+        for nb in reversed(net.skeleton_neighbors(node)):
+            if nb in path:
+                continue
+            if active_only and len(path) > 1 and _blocks(net, path[-2], node, nb, e, opened):
+                continue
+            stack.append(path + [nb])
+
+
+def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence, *,
+                witnesses: bool = False) -> SeparationVerdict:
     """Decide whether evidence e blocks every path between x and z.
 
-    x and z must be distinct and themselves free of hard evidence.  The
-    verdict carries per-path blocking witnesses, or one active path.
+    x and z must be distinct and themselves free of hard evidence.  A
+    connected verdict carries the first active path in depth-first,
+    declaration order.  A separated verdict lists per-path blocking
+    witnesses only when ``witnesses`` is true; enumerating them can take
+    time exponential in the size of the graph.
     """
     net.var(x)
     net.var(z)
@@ -110,34 +193,13 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
         if e.is_hard(endpoint):
             raise InvalidQueryError(f"endpoint {endpoint!r} carries hard evidence")
 
-    hard = set(e.hard_states())
-    below = _evidence_below(net, e)
-    blocks: list[PathBlock] = []
-
-    # Depth-first enumeration of simple undirected paths from x to z,
-    # neighbours visited in declaration order for a deterministic verdict.
-    stack: list[tuple[str, list[str]]] = [(x, [x])]
-    while stack:
-        node, path = stack.pop()
-        if node == z:
-            blocker = None
-            for i in range(1, len(path) - 1):
-                kind = classify_connection(net, path[i - 1], path[i], path[i + 1])
-                if kind is ConnectionKind.CONVERGING:
-                    if not below[path[i]]:
-                        blocker = path[i]
-                        break
-                elif path[i] in hard:
-                    blocker = path[i]
-                    break
-            if blocker is None:
-                return SeparationVerdict(False, active_path=tuple(path))
-            blocks.append(PathBlock(tuple(path), blocker))
-            continue
-        for nb in reversed(net.skeleton_neighbors(node)):
-            if nb not in path:
-                stack.append((nb, path + [nb]))
-    return SeparationVerdict(True, blocks=tuple(blocks))
+    if z in _reachable(net, x, e):
+        path = next(p for p, blocker in _simple_paths(net, x, z, e, True) if blocker is None)
+        return SeparationVerdict(False, active_path=path)
+    if not witnesses:
+        return SeparationVerdict(True)
+    return SeparationVerdict(True, blocks=tuple(
+        PathBlock(p, blocker) for p, blocker in _simple_paths(net, x, z, e, False)))
 
 
 @dataclass(frozen=True)
@@ -243,24 +305,88 @@ def is_valid_cutset(net: BayesianNetwork, nodes) -> bool:
     return _skeleton_cycle(ids, neighbors) is None
 
 
+def _loop_tails(n: int, arcs: list[tuple[int, int]], cut: frozenset[int]) -> list[int] | None:
+    """The tails of one loop left once the arcs leaving ``cut`` are
+    dropped, in index order, or None when no loop is left.
+
+    Nodes and arcs are integers in declaration order.  A union-find over
+    the kept arcs stops at the first arc that closes a loop; the loop is
+    that arc plus the spanning-forest path between its ends.  A tail is
+    a node with an outgoing loop arc: only a tail cuts the loop.
+    """
+    root = list(range(n))
+    # Spanning forest: per node, (neighbour, tail of the arc between them).
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for u, w in arcs:
+        if u in cut:
+            continue
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            root[ru] = rw
+            forest[u].append((w, u))
+            forest[w].append((u, u))
+            continue
+        # Walk the forest from w; the path back from u closes the loop.
+        towards_w: dict[int, tuple[int, int] | None] = {w: None}
+        queue = [w]
+        for a in queue:
+            for b, tail in forest[a]:
+                if b not in towards_w:
+                    towards_w[b] = (a, tail)
+                    queue.append(b)
+        tails = {u}
+        step = towards_w[u]
+        while step is not None:
+            a, tail = step
+            tails.add(tail)
+            step = towards_w[a]
+        return sorted(tails)
+    return None
+
+
 def select_cutset(net: BayesianNetwork) -> LoopCutset:
     """Pick a deterministic minimum loop cutset.
 
-    Polytrees get the empty cutset.  Up to 20 nodes the search is
-    exhaustive over subsets in order of size, then declaration order, so
-    the result is a true minimum with lexicographic tie-breaking.
-    Larger networks fall back to a greedy heuristic that repeatedly cuts
-    the highest-degree non-sink node on some remaining loop.
+    Polytrees get the empty cutset.  Up to 20 nodes the search is exact:
+    the first size that admits a valid cutset wins, and among cutsets of
+    that size the first in declaration order (as ``combinations`` would
+    list them).  The search deepens one size at a time, and at each size
+    branches on the tails of one loop left in the reduced skeleton:
+    every valid cutset contains a tail of every loop, so each minimum
+    cutset is reached without testing every subset.  Larger networks
+    fall back to a greedy heuristic that repeatedly cuts the
+    highest-degree non-sink node on some remaining loop.
     """
     if is_polytree(net):
         return LoopCutset(())
     ids = [v.id for v in net.variables]
     if len(ids) <= 20:
+        index = {v: i for i, v in enumerate(ids)}
+        arcs = [(index[u], index[w]) for u, w in net.edges]
         for size in range(1, len(ids) + 1):
-            for combo in itertools.combinations(ids, size):
-                if is_valid_cutset(net, combo):
-                    return LoopCutset(combo)
-        raise AssertionError("unreachable: the full node set is always a valid cutset")
+            found: list[list[int]] = []
+            seen: set[frozenset[int]] = set()
+            stack = [frozenset()]
+            while stack:
+                cut = stack.pop()
+                tails = _loop_tails(len(ids), arcs, cut)
+                if tails is None:
+                    found.append(sorted(cut))
+                elif len(cut) < size:
+                    for t in tails:
+                        grown = cut | {t}
+                        if grown not in seen:
+                            seen.add(grown)
+                            stack.append(grown)
+            if found:
+                return LoopCutset(tuple(ids[i] for i in min(found)))
 
     order = {v: i for i, v in enumerate(ids)}
     chosen: list[str] = []

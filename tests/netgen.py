@@ -57,8 +57,14 @@ def random_polytree(rng, n, min_states=2, max_states=4):
     return assemble(rng, parent_idx, arities)
 
 
-def random_loopy(rng, n, min_states=2, max_states=3):
-    """A multiply connected DAG: tree skeleton plus extra back edges."""
+def random_loopy(rng, n, min_states=2, max_states=3, extra_edges=(1, 2)):
+    """A multiply connected DAG: random tree skeleton plus a number of
+    extra edges drawn from the inclusive range ``extra_edges``.
+
+    Every extra edge points forward in one topological order of the
+    tree, so the result is always acyclic.  An edge that would repeat
+    one or give a node a fourth parent is skipped.
+    """
     while True:
         parent_idx = [[] for _ in range(n)]
         for i in range(1, n):
@@ -67,15 +73,37 @@ def random_loopy(rng, n, min_states=2, max_states=3):
                 parent_idx[i].append(j)
             else:
                 parent_idx[j].append(i)
-        for _ in range(int(rng.integers(1, 3))):
+        rank = {v: k for k, v in enumerate(_topological(parent_idx))}
+        for _ in range(int(rng.integers(extra_edges[0], extra_edges[1] + 1))):
             i = int(rng.integers(1, n))
             j = int(rng.integers(0, i))
-            if j not in parent_idx[i] and i not in parent_idx[j] and len(parent_idx[i]) < 3:
-                parent_idx[i].append(j)
+            tail, head = (j, i) if rank[j] < rank[i] else (i, j)
+            if tail not in parent_idx[head] and head not in parent_idx[tail] \
+                    and len(parent_idx[head]) < 3:
+                parent_idx[head].append(tail)
         arities = [int(rng.integers(min_states, max_states + 1)) for _ in range(n)]
         net = assemble(rng, parent_idx, arities)
         if not is_polytree(net):
             return net
+
+
+def _topological(parent_idx):
+    """Node indices of an acyclic parent list, parents before children."""
+    order, placed = [], set()
+    while len(order) < len(parent_idx):
+        for v, ps in enumerate(parent_idx):
+            if v not in placed and all(p in placed for p in ps):
+                order.append(v)
+                placed.add(v)
+    return order
+
+
+def grid(rng, rows, cols, arity=2):
+    """A rows x cols grid DAG, cells G0, G1, ... in row-major order: each
+    cell's parents are its upper and left neighbours."""
+    parent_idx = [[i - cols] * (i >= cols) + [i - 1] * (i % cols > 0)
+                  for i in range(rows * cols)]
+    return assemble(rng, parent_idx, [arity] * (rows * cols), prefix="G")
 
 
 def random_evidence(rng, net, p_node=0.4, soft_ratio=0.3, exclude=()):

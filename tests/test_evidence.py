@@ -1,5 +1,6 @@
 """Evidence binding: what every engine multiplies in, and what it rejects."""
 
+import numpy as np
 import pytest
 
 from beliefnet import (
@@ -8,6 +9,7 @@ from beliefnet import (
     Evidence,
     HardEvidence,
     Method,
+    NetworkValidationError,
     SoftEvidence,
     Variable,
     classify_query,
@@ -16,9 +18,12 @@ from beliefnet import (
     fixed_point_delta,
     infer,
     instantiation_weight,
+    load_network,
     posterior,
     propagate,
+    validate,
 )
+from beliefnet import model
 from beliefnet.model import _bind_evidence
 
 
@@ -61,3 +66,40 @@ ENGINES = {
 def test_every_engine_rejects_bad_evidence(serial_net, engine, bad):
     with pytest.raises(ValueError):
         ENGINES[engine](serial_net, BAD_EVIDENCE[bad])
+
+
+def _xyz(parents, drop=()):
+    """Binary X, Y, Z with the given parent tuples and uniform tables,
+    leaving out the CPTs named in ``drop``."""
+    vs = tuple(Variable(v, ("a", "b")) for v in "XYZ")
+    cpts = tuple(Cpt(v, parents[v], np.full((2 ** len(parents[v]), 2), 0.5))
+                 for v in "XYZ" if v not in drop)
+    return BayesianNetwork(vs, cpts)
+
+
+INVALID = {
+    "missing-cpt": _xyz({"X": (), "Y": ("X",), "Z": ("Y",)}, drop=("Z",)),
+    "two-node-cycle": _xyz({"X": (), "Y": ("X", "Z"), "Z": ("Y",)}),
+    "loopy-cycle": _xyz({"X": ("Z",), "Y": ("X",), "Z": ("Y",)}),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("bad", INVALID)
+def test_every_engine_rejects_an_invalid_network(engine, bad):
+    net = INVALID[bad]
+    with pytest.raises(NetworkValidationError) as exc:
+        ENGINES[engine](net, Evidence({"X": HardEvidence(0)}))
+    assert exc.value.violations == validate(net) != []
+
+
+def test_a_network_is_validated_once(monkeypatch, fixture_dir):
+    calls = []
+    real = model._find_violations
+    monkeypatch.setattr(model, "_find_violations", lambda net: calls.append(net) or real(net))
+    net = load_network(fixture_dir / "sprinkler.bn")
+    assert validate(net) == []
+    e = Evidence({"X5": HardEvidence(0)})
+    for method in (Method.AUTO, Method.ENUMERATION, Method.CUTSET):
+        infer(net, "X1", e, method)
+    assert calls == [net]

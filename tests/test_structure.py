@@ -67,7 +67,7 @@ def test_classify_connection_rejects_non_chains(sprinkler_net):
 
 
 def test_serial_blocked_by_hard_middle(serial_net):
-    v = d_separated(serial_net, "X", "Z", Evidence({"Y": HardEvidence(0)}))
+    v = d_separated(serial_net, "X", "Z", Evidence({"Y": HardEvidence(0)}), witnesses=True)
     assert v.separated and bool(v)
     assert v.blocks == tuple([type(v.blocks[0])(("X", "Y", "Z"), "Y")])
     assert v.active_path is None
@@ -115,7 +115,7 @@ def test_dsep_on_loop_fixture(sprinkler_net):
     net = sprinkler_net
     # Both routes between X2 and X3 are blocked: the fork X1 is observed
     # and the collider X4 is untouched.
-    v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0)}))
+    v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0)}), witnesses=True)
     assert v.separated
     assert {b.path: b.blocker for b in v.blocks} == {
         ("X2", "X1", "X3"): "X1",
