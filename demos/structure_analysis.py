@@ -34,10 +34,8 @@ v = d_separated(net, "X2", "X3", Evidence.empty())
 print("X2 vs X3, nothing observed:", "separated" if v.separated else f"active path {v.active_path}")
 
 # ...independent once the season is known...
-v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0)}), witnesses=True)
+v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0)}))
 print("X2 vs X3 given X1:", "separated" if v.separated else "connected")
-for block in v.blocks:
-    print("  path", "-".join(block.path), "blocked at", block.blocker)
 
 # ...and dependent again when the shared effect is seen (wet pavement)
 v = d_separated(net, "X2", "X3", Evidence({"X1": HardEvidence(0), "X4": HardEvidence(0)}))

@@ -36,7 +36,6 @@ from .model import (
 from .structure import (
     ConnectionKind,
     LoopCutset,
-    PathBlock,
     PolytreeCheck,
     SeparationVerdict,
     classify_connection,
@@ -99,7 +98,6 @@ __all__ = [
     "NetworkValidationError",
     "NotAPathError",
     "NotAPolytreeError",
-    "PathBlock",
     "PolytreeCheck",
     "QueryClass",
     "QueryClassification",

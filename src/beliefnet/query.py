@@ -6,8 +6,7 @@ the target: evidence among the target's ancestors pushes belief forward
 (diagnostic), evidence elsewhere acts between causes of a shared
 effect.  Evidence nodes that are d-separated from the target given the
 rest contribute nothing and are skipped; disagreeing directions make
-the query mixed.  One Bayes-ball pass from the target finds every
-evidence node that is not.
+the query mixed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from . import enumeration as _enumeration
 from . import propagation as _propagation
 from .errors import InvalidQueryError
 from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
-from .structure import _reachable, is_polytree
+from .structure import d_separated, is_polytree
 
 
 class QueryClass(Enum):
@@ -52,17 +51,14 @@ def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClass
     if e.is_hard(target):
         raise InvalidQueryError(f"target {target!r} carries hard evidence")
 
-    # An evidence node is d-connected to the target given the rest of the
-    # evidence exactly when one Bayes ball from the target, given all of
-    # it, arrives there: the node's own finding only opens colliders
-    # above it, and a trail through such a collider can instead run down
-    # to the node itself.
-    reached = _reachable(net, target, e)
     anc = net.ancestors(target)
     desc = net.descendants(target)
     subs: dict[str, QueryClass] = {}
     for v in net.variables:
-        if v.id not in bound or v.id == target or v.id not in reached:
+        if v.id not in bound or v.id == target:
+            continue
+        rest = e.without(v.id)
+        if d_separated(net, v.id, target, rest):
             continue
         if v.id in anc:
             subs[v.id] = QueryClass.FORWARD

@@ -15,9 +15,8 @@ d-separation is decided by a Bayes-ball pass (Shachter 1998; Koller &
 Friedman, Alg. 3.1): a search over (node, direction of arrival) states
 that follows exactly the unblocked trails from the source, in time
 linear in the size of the graph.  Query classification makes one such
-pass from the target.  Simple paths are enumerated only for the
-witnesses a caller asks for: the first active path of a connected
-verdict, and, on request, one blocking node per path of a separated one.
+pass per evidence node.  Only a connected verdict searches simple
+paths, for the first active one.
 """
 
 from __future__ import annotations
@@ -66,24 +65,17 @@ def classify_connection(net: BayesianNetwork, a: str, v: str, b: str) -> Connect
 
 
 @dataclass(frozen=True)
-class PathBlock:
-    """One enumerated path together with the node that blocks it."""
-
-    path: tuple[str, ...]
-    blocker: str
-
-
-@dataclass(frozen=True)
 class SeparationVerdict:
     """Outcome of a d-separation test.
 
-    When connected, ``active_path`` holds one unblocked path.  When
-    separated and witnesses were asked for, ``blocks`` lists one
-    blocking node per simple path (empty if no path exists at all).
+    When connected, ``active_path`` holds one unblocked path.
+    ``blocks`` is always empty: a separated verdict comes from a search
+    that walks no paths.  It stays because the benchmark counts it
+    (``bench/workloads.py``).
     """
 
     separated: bool
-    blocks: tuple[PathBlock, ...] = ()
+    blocks: tuple[()] = ()
     active_path: tuple[str, ...] | None = None
 
     def __bool__(self) -> bool:
@@ -110,24 +102,23 @@ def _opened(net: BayesianNetwork, e: Evidence) -> set[str]:
     return opened
 
 
-def _reachable(net: BayesianNetwork, source: str, e: Evidence) -> set[str]:
-    """Every node a Bayes ball from ``source`` arrives at, given ``e``.
+def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence) -> bool:
+    """Does a Bayes ball from x arrive at z, given e?
 
-    A node is reached exactly when some trail from the source to it is
-    unblocked at every intermediate node; a node carrying hard evidence
-    can be reached without being passed through.  The source must not
-    carry hard evidence.
+    It does exactly when some trail from x to z is unblocked at every
+    intermediate node.  The search runs over (node, arrived from a
+    child) states, each visited at most once.
     """
     opened = _opened(net, e)
     hard = e.hard_states()
     children = net._children
-    # States are (node, arrived from a child); the source sends both ways.
-    reached = {source}
-    seen = {(source, True)}
-    stack = [(source, True)]
+    # x sends the ball both ways, as if it had arrived from a child.
+    seen = {(x, True)}
+    stack = [(x, True)]
     while stack:
         v, from_child = stack.pop()
-        reached.add(v)
+        if v == z:
+            return True
         nxt = []
         if v not in hard:
             nxt += [(c, False) for c in children[v]]
@@ -139,23 +130,24 @@ def _reachable(net: BayesianNetwork, source: str, e: Evidence) -> set[str]:
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
-    return reached
+    return False
 
 
 def _blocks(net: BayesianNetwork, a: str, v: str, b: str, e: Evidence,
             opened: set[str]) -> bool:
     """Does v block the path segment a - v - b?"""
-    if classify_connection(net, a, v, b) is ConnectionKind.CONVERGING:
+    edges = net._edge_set
+    if (a, v) in edges and (b, v) in edges:     # a -> v <- b
         return v not in opened
     return e.is_hard(v)
 
 
-def _simple_paths(net: BayesianNetwork, x: str, z: str, e: Evidence, active_only: bool):
-    """Simple undirected x-z paths, in depth-first order over neighbours
-    in declaration order, each with its first blocking node or None.
+def _first_active_path(net: BayesianNetwork, x: str, z: str, e: Evidence) -> tuple[str, ...]:
+    """The first active simple x-z path, in depth-first order over
+    neighbours in declaration order.  x and z must be d-connected.
 
-    With ``active_only`` a prefix that is already blocked is not
-    extended, which leaves the active paths and their order unchanged.
+    A prefix that is already blocked is not extended: it leads to no
+    active path, so skipping it leaves the order of the active ones.
     """
     opened = _opened(net, e)
     stack = [[x]]
@@ -163,27 +155,22 @@ def _simple_paths(net: BayesianNetwork, x: str, z: str, e: Evidence, active_only
         path = stack.pop()
         node = path[-1]
         if node == z:
-            blocker = next((path[i] for i in range(1, len(path) - 1)
-                            if _blocks(net, path[i - 1], path[i], path[i + 1], e, opened)), None)
-            yield tuple(path), blocker
-            continue
+            return tuple(path)
         for nb in reversed(net.skeleton_neighbors(node)):
             if nb in path:
                 continue
-            if active_only and len(path) > 1 and _blocks(net, path[-2], node, nb, e, opened):
+            if len(path) > 1 and _blocks(net, path[-2], node, nb, e, opened):
                 continue
             stack.append(path + [nb])
+    raise AssertionError("d-connected nodes have an active simple path")
 
 
-def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence, *,
-                witnesses: bool = False) -> SeparationVerdict:
+def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> SeparationVerdict:
     """Decide whether evidence e blocks every path between x and z.
 
     x and z must be distinct and themselves free of hard evidence.  A
     connected verdict carries the first active path in depth-first,
-    declaration order.  A separated verdict lists per-path blocking
-    witnesses only when ``witnesses`` is true; enumerating them can take
-    time exponential in the size of the graph.
+    declaration order.
     """
     net.var(x)
     net.var(z)
@@ -193,13 +180,9 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence, *,
         if e.is_hard(endpoint):
             raise InvalidQueryError(f"endpoint {endpoint!r} carries hard evidence")
 
-    if z in _reachable(net, x, e):
-        path = next(p for p, blocker in _simple_paths(net, x, z, e, True) if blocker is None)
-        return SeparationVerdict(False, active_path=path)
-    if not witnesses:
+    if not _d_connected(net, x, z, e):
         return SeparationVerdict(True)
-    return SeparationVerdict(True, blocks=tuple(
-        PathBlock(p, blocker) for p, blocker in _simple_paths(net, x, z, e, False)))
+    return SeparationVerdict(False, active_path=_first_active_path(net, x, z, e))
 
 
 @dataclass(frozen=True)
@@ -282,6 +265,17 @@ class LoopCutset:
         return iter(self.nodes)
 
 
+def _reduced_skeleton(net: BayesianNetwork, ids: list[str], cut) -> dict[str, list[str]]:
+    """The skeleton left once the edges leaving ``cut`` are dropped."""
+    neighbors: dict[str, list[str]] = {v: [] for v in ids}
+    for u, w in net.edges:
+        if u in cut:
+            continue
+        neighbors[u].append(w)
+        neighbors[w].append(u)
+    return neighbors
+
+
 def is_valid_cutset(net: BayesianNetwork, nodes) -> bool:
     """Check that instantiating ``nodes`` leaves no usable loop.
 
@@ -296,59 +290,7 @@ def is_valid_cutset(net: BayesianNetwork, nodes) -> bool:
     for c in cut:
         net.var(c)
     ids = [v.id for v in net.variables]
-    neighbors: dict[str, list[str]] = {v: [] for v in ids}
-    for u, w in net.edges:
-        if u in cut:
-            continue
-        neighbors[u].append(w)
-        neighbors[w].append(u)
-    return _skeleton_cycle(ids, neighbors) is None
-
-
-def _loop_tails(n: int, arcs: list[tuple[int, int]], cut: frozenset[int]) -> list[int] | None:
-    """The tails of one loop left once the arcs leaving ``cut`` are
-    dropped, in index order, or None when no loop is left.
-
-    Nodes and arcs are integers in declaration order.  A union-find over
-    the kept arcs stops at the first arc that closes a loop; the loop is
-    that arc plus the spanning-forest path between its ends.  A tail is
-    a node with an outgoing loop arc: only a tail cuts the loop.
-    """
-    root = list(range(n))
-    # Spanning forest: per node, (neighbour, tail of the arc between them).
-    forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-
-    def find(u: int) -> int:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        return u
-
-    for u, w in arcs:
-        if u in cut:
-            continue
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            root[ru] = rw
-            forest[u].append((w, u))
-            forest[w].append((u, u))
-            continue
-        # Walk the forest from w; the path back from u closes the loop.
-        towards_w: dict[int, tuple[int, int] | None] = {w: None}
-        queue = [w]
-        for a in queue:
-            for b, tail in forest[a]:
-                if b not in towards_w:
-                    towards_w[b] = (a, tail)
-                    queue.append(b)
-        tails = {u}
-        step = towards_w[u]
-        while step is not None:
-            a, tail = step
-            tails.add(tail)
-            step = towards_w[a]
-        return sorted(tails)
-    return None
+    return _skeleton_cycle(ids, _reduced_skeleton(net, ids, cut)) is None
 
 
 def select_cutset(net: BayesianNetwork) -> LoopCutset:
@@ -367,28 +309,28 @@ def select_cutset(net: BayesianNetwork) -> LoopCutset:
     if is_polytree(net):
         return LoopCutset(())
     ids = [v.id for v in net.variables]
+    order = {v: i for i, v in enumerate(ids)}
     if len(ids) <= 20:
-        index = {v: i for i, v in enumerate(ids)}
-        arcs = [(index[u], index[w]) for u, w in net.edges]
+        edges = net._edge_set
         for size in range(1, len(ids) + 1):
             found: list[list[int]] = []
-            seen: set[frozenset[int]] = set()
+            seen: set[frozenset[str]] = set()
             stack = [frozenset()]
             while stack:
                 cut = stack.pop()
-                tails = _loop_tails(len(ids), arcs, cut)
-                if tails is None:
-                    found.append(sorted(cut))
+                cycle = _skeleton_cycle(ids, _reduced_skeleton(net, ids, cut))
+                if cycle is None:
+                    found.append(sorted(order[v] for v in cut))
                 elif len(cut) < size:
-                    for t in tails:
-                        grown = cut | {t}
+                    # Only a tail, a node with an outgoing loop edge, cuts the loop.
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                        grown = cut | {a if (a, b) in edges else b}
                         if grown not in seen:
                             seen.add(grown)
                             stack.append(grown)
             if found:
                 return LoopCutset(tuple(ids[i] for i in min(found)))
 
-    order = {v: i for i, v in enumerate(ids)}
     chosen: list[str] = []
     for _ in range(len(ids)):
         cut = set(chosen)

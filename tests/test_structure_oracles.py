@@ -2,8 +2,8 @@
 
 d-separation is checked against networkx and against an explicit
 enumeration of simple paths, query classification against one
-d-separation test per evidence node, and cutset selection against a
-brute-force search over node subsets.
+networkx d-separation test per evidence node, and cutset selection
+against a brute-force search over node subsets.
 """
 
 import itertools
@@ -109,14 +109,11 @@ def test_d_separated_with_soft_evidence_agrees_with_path_enumeration():
         ref = _reference_paths(net, x, z, e)
         separated = all(b is not None for b in ref.values())
         verdict = d_separated(net, x, z, e)
-        witnessed = d_separated(net, x, z, e, witnesses=True)
-        assert verdict.separated == witnessed.separated == separated
+        assert verdict.separated == separated
         if separated:
-            assert verdict.blocks == () and verdict.active_path is None
-            assert [(b.path, b.blocker) for b in witnessed.blocks] == list(ref.items())
+            assert verdict.active_path is None
         else:
-            first_active = next(p for p, b in ref.items() if b is None)
-            assert verdict.active_path == witnessed.active_path == first_active
+            assert verdict.active_path == next(p for p, b in ref.items() if b is None)
         verdicts[separated] += 1
     assert min(verdicts.values()) > 50
 
@@ -129,7 +126,7 @@ def test_d_separation_scales_to_a_6x6_grid():
     t0 = time.perf_counter()
     verdict = d_separated(net, "G1", "G6", Evidence({"G0": HardEvidence(0)}))
     elapsed = time.perf_counter() - t0
-    assert verdict.separated and verdict.blocks == ()
+    assert verdict.separated
     assert elapsed < 0.5, elapsed
 
     e = Evidence({"G0": HardEvidence(0), "G6": HardEvidence(1)})
@@ -143,11 +140,26 @@ def test_d_separation_scales_to_a_6x6_grid():
 # -- query classification -----------------------------------------------------
 
 
-def _per_node_sub_verdicts(net, target, e):
+def _networkx_sub_verdicts(nx, net, target, e):
+    """Sub-verdicts from one networkx d-separation test per evidence node.
+
+    Soft evidence on v is an observed virtual child of v: it opens the
+    colliders above v without blocking any trail through v.
+    """
     anc, desc = net.ancestors(target), net.descendants(target)
     subs = {}
     for v in e:
-        if v == target or d_separated(net, v, target, e.without(v)):
+        if v == target:
+            continue
+        rest = e.without(v)
+        graph = nx.DiGraph(net.edges)
+        graph.add_nodes_from(u.id for u in net.variables)
+        given = {u for u in rest if rest.is_hard(u)}
+        for u in rest:
+            if not rest.is_hard(u):
+                graph.add_edge(u, ("soft", u))
+                given.add(("soft", u))
+        if nx.is_d_separator(graph, {v}, {target}, given):
             continue
         subs[v] = (QueryClass.FORWARD if v in anc
                    else QueryClass.BACKWARD if v in desc
@@ -155,9 +167,10 @@ def _per_node_sub_verdicts(net, target, e):
     return subs
 
 
-def test_classification_matches_one_d_separation_test_per_evidence_node():
+def test_classification_matches_one_networkx_d_separation_test_per_evidence_node():
+    nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(4242)
-    draws = influencing = skipped = 0
+    draws = influencing = skipped = soft = 0
     k = 0
     while draws < 1200:
         net = _random_net(rng, k)
@@ -166,12 +179,13 @@ def test_classification_matches_one_d_separation_test_per_evidence_node():
         e = netgen.random_evidence(rng, net, exclude=(target,))
         if e.is_empty():
             continue
-        want = _per_node_sub_verdicts(net, target, e)
+        want = _networkx_sub_verdicts(nx, net, target, e)
         assert classify_query(net, target, e).sub_verdicts == want
         draws += 1
         influencing += len(want)
         skipped += len(e) - len(want)
-    assert influencing > 0 and skipped > 0
+        soft += sum(not e.is_hard(v) for v in e)
+    assert influencing > 0 and skipped > 0 and soft > 0
 
 
 # -- cutset selection ---------------------------------------------------------
