@@ -144,7 +144,7 @@ def _cmd_query(ns) -> int:
     net = load_network(ns.file)
     e = _parse_evidence(net, ns.evidence, ns.soft)
     _require_var(net, ns.target)
-    result = infer(net, ns.target, e, Method(ns.method))
+    result = infer(net, ns.target, e, Method(ns.method), trace=ns.trace)
     if ns.trace:
         for line in result.trace:
             print(line, file=sys.stderr)

@@ -274,12 +274,17 @@ class BayesianNetwork:
         return c.parents if c is not None else ()
 
     @cached_property
+    def _parents(self) -> dict[str, tuple[str, ...]]:
+        """Each variable's parents that are declared variables."""
+        return {v.id: tuple(p for p in self.parents(v.id) if p in self._by_id)
+                for v in self.variables}
+
+    @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
         acc: dict[str, list[str]] = {v.id: [] for v in self.variables}
         for v in self.variables:
-            for p in self.parents(v.id):
-                if p in acc:
-                    acc[p].append(v.id)
+            for p in self._parents[v.id]:
+                acc[p].append(v.id)
         return {k: tuple(vs) for k, vs in acc.items()}
 
     def children(self, var_id: str) -> tuple[str, ...]:
@@ -298,10 +303,16 @@ class BayesianNetwork:
     def _edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def _skeleton(self) -> dict[str, tuple[str, ...]]:
+        """Each variable's neighbours in the undirected skeleton, in declaration order."""
+        return {v.id: tuple(sorted({*self._parents[v.id], *self._children[v.id]},
+                                   key=self._order.__getitem__))
+                for v in self.variables}
+
     def skeleton_neighbors(self, var_id: str) -> tuple[str, ...]:
-        ps = [p for p in self.parents(var_id) if p in self._by_id]
-        cs = list(self.children(var_id))
-        return tuple(sorted(set(ps) | set(cs), key=lambda u: self._order[u]))
+        self.var(var_id)
+        return self._skeleton[var_id]
 
     def roots(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables if not self.parents(v.id))
@@ -345,13 +356,13 @@ class BayesianNetwork:
     def ancestors(self, var_id: str) -> frozenset[str]:
         self.var(var_id)
         seen: set[str] = set()
-        stack = [p for p in self.parents(var_id) if p in self._by_id]
+        stack = list(self._parents[var_id])
         while stack:
             u = stack.pop()
             if u in seen:
                 continue
             seen.add(u)
-            stack.extend(p for p in self.parents(u) if p in self._by_id)
+            stack.extend(self._parents[u])
         return frozenset(seen)
 
     # -- CPT access ------------------------------------------------------
@@ -387,6 +398,23 @@ class BayesianNetwork:
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
         return tuple(_find_violations(self))
+
+    @cached_property
+    def _memo(self) -> dict:
+        """What ``_once`` derived from the network, by the function that derived it."""
+        return {}
+
+
+def _once(net: BayesianNetwork, derive):
+    """``derive(net)``, computed on the first call and kept on the network.
+
+    A network is immutable, so anything derived from it alone (its
+    polytree check, its cutset, its compiled form) holds for its lifetime.
+    """
+    memo = net._memo
+    if derive not in memo:
+        memo[derive] = derive(net)
+    return memo[derive]
 
 
 def validate(net: BayesianNetwork) -> list[Violation]:

@@ -28,23 +28,393 @@ part of the network is singly connected.  The same engine therefore
 also serves the cutset-conditioning driver, which instantiates enough
 nodes to cut every loop.
 
+A sweep is batched.  Every message carries a leading instantiation
+axis, one row per evidence pattern over the same set of observed
+nodes, and every pi value and lambda message is one ``np.einsum`` of
+the node's CPT with the incoming messages.  ``propagate`` sweeps one
+row; cutset conditioning sweeps all its instantiations at once.  The
+network's index form (parents, children, CPT tensors, contraction
+subscripts) is compiled once per network.
+
 The total evidence mass (the probability of all evidence) is recovered
 as the product over swept components of the pivot's pi . lambda dot
 product times the normalisation constants absorbed during the collect
-pass.
+pass.  The collect pass runs at once; the distribute pass runs when a
+node value, a message or the message log is read, and only as far as
+the read needs.  The log is formatted from the messages when first
+read, so a run nobody traces formats nothing.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
+from string import ascii_letters
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _once
 from .structure import is_polytree
+
+
+# -- compiled network ------------------------------------------------------
+
+
+class _Compiled:
+    """A network in the index form the sweep reads, built once per network.
+
+    Edges are numbered as in ``net.edges`` (``edge_index``).
+    ``in_edges[x]`` lists the edges from x's parents in CPT order,
+    ``out_edges[x]`` those to its children, and ``neighbors[x]`` holds
+    (neighbour, edge, the edge leaves x) for each, by neighbour.
+    ``cpt[x]`` is the CPT tensor over (parents..., x), a root's prior
+    kept as one row; ``ones[x]`` is x's lambda without evidence.
+    ``pi_subs[x]`` contracts the pi messages from x's parents with its
+    CPT; ``lambda_subs[e]`` contracts the CPT of the child of edge e
+    with its lambda and the pi messages from its other parents
+    (``others[e]``).
+    """
+
+    def __init__(self, net: BayesianNetwork):
+        self.ids = tuple(v.id for v in net.variables)
+        self.index = {x: i for i, x in enumerate(self.ids)}
+        self.edge_index = {edge: e for e, edge in enumerate(net.edges)}
+        self.edges = tuple((self.index[u], self.index[w]) for u, w in net.edges)
+        self.in_edges: list[list[int]] = [[] for _ in self.ids]
+        self.out_edges: list[list[int]] = [[] for _ in self.ids]
+        for e, (u, w) in enumerate(self.edges):
+            self.in_edges[w].append(e)
+            self.out_edges[u].append(e)
+        self.neighbors = [sorted([(self.edges[e][0], e, False) for e in ins]
+                                 + [(self.edges[e][1], e, True) for e in outs])
+                          for ins, outs in zip(self.in_edges, self.out_edges)]
+        self.ones = [np.broadcast_to(1.0, (1, v.arity)) for v in net.variables]
+        self.cpt: list[np.ndarray] = []
+        self.pi_subs: list[str] = []
+        self.lambda_subs = [""] * len(self.edges)
+        self.others: list[list[int]] = [[] for _ in self.edges]
+        for x, v in enumerate(net.variables):
+            ins = self.in_edges[x]
+            # One letter per parent, then the child's; "..." is the batch axis.
+            letters, child = ascii_letters[:len(ins)], ascii_letters[len(ins)]
+            table = net.cpt(v.id).table
+            self.cpt.append(table.reshape(*(net.arity(p) for p in net.parents(v.id)), v.arity)
+                            if ins else table)
+            self.pi_subs.append(",".join([f"...{a}" for a in letters] + [letters + child])
+                                + f"->...{child}")
+            for i, e in enumerate(ins):
+                rest = "".join(f",...{a}" for j, a in enumerate(letters) if j != i)
+                self.lambda_subs[e] = f"{letters}{child},...{child}{rest}->...{letters[i]}"
+                self.others[e] = [f for f in ins if f != e]
+
+
+def _compiled(net: BayesianNetwork) -> _Compiled:
+    return _once(net, _Compiled)
+
+
+def _lambdas(comp: _Compiled, bound: Mapping[str, np.ndarray], cut: Sequence[str] = (),
+             states: np.ndarray | None = None) -> list[np.ndarray | None]:
+    """Every variable's evidence lambda, by index, for a batch of
+    instantiations of the ``cut`` nodes; None stands for all ones.
+
+    Row k of a cut node's lambda keeps only its state ``states[k]``, at
+    the evidence weight of that state; every other lambda is one row,
+    shared by the whole batch.  ``bound`` is ``_bind_evidence``'s output.
+    """
+    lam: list[np.ndarray | None] = [None] * len(comp.ids)
+    for var, vec in bound.items():
+        lam[comp.index[var]] = vec[None]
+    for j, var in enumerate(cut):
+        i = comp.index[var]
+        rows = np.eye(comp.cpt[i].shape[-1])[states[:, j]]
+        lam[i] = rows if lam[i] is None else rows * lam[i]
+    return lam
+
+
+# -- schedule --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """The order of one sweep's messages, fixed by the observed nodes.
+
+    Per connected component of the split skeleton: its pivot, then the
+    messages of the collect pass and of the distribute pass, each as
+    (is a pi message, edge) in the order sent.  ``inward[nd]`` is the
+    tree neighbour of split node nd on the pivot's side and the
+    distribute message that comes from it.  A split node is (x, 0, -1)
+    for node x, or its incoming piece when x is observed, and (x, 1, e)
+    for the clone of observed x that carries its edge e.  Edges leave a
+    node in the order of their heads, so split nodes sort by node,
+    piece and head.
+    """
+
+    hard: frozenset[int]
+    components: tuple[tuple[tuple[int, int, int], tuple[tuple[bool, int], ...],
+                            tuple[tuple[bool, int], ...]], ...]
+    inward: dict[tuple[int, int, int], tuple[tuple[int, int, int], tuple[bool, int]]]
+
+
+def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
+    """Breadth-first spanning tree of root's component; a second way
+    into any split node means a loop survived instantiation."""
+    link: dict[tuple, tuple | None] = {root: None}
+    order = [root]
+    for nd in order:
+        back = link[nd][0] if link[nd] else None
+        for nb, e in adj[nd]:
+            if nb == back:
+                continue
+            if nb in link:
+                raise NotAPolytreeError(
+                    "propagation schedule found a loop not cut by the instantiated nodes"
+                )
+            link[nb] = (nd, e)
+            order.append(nb)
+    return order, link
+
+
+def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule:
+    """Schedule a sweep with ``hard_vars`` observed.
+
+    Components are taken in order of their first split node; each is
+    rooted at that node, or at the pivot variable's node when the
+    component holds it.
+    """
+    hard = frozenset(comp.index[v] for v in hard_vars)
+
+    def tail(u: int, e: int) -> tuple[int, int, int]:
+        return (u, 1, e) if u in hard else (u, 0, -1)
+
+    # Split nodes are inserted in sorted order, each with its neighbours sorted.
+    adj: dict[tuple[int, int, int], list] = {}
+    for x, nbrs in enumerate(comp.neighbors):
+        if x in hard:
+            adj[(x, 0, -1)] = [(tail(y, e), e) for y, e, down in nbrs if not down]
+            for y, e, down in nbrs:
+                if down:
+                    adj[(x, 1, e)] = [((y, 0, -1), e)]
+        else:
+            adj[(x, 0, -1)] = [((y, 0, -1) if down else tail(y, e), e) for y, e, down in nbrs]
+    pivot_node = None if pivot is None else (comp.index[pivot], 0, -1)
+
+    components = []
+    inward = {}
+    seen: set[tuple] = set()
+    for start in adj:
+        if start in seen:
+            continue
+        order, link = _tree(adj, start)
+        seen.update(order)
+        if pivot_node is not None and pivot_node != start and pivot_node in link:
+            order, link = _tree(adj, pivot_node)
+        # Outward from the pivot; a message leaving the tail side of its edge is a pi message.
+        distribute = []
+        for nd in order[1:]:
+            up, e = link[nd]
+            step = (up[0] == comp.edges[e][0], e)
+            distribute.append(step)
+            inward[nd] = (up, step)
+        collect = tuple((not is_pi, e) for is_pi, e in reversed(distribute))
+        components.append((order[0], collect, tuple(distribute)))
+    return _Schedule(hard, tuple(components), inward)
+
+
+# -- sweep -----------------------------------------------------------------
+
+
+class _Sweep:
+    """The messages of one batched sweep and the node values read from them.
+
+    Row k of every array belongs to instantiation k; an array that every
+    row shares may have a single row, which broadcasts.
+
+    ``_run`` sends the collect pass, which yields the evidence mass.
+    The distribute pass is sent on demand: ``reach`` sends the part a
+    node's value needs, ``complete`` the rest.  Every message has the
+    same value whenever it is sent, because all it depends on was sent
+    before it in the schedule.  For the same reason node values are kept
+    once computed: the first time the sweep reads a node's pi (or
+    lambda) value, every message it depends on has already been sent.
+    """
+
+    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
+        self.comp, self.schedule, self.lam = comp, schedule, lam
+        self.hard = schedule.hard
+        # lam >= 0, so its sign marks the instantiated state of a hard node.
+        self.indicator = {x: np.sign(lam[x]) for x in self.hard}
+        self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
+        self.lambda_msg: list[np.ndarray | None] = [None] * len(comp.edges)
+        self.mass: np.ndarray | None = None
+        self._all_sent = False
+        self._pi: dict[int, np.ndarray] = {}
+        self._lambda: dict[int, np.ndarray] = {}
+
+    def _pi_value(self, x: int) -> np.ndarray:
+        """pi(x): x's CPT contracted with the pi messages from its parents."""
+        pi = self._pi.get(x)
+        if pi is None:
+            c = self.comp
+            pi = c.cpt[x]
+            if c.in_edges[x]:
+                pi = np.einsum(c.pi_subs[x], *[self.pi_msg[e] for e in c.in_edges[x]], pi)
+            self._pi[x] = pi
+        return pi
+
+    def _lambda_value(self, x: int) -> np.ndarray:
+        """lambda(x): x's evidence lambda times the lambda messages from its children."""
+        lv = self._lambda.get(x)
+        if lv is None:
+            lv = self.lam[x]
+            for e in self.comp.out_edges[x]:
+                lv = self.lambda_msg[e] if lv is None else lv * self.lambda_msg[e]
+            if lv is None:
+                lv = self.comp.ones[x]
+            self._lambda[x] = lv
+        return lv
+
+    def pi_message(self, e: int) -> tuple[np.ndarray, np.ndarray | float]:
+        """The pi message down edge e and the normalisation mass it absorbed."""
+        u = self.comp.edges[e][0]
+        if u in self.hard:
+            return self.indicator[u], 1.0
+        vec = self._pi_value(u)
+        if self.lam[u] is not None:
+            vec = vec * self.lam[u]
+        for f in self.comp.out_edges[u]:
+            if f != e:
+                vec = vec * self.lambda_msg[f]
+        gamma = vec.sum(axis=-1)
+        if gamma.all():
+            return vec / gamma[:, None], gamma
+        # A row of zero mass stays zero.
+        return vec / np.where(gamma > 0, gamma, 1.0)[:, None], gamma
+
+    def lambda_message(self, e: int) -> np.ndarray:
+        """The lambda message up edge e, over the states of its parent."""
+        c = self.comp
+        w = c.edges[e][1]
+        lam_w = self.lam[w] if w in self.hard else self._lambda_value(w)
+        return np.einsum(c.lambda_subs[e], c.cpt[w], lam_w,
+                         *[self.pi_msg[f] for f in c.others[e]])
+
+    def send(self, is_pi: bool, e: int) -> np.ndarray | float:
+        """Send one message along edge e; returns the mass a pi message absorbed."""
+        if is_pi:
+            self.pi_msg[e], gamma = self.pi_message(e)
+            return gamma
+        self.lambda_msg[e] = self.lambda_message(e)
+        return 1.0
+
+    def _sent(self, is_pi: bool, e: int) -> bool:
+        return (self.pi_msg if is_pi else self.lambda_msg)[e] is not None
+
+    def reach(self, nd: tuple[int, int, int]) -> None:
+        """Send the distribute messages on the way from the pivot to split node nd."""
+        path = []
+        while nd in self.schedule.inward:
+            nd, step = self.schedule.inward[nd]
+            if self._sent(*step):
+                break
+            path.append(step)
+        for step in reversed(path):
+            self.send(*step)
+
+    def complete(self) -> None:
+        """Send every distribute message not yet sent, in schedule order."""
+        if self._all_sent:
+            return
+        for _, _, distribute in self.schedule.components:
+            for step in distribute:
+                if not self._sent(*step):
+                    self.send(*step)
+        self._all_sent = True
+
+    def message(self, is_pi: bool, e: int) -> np.ndarray:
+        """The message along edge e, once every message is sent."""
+        self.complete()
+        return (self.pi_msg if is_pi else self.lambda_msg)[e]
+
+    def pivot_mass(self, pivot: tuple[int, int, int]) -> np.ndarray:
+        """Per row, the evidence mass the collect pass gathered at the pivot."""
+        x, clone, e = pivot
+        if clone:
+            return (self.lambda_msg[e] * self.indicator[x]).sum(axis=-1)
+        lv = self.lam[x] if x in self.hard else self._lambda_value(x)
+        return (self._pi_value(x) * lv).sum(axis=-1)
+
+    def pi_value(self, x: int) -> np.ndarray:
+        """pi(x), once the messages it needs are sent."""
+        self.reach((x, 0, -1))
+        return self._pi_value(x)
+
+    def lambda_value(self, x: int) -> np.ndarray:
+        """lambda(x), once the messages it needs are sent."""
+        self.reach((x, 0, -1))
+        if x in self.hard:
+            # The messages from an observed node's children arrive at its clones.
+            for e in self.comp.out_edges[x]:
+                self.reach((x, 1, e))
+        return self._lambda_value(x)
+
+    def belief(self, x: int) -> np.ndarray:
+        """Per row, x's normalised pi * lambda, or the indicator of its
+        instantiated state; zero in a row of zero mass."""
+        if x in self.hard:
+            return self.indicator[x]
+        raw = self.pi_value(x) * self._lambda_value(x)
+        total = raw.sum(axis=-1, keepdims=True)
+        return raw / np.where(total > 0, total, 1.0)
+
+    def trace(self, k: int) -> tuple[str, ...]:
+        """Row k's message log: one ``MSG`` line per message, in the order sent."""
+        ids, edges = self.comp.ids, self.comp.edges
+        lines = []
+        for _, collect, distribute in self.schedule.components:
+            for is_pi, e in collect + distribute:
+                u, w = edges[e]
+                msg = self.message(is_pi, e)
+                head = f"MSG {ids[u]} {ids[w]} pi " if is_pi else f"MSG {ids[w]} {ids[u]} lambda "
+                row = msg[k if len(msg) > 1 else 0]
+                lines.append(head + ",".join(repr(float(p)) for p in row))
+        return tuple(lines)
+
+
+def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]) -> _Sweep:
+    """Send the collect pass of the schedule; ``mass`` holds each row's
+    probability of its evidence."""
+    sweep = _Sweep(comp, schedule, lam)
+    mass = np.ones(1)
+    for pivot, collect, _ in schedule.components:
+        scale = 1.0
+        for is_pi, e in collect:
+            scale = scale * sweep.send(is_pi, e)
+        mass = mass * (sweep.pivot_mass(pivot) * scale)
+    sweep.mass = mass
+    return sweep
+
+
+# -- public API ------------------------------------------------------------
+
+
+class _Lazy(Mapping):
+    """A read-only mapping whose value for a key is computed when first read."""
+
+    def __init__(self, index: Mapping, value):
+        self._index, self._value, self._known = index, value, {}
+
+    def __getitem__(self, key):
+        if key not in self._known:
+            self._known[key] = self._value(self._index[key])
+        return self._known[key]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,233 +426,31 @@ class MessageStore:
     ``lambda_messages[(u, v)]`` is what v sent up to u, both vectors
     over u's states for lambda and over u's states for pi (a pi message
     ranges over the sender's states, which is the parent u).
-    ``evidence_mass`` is the probability of all evidence combined.
+    ``evidence_mass`` is the probability of all evidence combined.  The
+    maps read the run's messages: each value is computed when first read.
     """
 
-    pi_node: dict[str, np.ndarray]
-    lambda_node: dict[str, np.ndarray]
-    pi_messages: dict[tuple[str, str], np.ndarray]
-    lambda_messages: dict[tuple[str, str], np.ndarray]
-    beliefs: dict[str, Belief]
+    pi_node: Mapping[str, np.ndarray]
+    lambda_node: Mapping[str, np.ndarray]
+    pi_messages: Mapping[tuple[str, str], np.ndarray]
+    lambda_messages: Mapping[tuple[str, str], np.ndarray]
+    beliefs: Mapping[str, Belief]
     evidence_mass: float
-    trace: tuple[str, ...]
+    _sweep: _Sweep = field(repr=False)
 
-
-# -- internal engine -------------------------------------------------------
-
-
-@dataclass
-class _Prepared:
-    """The swept evidence: one lambda vector per variable plus the set
-    of instantiated nodes.  ``None`` from _prepare means zero probability."""
-
-    lam: dict[str, np.ndarray]
-    hard: dict[str, int]
-
-
-def _prepare(net: BayesianNetwork, bound: Mapping[str, np.ndarray], hard: Mapping[str, int],
-             extra_hard: Mapping[str, int] | None = None) -> _Prepared | None:
-    """Extend evidence bound by ``_bind_evidence`` to every variable and
-    merge in ``extra_hard``, the instantiation of a conditioning run."""
-    lam: dict[str, np.ndarray] = {}
-    hard = dict(hard)
-    for v in net.variables:
-        vec = bound[v.id] if v.id in bound else np.ones(v.arity)
-        if extra_hard is not None and v.id in extra_hard:
-            s = extra_hard[v.id]
-            if not 0 <= s < v.arity:
-                raise ValueError(f"state index {s} out of range for {v.id!r}")
-            if v.id in hard and hard[v.id] != s:
-                return None
-            hard[v.id] = s
-            keep = vec[s]
-            vec = np.zeros(v.arity)
-            vec[s] = keep
-            if keep <= 0:
-                return None
-        lam[v.id] = vec
-    return _Prepared(lam, hard)
-
-
-def _pi_node_value(net: BayesianNetwork, x: str,
-                   pi_msg: Mapping[tuple[str, str], np.ndarray]) -> np.ndarray:
-    ps = net.parents(x)
-    if not ps:
-        return net.cpt(x).table[0].copy()
-    t = net.cpt_tensor(x)
-    for p in ps:
-        t = np.tensordot(pi_msg[(p, x)], t, axes=(0, 0))
-    return t
-
-
-def _pi_message(net, edge, lam_ev, hard, pi_msg, lambda_msg):
-    """Message from parent u down edge (u, v); returns (vector, gamma)
-    where gamma is the normalisation mass absorbed."""
-    u, v = edge
-    if u in hard:
-        vec = np.zeros(net.arity(u))
-        vec[hard[u]] = 1.0
-        return vec, 1.0
-    vec = _pi_node_value(net, u, pi_msg) * lam_ev[u]
-    for c in net.children(u):
-        if c != v:
-            vec = vec * lambda_msg[(u, c)]
-    gamma = float(vec.sum())
-    vec = vec / gamma if gamma > 0 else np.zeros_like(vec)
-    return vec, gamma
-
-
-def _lambda_message(net, edge, lam_ev, hard, pi_msg, lambda_msg):
-    """Message from child v up edge (u, v), a vector over u's states."""
-    u, v = edge
-    if v in hard:
-        lam_v = lam_ev[v]
-    else:
-        lam_v = lam_ev[v].copy()
-        for c in net.children(v):
-            lam_v = lam_v * lambda_msg[(v, c)]
-    ps = net.parents(v)
-    i = ps.index(u)
-    t = np.tensordot(net.cpt_tensor(v), lam_v, axes=(len(ps), 0))
-    for k in range(len(ps) - 1, -1, -1):
-        if k != i:
-            t = np.tensordot(t, pi_msg[(ps[k], v)], axes=(k, 0))
-    return t
-
-
-def _split_key(net: BayesianNetwork, node) -> tuple[int, int, int]:
-    if node[0] == "out":
-        return (net.index(node[1]), 1, net.index(node[2]))
-    return (net.index(node[1]), 0, -1)
-
-
-def _run(net: BayesianNetwork, prep: _Prepared,
-         pivot_var: str | None = None) -> MessageStore:
-    lam_ev, hard = prep.lam, prep.hard
-
-    # Split skeleton: observed nodes keep incoming edges on an "in"
-    # piece; each outgoing edge hangs on its own "out" clone.
-    nodes = [("in" if v.id in hard else "v", v.id) for v in net.variables]
-    adj: dict[tuple, list] = {nd: [] for nd in nodes}
-    for (u, w) in net.edges:
-        tail = ("out", u, w) if u in hard else ("v", u)
-        head = ("in", w) if w in hard else ("v", w)
-        if tail not in adj:
-            nodes.append(tail)
-            adj[tail] = []
-        adj[tail].append((head, (u, w)))
-        adj[head].append((tail, (u, w)))
-    nodes.sort(key=lambda nd: _split_key(net, nd))
-    for nd in nodes:
-        adj[nd].sort(key=lambda pair: _split_key(net, pair[0]))
-
-    pi_msg: dict[tuple[str, str], np.ndarray] = {}
-    lambda_msg: dict[tuple[str, str], np.ndarray] = {}
-    trace: list[str] = []
-
-    def send(frm, to, edge, collecting: bool) -> float:
-        u, w = edge
-        if frm[1] == u:
-            vec, gamma = _pi_message(net, edge, lam_ev, hard, pi_msg, lambda_msg)
-            pi_msg[edge] = vec
-            trace.append(f"MSG {u} {w} pi " + ",".join(repr(float(x)) for x in vec))
-            return gamma if collecting else 1.0
-        vec = _lambda_message(net, edge, lam_ev, hard, pi_msg, lambda_msg)
-        lambda_msg[edge] = vec
-        trace.append(f"MSG {w} {u} lambda " + ",".join(repr(float(x)) for x in vec))
-        return 1.0
-
-    total_mass = 1.0
-    seen: set[tuple] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        # First pass: discover the component.
-        comp: set[tuple] = {start}
-        queue = deque([start])
-        while queue:
-            nd = queue.popleft()
-            for (nb, _) in adj[nd]:
-                if nb not in comp:
-                    comp.add(nb)
-                    queue.append(nb)
-        seen |= comp
-
-        pivot = start
-        if pivot_var is not None:
-            cand = ("in" if pivot_var in hard else "v", pivot_var)
-            if cand in comp:
-                pivot = cand
-
-        # Second pass: tree from the pivot; an extra edge means a loop
-        # survived instantiation.
-        parent_of: dict[tuple, tuple | None] = {pivot: None}
-        order = [pivot]
-        queue = deque([pivot])
-        while queue:
-            nd = queue.popleft()
-            par = parent_of[nd][0] if parent_of[nd] else None
-            for (nb, edge) in adj[nd]:
-                if nb == par:
-                    continue
-                if nb in parent_of:
-                    raise NotAPolytreeError(
-                        "propagation schedule found a loop not cut by the instantiated nodes"
-                    )
-                parent_of[nb] = (nd, edge)
-                order.append(nb)
-                queue.append(nb)
-
-        scale = 1.0
-        for nd in reversed(order[1:]):
-            up, edge = parent_of[nd]
-            scale *= send(nd, up, edge, collecting=True)
-
-        kind, x = pivot[0], pivot[1]
-        if kind == "out":
-            m = float(lambda_msg[(x, pivot[2])][hard[x]])
-        elif kind == "in":
-            m = float(np.dot(_pi_node_value(net, x, pi_msg), lam_ev[x]))
-        else:
-            ln = lam_ev[x].copy()
-            for c in net.children(x):
-                ln = ln * lambda_msg[(x, c)]
-            m = float(np.dot(_pi_node_value(net, x, pi_msg), ln))
-        total_mass *= m * scale
-
-        for nd in order[1:]:
-            up, edge = parent_of[nd]
-            send(up, nd, edge, collecting=False)
-
-    pi_node: dict[str, np.ndarray] = {}
-    lambda_node: dict[str, np.ndarray] = {}
-    beliefs: dict[str, Belief] = {}
-    for v in net.variables:
-        x = v.id
-        pn = _pi_node_value(net, x, pi_msg)
-        ln = lam_ev[x].copy()
-        for c in net.children(x):
-            ln = ln * lambda_msg[(x, c)]
-        pi_node[x] = pn
-        lambda_node[x] = ln
-        if total_mass > 0:
-            if x in hard:
-                b = np.zeros(v.arity)
-                b[hard[x]] = 1.0
-            else:
-                raw = pn * ln
-                b = raw / float(raw.sum())
-            beliefs[x] = Belief(x, b)
-
-    return MessageStore(pi_node, lambda_node, pi_msg, lambda_msg,
-                        beliefs, total_mass, tuple(trace))
+    @cached_property
+    def trace(self) -> tuple[str, ...]:
+        """The run's message log, one ``MSG`` line per message in the
+        order sent; formatted when first read."""
+        return self._sweep.trace(0)
 
 
 def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
               pivot: str | None = None) -> MessageStore:
     """Run one full collect/distribute sweep and return every message.
 
-    The network must be singly connected; otherwise NotAPolytreeError
+    The collect pass runs here; the store sends the distribute messages
+    when its values are first read.  The network must be singly connected; otherwise NotAPolytreeError
     carries a witness loop.  The pivot defaults to the first-declared
     node of each connected component, and any other choice yields the
     same beliefs.  Evidence of probability zero raises
@@ -295,10 +463,18 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
         raise NotAPolytreeError(f"network is multiply connected (loop {loop})")
     if pivot is not None:
         net.var(pivot)
-    store = _run(net, _prepare(net, bound, e.hard_states()), pivot)
-    if store.evidence_mass <= 0:
+    comp = _compiled(net)
+    sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), _lambdas(comp, bound))
+    mass = float(sweep.mass[0])
+    if mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
-    return store
+    return MessageStore(
+        _Lazy(comp.index, lambda x: sweep.pi_value(x)[0]),
+        _Lazy(comp.index, lambda x: sweep.lambda_value(x)[0]),
+        _Lazy(comp.edge_index, lambda e: sweep.message(True, e)[0]),
+        _Lazy(comp.edge_index, lambda e: sweep.message(False, e)[0]),
+        _Lazy(comp.index, lambda x: Belief(comp.ids[x], sweep.belief(x)[0])),
+        mass, sweep)
 
 
 def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) -> float:
@@ -308,14 +484,15 @@ def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) ->
     the same update rules; on a polytree the sweep is a fixed point and
     the delta is numerically zero.
     """
-    prep = _prepare(net, _bind_evidence(net, e), e.hard_states())
-    lam_ev, hard = prep.lam, prep.hard
+    bound = _bind_evidence(net, e)
+    comp = _compiled(net)
+    probe = _Sweep(comp, _schedule(comp, e.hard_states()), _lambdas(comp, bound))
+    probe.pi_msg = [store.pi_messages[edge][None] for edge in comp.edge_index]
+    probe.lambda_msg = [store.lambda_messages[edge][None] for edge in comp.edge_index]
     worst = 0.0
-    for edge in net.edges:
-        vec, _ = _pi_message(net, edge, lam_ev, hard,
-                             store.pi_messages, store.lambda_messages)
+    for i, edge in enumerate(comp.edge_index):
+        vec, _ = probe.pi_message(i)
         worst = max(worst, float(np.max(np.abs(vec - store.pi_messages[edge]))))
-        vec = _lambda_message(net, edge, lam_ev, hard,
-                              store.pi_messages, store.lambda_messages)
+        vec = probe.lambda_message(i)
         worst = max(worst, float(np.max(np.abs(vec - store.lambda_messages[edge]))))
     return worst

@@ -86,9 +86,10 @@ class Method(Enum):
 class InferResult:
     """A posterior plus how it was computed and what kind of query it was.
 
-    ``trace`` is the message log of the run that produced the belief:
-    the sweep's on POLYTREE, every conditioning sweep's in instantiation
-    order on CUTSET, empty on ENUMERATION.
+    ``trace`` is the message log of the run that produced the belief,
+    when ``infer`` was asked for it: the sweep's on POLYTREE, every
+    cutset instantiation's in instantiation order on CUTSET.  It is
+    empty on ENUMERATION and when no trace was asked for.
     """
 
     belief: Belief
@@ -98,12 +99,13 @@ class InferResult:
 
 
 def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
-          method: Method = Method.AUTO) -> InferResult:
+          method: Method = Method.AUTO, *, trace: bool = False) -> InferResult:
     """Answer a posterior query with the requested engine.
 
     AUTO picks message passing on polytrees and cutset conditioning on
     loopy networks.  The classification is attached whenever evidence
-    is present.
+    is present.  With ``trace`` the result carries the run's message
+    log; without it no message is formatted.
     """
     net.var(target)
     if e.is_hard(target):
@@ -111,15 +113,18 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     resolved = method
     if method is Method.AUTO:
         resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
-    trace: tuple[str, ...] = ()
+    log: tuple[str, ...] = ()
     if resolved is Method.ENUMERATION:
         belief = _enumeration.posterior(net, target, e)
     elif resolved is Method.POLYTREE:
         store = _propagation.propagate(net, e)
-        belief, trace = store.beliefs[target], store.trace
+        belief = store.beliefs[target]
+        if trace:
+            log = store.trace
     else:
         run = _cutset.run_cutset_conditioning(net, target, e)
         belief = run.belief
-        trace = tuple(line for sweep in run.traces.values() for line in sweep)
+        if trace:
+            log = tuple(line for sweep in run.traces.values() for line in sweep)
     classification = None if e.is_empty() else classify_query(net, target, e)
-    return InferResult(belief, resolved, classification, trace)
+    return InferResult(belief, resolved, classification, log)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidQueryError, NetworkValidationError, NotAPathError
-from .model import BayesianNetwork, Evidence
+from .model import BayesianNetwork, Evidence, _once
 
 
 class ConnectionKind(Enum):
@@ -82,10 +82,6 @@ class SeparationVerdict:
         return self.separated
 
 
-def _parents(net: BayesianNetwork, v: str) -> list[str]:
-    return [p for p in net.parents(v) if p in net]
-
-
 def _opened(net: BayesianNetwork, e: Evidence) -> set[str]:
     """The converging nodes evidence opens: evidence nodes and their
     ancestors.  Raises NetworkValidationError on a cyclic graph."""
@@ -94,72 +90,75 @@ def _opened(net: BayesianNetwork, e: Evidence) -> set[str]:
         raise NetworkValidationError(cycles)
     opened = set(e.entries)
     stack = list(opened)
+    parents = net._parents
     while stack:
-        for p in _parents(net, stack.pop()):
+        for p in parents[stack.pop()]:
             if p not in opened:
                 opened.add(p)
                 stack.append(p)
     return opened
 
 
-def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence) -> bool:
+def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence, opened: set[str]) -> bool:
     """Does a Bayes ball from x arrive at z, given e?
 
     It does exactly when some trail from x to z is unblocked at every
     intermediate node.  The search runs over (node, arrived from a
-    child) states, each visited at most once.
+    child) states, each visited at most once.  ``opened`` is
+    ``_opened(net, e)``.
     """
-    opened = _opened(net, e)
     hard = e.hard_states()
-    children = net._children
+    parents, children = net._parents, net._children
+    # The states reached: arrived from a child (up) or from a parent (down).
     # x sends the ball both ways, as if it had arrived from a child.
-    seen = {(x, True)}
+    up: set[str] = {x}
+    down: set[str] = set()
     stack = [(x, True)]
     while stack:
         v, from_child = stack.pop()
         if v == z:
             return True
-        nxt = []
         if v not in hard:
-            nxt += [(c, False) for c in children[v]]
-            if from_child:
-                nxt += [(p, True) for p in _parents(net, v)]
-        if not from_child and v in opened:
-            nxt += [(p, True) for p in _parents(net, v)]
-        for state in nxt:
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
+            for c in children[v]:
+                if c not in down:
+                    down.add(c)
+                    stack.append((c, False))
+        # On to v's parents: through a chain or fork when the ball came from
+        # a child, through a collider (open only if opened) when from a parent.
+        if (v not in hard) if from_child else (v in opened):
+            for p in parents[v]:
+                if p not in up:
+                    up.add(p)
+                    stack.append((p, True))
     return False
 
 
-def _blocks(net: BayesianNetwork, a: str, v: str, b: str, e: Evidence,
-            opened: set[str]) -> bool:
+def _blocks(edges, a: str, v: str, b: str, hard, opened: set[str]) -> bool:
     """Does v block the path segment a - v - b?"""
-    edges = net._edge_set
     if (a, v) in edges and (b, v) in edges:     # a -> v <- b
         return v not in opened
-    return e.is_hard(v)
+    return v in hard
 
 
-def _first_active_path(net: BayesianNetwork, x: str, z: str, e: Evidence) -> tuple[str, ...]:
+def _first_active_path(net: BayesianNetwork, x: str, z: str, e: Evidence,
+                       opened: set[str]) -> tuple[str, ...]:
     """The first active simple x-z path, in depth-first order over
     neighbours in declaration order.  x and z must be d-connected.
 
     A prefix that is already blocked is not extended: it leads to no
     active path, so skipping it leaves the order of the active ones.
     """
-    opened = _opened(net, e)
+    edges, neighbors, hard = net._edge_set, net._skeleton, e.hard_states()
     stack = [[x]]
     while stack:
         path = stack.pop()
         node = path[-1]
         if node == z:
             return tuple(path)
-        for nb in reversed(net.skeleton_neighbors(node)):
+        for nb in reversed(neighbors[node]):
             if nb in path:
                 continue
-            if len(path) > 1 and _blocks(net, path[-2], node, nb, e, opened):
+            if len(path) > 1 and _blocks(edges, path[-2], node, nb, hard, opened):
                 continue
             stack.append(path + [nb])
     raise AssertionError("d-connected nodes have an active simple path")
@@ -180,9 +179,10 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
         if e.is_hard(endpoint):
             raise InvalidQueryError(f"endpoint {endpoint!r} carries hard evidence")
 
-    if not _d_connected(net, x, z, e):
+    opened = _opened(net, e)
+    if not _d_connected(net, x, z, e, opened):
         return SeparationVerdict(True)
-    return SeparationVerdict(False, active_path=_first_active_path(net, x, z, e))
+    return SeparationVerdict(False, active_path=_first_active_path(net, x, z, e, opened))
 
 
 @dataclass(frozen=True)
@@ -236,10 +236,15 @@ def is_polytree(net: BayesianNetwork) -> PolytreeCheck:
     """True when the undirected skeleton has no cycle.
 
     Multiply connected networks get one witness cycle, listed from its
-    first-declared node.
+    first-declared node.  The search runs once per network; later calls
+    return its result.
     """
+    return _once(net, _check_polytree)
+
+
+def _check_polytree(net: BayesianNetwork) -> PolytreeCheck:
     nodes = [v.id for v in net.variables]
-    neighbors = {v: list(net.skeleton_neighbors(v)) for v in nodes}
+    neighbors = net._skeleton
     cycle = _skeleton_cycle(nodes, neighbors)
     if cycle is None:
         return PolytreeCheck(True)
@@ -304,8 +309,13 @@ def select_cutset(net: BayesianNetwork) -> LoopCutset:
     every valid cutset contains a tail of every loop, so each minimum
     cutset is reached without testing every subset.  Larger networks
     fall back to a greedy heuristic that repeatedly cuts the
-    highest-degree non-sink node on some remaining loop.
+    highest-degree non-sink node on some remaining loop.  The search runs
+    once per network; later calls return its result.
     """
+    return _once(net, _search_cutset)
+
+
+def _search_cutset(net: BayesianNetwork) -> LoopCutset:
     if is_polytree(net):
         return LoopCutset(())
     ids = [v.id for v in net.variables]

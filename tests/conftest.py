@@ -2,11 +2,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import netgen
 from beliefnet import load_network
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+# Property tests draw the same examples on every run, keep no example
+# database and are sized to add a few seconds to the suite.
+settings.register_profile("beliefnet", derandomize=True, database=None,
+                          max_examples=300, deadline=None)
+settings.load_profile("beliefnet")
 
 
 @pytest.fixture(scope="session")

@@ -98,8 +98,8 @@ def test_query_trace_on_loopy(fixture_dir, capsys):
 
 @pytest.mark.parametrize("name, target, evidence, lines, sweeps, cutsets", [
     ("serial.bn", "Z", ["--evidence", "X=true"], 4, 1, 0),
-    ("sprinkler.bn", "X3", ["--evidence", "X4=wet"], 20, 2, 1),
-    ("loopy8.bn", "H", [], 72, 4, 1),
+    ("sprinkler.bn", "X3", ["--evidence", "X4=wet"], 20, 1, 1),
+    ("loopy8.bn", "H", [], 72, 1, 1),
 ], ids=["serial", "sprinkler", "loopy8"])
 def test_query_trace_runs_inference_once(fixture_dir, capsys, monkeypatch,
                                          name, target, evidence, lines, sweeps, cutsets):

@@ -14,9 +14,12 @@ from beliefnet import (
     conditioned_posterior,
     evidence_probability,
     instantiation_weight,
+    load_network,
     posterior,
     run_cutset_conditioning,
 )
+from beliefnet import cutset, propagation
+from beliefnet.model import _bind_evidence
 
 
 def test_sprinkler_conditioning(sprinkler_net):
@@ -122,3 +125,55 @@ def test_deterministic_diamond_matches_enumeration():
     want = posterior(net, "B", e).probabilities
     assert np.allclose(run.belief.probabilities, want, atol=1e-12)
     assert isinstance(run, CutsetRun)
+
+
+def _numbers(line):
+    head, values = line.rsplit(" ", 1)
+    return head, [float(x) for x in values.split(",")]
+
+
+def _same_lines(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        (head_a, xs), (head_b, ys) = _numbers(a), _numbers(b)
+        assert head_a == head_b
+        assert np.max(np.abs(np.subtract(xs, ys))) <= 1e-12
+
+
+BATCHED = [
+    ("sprinkler", "X4", Evidence({"X5": HardEvidence(0), "X2": SoftEvidence([0.8, 0.3])})),
+    ("loopy8", "D", Evidence({"H": HardEvidence(0), "C": SoftEvidence([0.5, 1.0, 0.25])})),
+    ("loopy8", "F", Evidence({"A": SoftEvidence([0.0, 1.0])})),
+]
+
+
+@pytest.mark.parametrize("name, target, e", BATCHED, ids=[f"{n}-{t}" for n, t, _ in BATCHED])
+def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name, target, e):
+    net = load_network(fixture_dir / f"{name}.bn")
+    run = run_cutset_conditioning(net, target, e)
+    comp = propagation._compiled(net)
+    schedule = propagation._schedule(comp, {*e.hard_states(), *run.cutset.nodes})
+    bound = _bind_evidence(net, e)
+    for combo, lines in run.traces.items():
+        if run.weights[combo] == 0 and lines == ():
+            continue
+        lam = propagation._lambdas(comp, bound, run.cutset.nodes, np.array([combo]))
+        _same_lines(lines, propagation._run(comp, schedule, lam).trace(0))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("name, target, e", BATCHED, ids=[f"{n}-{t}" for n, t, _ in BATCHED])
+def test_a_run_split_into_blocks_equals_one_block(monkeypatch, fixture_dir, name, target, e, block):
+    net = load_network(fixture_dir / f"{name}.bn")
+    whole = run_cutset_conditioning(net, target, e)
+    sweeps = []
+    monkeypatch.setattr(cutset, "BLOCK", block)
+    monkeypatch.setattr(cutset, "_run", lambda *a: sweeps.append(a) or propagation._run(*a))
+    split = run_cutset_conditioning(net, target, e)
+    swept = sum(lines != () for lines in whole.traces.values())
+    assert swept > 1 and len(sweeps) == -(-swept // block)
+    assert np.max(np.abs(split.belief.probabilities - whole.belief.probabilities)) <= 1e-12
+    assert split.weights.keys() == whole.weights.keys()
+    for combo, w in whole.weights.items():
+        assert split.weights[combo] == pytest.approx(w, abs=1e-15)
+        _same_lines(split.traces[combo], whole.traces[combo])

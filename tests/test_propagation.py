@@ -106,6 +106,24 @@ def test_belief_proportional_to_node_values(diverging_net):
         assert np.allclose(raw / raw.sum(), store.beliefs[v].probabilities, atol=1e-12)
 
 
+def test_node_values_read_first_equal_the_completed_sweep(converging_net, polytree_corpus):
+    # Reading a node value sends only the distribute messages it needs;
+    # the value must not depend on what else was read before.
+    cases = [(converging_net, Evidence({"Z": HardEvidence(0)}))] + polytree_corpus[:100]
+    for net, e in cases:
+        lazy, done = propagate(net, e), propagate(net, e)
+        assert len(done.trace) == 2 * len(net.edges)
+        for v in reversed(net.variables):
+            x = v.id
+            assert np.array_equal(lazy.lambda_node[x], done.lambda_node[x])
+            assert np.array_equal(lazy.pi_node[x], done.pi_node[x])
+            want = np.ones(v.arity) if not e.has(x) else (
+                np.eye(v.arity)[e.hard_state(x)] if e.is_hard(x) else e.entries[x].likelihood)
+            for c in net.children(x):
+                want = want * done.lambda_messages[(x, c)]
+            assert np.allclose(done.lambda_node[x], want, atol=1e-12)
+
+
 def test_pivot_invariance(diverging_net):
     e = Evidence({"X": HardEvidence(0), "Z": SoftEvidence([0.3, 0.9])})
     stores = [propagate(diverging_net, e, pivot=p) for p in ("Y", "X", "Z")]

@@ -11,8 +11,10 @@ from beliefnet import (
     SoftEvidence,
     classify_query,
     infer,
+    load_network,
     posterior,
 )
+from beliefnet import propagation, structure
 
 
 def test_forward_serial(serial_net):
@@ -119,3 +121,30 @@ def test_infer_without_evidence(serial_net):
 def test_infer_rejects_hard_target(serial_net):
     with pytest.raises(InvalidQueryError):
         infer(serial_net, "Z", Evidence({"Z": HardEvidence(0)}))
+
+
+def test_infer_formats_a_trace_only_when_asked(monkeypatch, serial_net, sprinkler_net):
+    formatted = []
+    real = propagation._Sweep.trace
+    monkeypatch.setattr(propagation._Sweep, "trace",
+                        lambda sweep, k: formatted.append(k) or real(sweep, k))
+    cases = [(serial_net, "Z", Evidence({"X": HardEvidence(0)}), 4),
+             (sprinkler_net, "X3", Evidence({"X4": HardEvidence(0)}), 20)]
+    for net, target, e, lines in cases:
+        assert infer(net, target, e).trace == ()
+        assert formatted == []
+        traced = infer(net, target, e, trace=True).trace
+        assert len(traced) == lines and all(line.startswith("MSG ") for line in traced)
+        formatted.clear()
+
+
+def test_structure_is_searched_once_per_network(monkeypatch, fixture_dir):
+    calls = []
+    for name in ("_check_polytree", "_search_cutset"):
+        real = getattr(structure, name)
+        monkeypatch.setattr(structure, name,
+                            lambda net, real=real, name=name: calls.append(name) or real(net))
+    net = load_network(fixture_dir / "loopy8.bn")
+    infer(net, "H", Evidence({"A": HardEvidence(0)}))
+    infer(net, "D", Evidence({"H": HardEvidence(1)}), Method.CUTSET)
+    assert sorted(calls) == ["_check_polytree", "_search_cutset"]
