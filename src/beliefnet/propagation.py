@@ -43,20 +43,30 @@ pass.  The collect pass runs at once; the distribute pass runs when a
 node value, a message or the message log is read, and only as far as
 the read needs.  The log is formatted from the messages when first
 read, so a run nobody traces formats nothing.
+
+A run for one target sweeps less at once.  A node that is neither the
+target, nor evidence, nor an ancestor of either is barren: no evidence
+lies at or below it, so the lambda message it sends is all ones and it
+cannot change the target's belief or the evidence mass (Shachter 1986;
+Baker & Boult 1990).  Such a run sends at once only the collect pass of
+the relevant part, toward the target, and reads the target's belief
+off it.  Reading a message, a value outside the relevant part or the
+log sends the rest, in the order of the full sweep, so the log lists
+the same messages in the same order as a run without a target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from string import ascii_letters
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
 from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _once
-from .structure import is_polytree
+from .structure import _opened, is_polytree
 
 
 # -- compiled network ------------------------------------------------------
@@ -148,13 +158,15 @@ class _Schedule:
     for node x, or its incoming piece when x is observed, and (x, 1, e)
     for the clone of observed x that carries its edge e.  Edges leave a
     node in the order of their heads, so split nodes sort by node,
-    piece and head.
+    piece and head.  ``keep`` is the set of nodes swept, with the edges
+    into them; None when the schedule covers the whole network.
     """
 
     hard: frozenset[int]
     components: tuple[tuple[tuple[int, int, int], tuple[tuple[bool, int], ...],
                             tuple[tuple[bool, int], ...]], ...]
     inward: dict[tuple[int, int, int], tuple[tuple[int, int, int], tuple[bool, int]]]
+    keep: frozenset[int] | None = None
 
 
 def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
@@ -176,12 +188,14 @@ def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
     return order, link
 
 
-def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule:
-    """Schedule a sweep with ``hard_vars`` observed.
+def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
+              keep: frozenset[int] | None = None) -> _Schedule:
+    """Schedule a sweep with ``hard_vars`` observed, over the nodes in
+    ``keep`` and the edges into them, or over the whole network.
 
-    Components are taken in order of their first split node; each is
-    rooted at that node, or at the pivot variable's node when the
-    component holds it.
+    ``keep`` must hold the parents of its nodes.  Components are taken
+    in order of their first split node; each is rooted at that node, or
+    at the pivot variable's node when the component holds it.
     """
     hard = frozenset(comp.index[v] for v in hard_vars)
 
@@ -190,7 +204,10 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule
 
     # Split nodes are inserted in sorted order, each with its neighbours sorted.
     adj: dict[tuple[int, int, int], list] = {}
-    for x, nbrs in enumerate(comp.neighbors):
+    for x in range(len(comp.ids)) if keep is None else sorted(keep):
+        nbrs = comp.neighbors[x]
+        if keep is not None:
+            nbrs = [nb for nb in nbrs if nb[0] in keep]
         if x in hard:
             adj[(x, 0, -1)] = [(tail(y, e), e) for y, e, down in nbrs if not down]
             for y, e, down in nbrs:
@@ -219,7 +236,7 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule
             inward[nd] = (up, step)
         collect = tuple((not is_pi, e) for is_pi, e in reversed(distribute))
         components.append((order[0], collect, tuple(distribute)))
-    return _Schedule(hard, tuple(components), inward)
+    return _Schedule(hard, tuple(components), inward, keep)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -238,11 +255,26 @@ class _Sweep:
     before it in the schedule.  For the same reason node values are kept
     once computed: the first time the sweep reads a node's pi (or
     lambda) value, every message it depends on has already been sent.
+
+    A schedule that keeps only some nodes is swept that way until a
+    value outside them is read.  Until then a lambda message from a
+    child outside them counts as all ones and is not sent; ``complete``
+    then sends every message not yet sent in the order of ``full``, the
+    schedule of the whole network, which also orders the log.  Messages
+    and node values already computed keep their values.
     """
 
-    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
+    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None],
+                 full: Callable[[], _Schedule] | None = None):
         self.comp, self.schedule, self.lam = comp, schedule, lam
+        self._full = full
         self.hard = schedule.hard
+        self.keep = schedule.keep
+        # The lambda messages from x's children that its values multiply in.
+        self.out: Mapping[int, list[int]] | list[list[int]] = comp.out_edges
+        if self.keep is not None:
+            self.out = {x: [e for e in comp.out_edges[x] if comp.edges[e][1] in self.keep]
+                        for x in self.keep}
         # lam >= 0, so its sign marks the instantiated state of a hard node.
         self.indicator = {x: np.sign(lam[x]) for x in self.hard}
         self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
@@ -251,6 +283,11 @@ class _Sweep:
         self._all_sent = False
         self._pi: dict[int, np.ndarray] = {}
         self._lambda: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def full(self) -> _Schedule:
+        """The schedule of every message, which orders ``complete`` and the log."""
+        return self.schedule if self._full is None else self._full()
 
     def _pi_value(self, x: int) -> np.ndarray:
         """pi(x): x's CPT contracted with the pi messages from its parents."""
@@ -268,7 +305,7 @@ class _Sweep:
         lv = self._lambda.get(x)
         if lv is None:
             lv = self.lam[x]
-            for e in self.comp.out_edges[x]:
+            for e in self.out[x]:
                 lv = self.lambda_msg[e] if lv is None else lv * self.lambda_msg[e]
             if lv is None:
                 lv = self.comp.ones[x]
@@ -283,7 +320,7 @@ class _Sweep:
         vec = self._pi_value(u)
         if self.lam[u] is not None:
             vec = vec * self.lam[u]
-        for f in self.comp.out_edges[u]:
+        for f in self.out[u]:
             if f != e:
                 vec = vec * self.lambda_msg[f]
         gamma = vec.sum(axis=-1)
@@ -312,7 +349,11 @@ class _Sweep:
         return (self.pi_msg if is_pi else self.lambda_msg)[e] is not None
 
     def reach(self, nd: tuple[int, int, int]) -> None:
-        """Send the distribute messages on the way from the pivot to split node nd."""
+        """Send the distribute messages on the way from the pivot to split
+        node nd, or every message when nd lies outside the nodes kept."""
+        if self.keep is not None and nd[0] not in self.keep:
+            self.complete()
+            return
         path = []
         while nd in self.schedule.inward:
             nd, step = self.schedule.inward[nd]
@@ -323,11 +364,12 @@ class _Sweep:
             self.send(*step)
 
     def complete(self) -> None:
-        """Send every distribute message not yet sent, in schedule order."""
+        """Send every message not yet sent, in the order of the full schedule."""
         if self._all_sent:
             return
-        for _, _, distribute in self.schedule.components:
-            for step in distribute:
+        self.keep, self.out = None, self.comp.out_edges
+        for _, collect, distribute in self.full.components:
+            for step in collect + distribute:
                 if not self._sent(*step):
                     self.send(*step)
         self._all_sent = True
@@ -355,7 +397,7 @@ class _Sweep:
         self.reach((x, 0, -1))
         if x in self.hard:
             # The messages from an observed node's children arrive at its clones.
-            for e in self.comp.out_edges[x]:
+            for e in self.out[x]:
                 self.reach((x, 1, e))
         return self._lambda_value(x)
 
@@ -369,10 +411,11 @@ class _Sweep:
         return raw / np.where(total > 0, total, 1.0)
 
     def trace(self, k: int) -> tuple[str, ...]:
-        """Row k's message log: one ``MSG`` line per message, in the order sent."""
+        """Row k's message log: one ``MSG`` line per message, in the order
+        of the full schedule."""
         ids, edges = self.comp.ids, self.comp.edges
         lines = []
-        for _, collect, distribute in self.schedule.components:
+        for _, collect, distribute in self.full.components:
             for is_pi, e in collect + distribute:
                 u, w = edges[e]
                 msg = self.message(is_pi, e)
@@ -382,10 +425,11 @@ class _Sweep:
         return tuple(lines)
 
 
-def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]) -> _Sweep:
+def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None],
+         full: Callable[[], _Schedule] | None = None) -> _Sweep:
     """Send the collect pass of the schedule; ``mass`` holds each row's
     probability of its evidence."""
-    sweep = _Sweep(comp, schedule, lam)
+    sweep = _Sweep(comp, schedule, lam, full)
     mass = np.ones(1)
     for pivot, collect, _ in schedule.components:
         scale = 1.0
@@ -441,16 +485,24 @@ class MessageStore:
     @cached_property
     def trace(self) -> tuple[str, ...]:
         """The run's message log, one ``MSG`` line per message in the
-        order sent; formatted when first read."""
+        order of the full sweep; formatted when first read."""
         return self._sweep.trace(0)
 
 
 def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
-              pivot: str | None = None) -> MessageStore:
-    """Run one full collect/distribute sweep and return every message.
+              pivot: str | None = None, *, target: str | None = None) -> MessageStore:
+    """Run one collect/distribute sweep and return every message.
 
-    The collect pass runs here; the store sends the distribute messages
-    when its values are first read.  The network must be singly connected; otherwise NotAPolytreeError
+    Without a target, the collect pass over the whole network runs here,
+    toward the pivot; the store sends the distribute messages when its
+    values are first read.  With a target, only the collect pass over
+    the target, the evidence and their ancestors runs here, toward the
+    target, which yields its belief and the evidence mass; reading a
+    message, the log or a value of any other node sends every message
+    still missing, in the order of the sweep without a target.  Either
+    way the store holds the same messages and the same log.
+
+    The network must be singly connected; otherwise NotAPolytreeError
     carries a witness loop.  The pivot defaults to the first-declared
     node of each connected component, and any other choice yields the
     same beliefs.  Evidence of probability zero raises
@@ -461,10 +513,19 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
     if not check:
         loop = "-".join(check.cycle + (check.cycle[0],))
         raise NotAPolytreeError(f"network is multiply connected (loop {loop})")
-    if pivot is not None:
-        net.var(pivot)
+    for var in (pivot, target):
+        if var is not None:
+            net.var(var)
     comp = _compiled(net)
-    sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), _lambdas(comp, bound))
+    hard = e.hard_states()
+    full = partial(_schedule, comp, hard, pivot)
+    lam = _lambdas(comp, bound)
+    if target is None:
+        sweep = _run(comp, full(), lam)
+    else:
+        relevant = _opened(net, e) | net.ancestors(target) | {target}
+        keep = frozenset(comp.index[v] for v in relevant)
+        sweep = _run(comp, _schedule(comp, hard, target, keep), lam, full)
     mass = float(sweep.mass[0])
     if mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")

@@ -117,7 +117,7 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     if resolved is Method.ENUMERATION:
         belief = _enumeration.posterior(net, target, e)
     elif resolved is Method.POLYTREE:
-        store = _propagation.propagate(net, e)
+        store = _propagation.propagate(net, e, target=target)
         belief = store.beliefs[target]
         if trace:
             log = store.trace

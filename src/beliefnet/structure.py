@@ -15,14 +15,16 @@ d-separation is decided by a Bayes-ball pass (Shachter 1998; Koller &
 Friedman, Alg. 3.1): a search over (node, direction of arrival) states
 that follows exactly the unblocked trails from the source, in time
 linear in the size of the graph.  Query classification makes one such
-pass per evidence node.  Only a connected verdict searches simple
-paths, for the first active one.
+pass per evidence node.  Only reading a connected verdict's active path
+searches simple paths, for the first active one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
 
 from .errors import InvalidQueryError, NetworkValidationError, NotAPathError
 from .model import BayesianNetwork, Evidence, _once
@@ -68,7 +70,6 @@ def classify_connection(net: BayesianNetwork, a: str, v: str, b: str) -> Connect
 class SeparationVerdict:
     """Outcome of a d-separation test.
 
-    When connected, ``active_path`` holds one unblocked path.
     ``blocks`` is always empty: a separated verdict comes from a search
     that walks no paths.  It stays because the benchmark counts it
     (``bench/workloads.py``).
@@ -76,7 +77,14 @@ class SeparationVerdict:
 
     separated: bool
     blocks: tuple[()] = ()
-    active_path: tuple[str, ...] | None = None
+    _find_path: Callable[[], tuple[str, ...]] | None = field(default=None, repr=False,
+                                                             compare=False)
+
+    @cached_property
+    def active_path(self) -> tuple[str, ...] | None:
+        """One unblocked path when connected, None when separated;
+        searched for when first read."""
+        return None if self._find_path is None else self._find_path()
 
     def __bool__(self) -> bool:
         return self.separated
@@ -169,7 +177,7 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
 
     x and z must be distinct and themselves free of hard evidence.  A
     connected verdict carries the first active path in depth-first,
-    declaration order.
+    declaration order, found when it is first read.
     """
     net.var(x)
     net.var(z)
@@ -182,7 +190,7 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
     opened = _opened(net, e)
     if not _d_connected(net, x, z, e, opened):
         return SeparationVerdict(True)
-    return SeparationVerdict(False, active_path=_first_active_path(net, x, z, e, opened))
+    return SeparationVerdict(False, _find_path=partial(_first_active_path, net, x, z, e, opened))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from beliefnet import cutset, propagation
+from beliefnet import cutset, load_network, propagation
 from beliefnet.cli import run
 
 BAD_SUM = "network t\nvariable A : a, b\ncpt A\n: 0.9, 0.6\n"
@@ -120,6 +120,22 @@ def test_query_trace_runs_inference_once(fixture_dir, capsys, monkeypatch,
     assert len(err.splitlines()) == lines
     assert calls.count("sweep") == sweeps
     assert calls.count("cutset") == cutsets
+
+
+@pytest.mark.parametrize("name", ["serial", "diverging", "converging", "sprinkler", "loopy8"])
+def test_query_trace_leaves_stdout_and_exit_code_unchanged(fixture_dir, capsys, name):
+    path = _fx(fixture_dir, f"{name}.bn")
+    net = load_network(path)
+    findings = [[]] + [["--evidence", f"{v.id}={state}"] for v in net.variables for state in v.states]
+    for target in (v.id for v in net.variables):
+        for evidence in findings:
+            for method in ("auto", "enum", "bp", "cutset"):
+                argv = ["query", path, "--target", target, *evidence, "--method", method]
+                answers = []
+                for extra in ([], ["--trace"]):
+                    code = run(argv + extra)
+                    answers.append((code, capsys.readouterr().out))
+                assert answers[0] == answers[1], argv
 
 
 def test_dsep_separated(fixture_dir, capsys):

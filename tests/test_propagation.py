@@ -13,9 +13,11 @@ from beliefnet import (
     SoftEvidence,
     Variable,
     fixed_point_delta,
+    infer,
     posterior,
     propagate,
 )
+from beliefnet import propagation
 
 TRACE_LINE = re.compile(r"^MSG \S+ \S+ (pi|lambda) [0-9.e+-]+(,[0-9.e+-]+)*$")
 
@@ -191,3 +193,75 @@ def test_propagate_single_node():
     store = propagate(net, Evidence({"A": HardEvidence(1)}))
     assert store.evidence_mass == pytest.approx(0.5)
     assert np.array_equal(store.beliefs["A"].probabilities, [0, 1, 0])
+
+
+def _relevant(net, target, e):
+    """The target, the evidence nodes and all their ancestors."""
+    roots = {target, *e.entries}
+    return roots.union(*(net.ancestors(v) for v in roots))
+
+
+def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
+        monkeypatch, polytree_corpus):
+    sent = []
+    real = propagation._Sweep.send
+    monkeypatch.setattr(propagation._Sweep, "send",
+                        lambda sweep, is_pi, e: sent.append((is_pi, e)) or real(sweep, is_pi, e))
+    pruned = 0
+    for net, e in polytree_corpus[:100]:
+        free = [v.id for v in net.variables if not e.is_hard(v.id)]
+        if not free:
+            continue
+        target = free[-1]
+        keep = _relevant(net, target, e)
+        outside = [v.id for v in net.variables if v.id not in keep]
+        pruned += bool(outside)
+        every = sorted((is_pi, i) for i in range(len(net.edges)) for is_pi in (True, False))
+
+        sent.clear()
+        infer(net, target, e)
+        assert all(set(net.edges[i]) <= keep for _, i in sent)
+
+        # Reading the log or a value outside the relevant part sends every
+        # message still missing, each message once over the whole run.
+        for read in ("trace", *outside[:1]):
+            sent.clear()
+            store = propagate(net, e, target=target)
+            assert all(set(net.edges[i]) <= keep for _, i in sent)
+            if read == "trace":
+                assert len(store.trace) == 2 * len(net.edges)
+            else:
+                store.beliefs[read]
+            assert sorted(sent) == every
+    assert pruned > 10
+
+
+def _zero_branch_net():
+    """T's only ancestor is A; the branch A -> B -> C is not an ancestor
+    of T, and C is never in state 1 when B is in state 0."""
+    two = ("s0", "s1")
+    return BayesianNetwork(
+        tuple(Variable(v, two) for v in "ATDBC"),
+        (Cpt("A", (), [0.4, 0.6]),
+         Cpt("T", ("A",), [[0.7, 0.3], [0.2, 0.8]]),
+         Cpt("D", ("T",), [[0.5, 0.5], [0.1, 0.9]]),
+         Cpt("B", ("A",), [[0.9, 0.1], [0.3, 0.7]]),
+         Cpt("C", ("B",), [[1.0, 0.0], [0.4, 0.6]])))
+
+
+def test_impossible_evidence_away_from_the_target_is_still_impossible():
+    net = _zero_branch_net()
+    for e in (Evidence({"B": HardEvidence(0), "C": HardEvidence(1)}),
+              Evidence({"B": HardEvidence(0), "C": SoftEvidence([0.0, 2.0])})):
+        with pytest.raises(ImpossibleEvidenceError):
+            infer(net, "T", e)
+        with pytest.raises(ImpossibleEvidenceError):
+            propagate(net, e, target="T")
+    for e in (Evidence({"C": HardEvidence(1)}),
+              Evidence({"B": HardEvidence(1), "C": SoftEvidence([0.0, 2.0])})):
+        full = propagate(net, e)
+        store = propagate(net, e, target="T")
+        assert store.evidence_mass == pytest.approx(full.evidence_mass, rel=1e-15, abs=0)
+        assert np.allclose(store.beliefs["T"].probabilities,
+                           posterior(net, "T", e).probabilities, atol=1e-12)
+        assert store.trace == full.trace

@@ -84,6 +84,49 @@ def test_engines_agree_on_random_dags(query):
         assert abs(store.evidence_mass - evidence_probability(net, e)) <= 1e-9
 
 
+@st.composite
+def polytree_queries(draw, max_nodes=9):
+    """A polytree or forest, a free target and hard and soft evidence."""
+    n = draw(st.integers(1, max_nodes))
+    arities = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        # Each node joins at most one earlier node, so the skeleton stays a forest.
+        if draw(st.integers(0, 4)):
+            j = draw(st.integers(0, i - 1))
+            if draw(st.booleans()):
+                parents[i].append(j)
+            else:
+                parents[j].append(i)
+    net = netgen.assemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), parents, arities)
+    target = draw(st.sampled_from([v.id for v in net.variables]))
+    entries = {v.id: _finding(draw, v) for v in net.variables
+               if v.id != target and draw(st.integers(0, 2)) == 0}
+    return net, target, Evidence(entries)
+
+
+def _split(line):
+    head, values = line.rsplit(" ", 1)
+    return head, np.array([float(p) for p in values.split(",")])
+
+
+@given(polytree_queries())
+def test_pruned_polytree_answer_and_trace_match_the_full_sweep(query):
+    net, target, e = query
+    full = propagate(net, e)
+    plain = infer(net, target, e, Method.POLYTREE)
+    traced = infer(net, target, e, Method.POLYTREE, trace=True)
+    belief = plain.belief.probabilities
+    assert _far(belief, full.beliefs[target].probabilities) <= 1e-12
+    assert _far(belief, posterior(net, target, e).probabilities) <= 1e-9
+    assert np.array_equal(traced.belief.probabilities, belief)
+    assert len(traced.trace) == len(full.trace) == 2 * len(net.edges)
+    for got, want in zip(traced.trace, full.trace):
+        (head, values), (want_head, want_values) = _split(got), _split(want)
+        assert head == want_head
+        assert _far(values, want_values) <= 1e-15
+
+
 DEFECTS = ("missing-cpt", "cycle", "row-sum", "unknown-parent", "duplicate-cpt")
 
 
