@@ -96,7 +96,8 @@ class SoftEvidence:
 
     This is virtual evidence: the vector scales the probability of each
     state of the variable and need not sum to one.  It is not a target
-    posterior for the variable.
+    posterior for the variable.  Weights must be finite and non-negative,
+    with at least one positive.
     """
 
     likelihood: np.ndarray
@@ -105,6 +106,8 @@ class SoftEvidence:
         v = np.asarray(self.likelihood, dtype=np.float64).reshape(-1)
         if v.size == 0:
             raise ValueError("soft evidence vector is empty")
+        if not np.isfinite(v).all():
+            raise ValueError("soft evidence weights must be finite")
         if np.any(v < 0):
             raise ValueError("soft evidence weights must be non-negative")
         if not np.any(v > 0):
@@ -171,7 +174,8 @@ class Belief:
         p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
         if np.any(p < -1e-12):
             raise ValueError(f"belief for {self.variable!r} has negative entries")
-        if abs(float(p.sum()) - 1.0) > ROW_SUM_TOL:
+        # Written so that a NaN sum fails too.
+        if not abs(float(p.sum()) - 1.0) <= ROW_SUM_TOL:
             raise ValueError(f"belief for {self.variable!r} does not sum to 1")
         p = np.ascontiguousarray(p)
         p.setflags(write=False)
@@ -423,11 +427,18 @@ def validate(net: BayesianNetwork) -> list[Violation]:
     An empty list means the network is well formed: unique states, at
     least two states per variable, exactly one CPT per variable with
     declared distinct parents, rows of the right length summing to one,
-    probabilities in [0, 1], and an acyclic directed graph.  The check
-    runs once per network; later calls, and the engines' own check,
-    reuse its result.
+    probabilities in [0, 1] (a NaN entry counts as outside it), and an
+    acyclic directed graph.  The check runs once per network; later
+    calls, and the engines' own check, reuse its result.
     """
     return list(net._violations)
+
+
+def _require_acyclic(net: BayesianNetwork) -> None:
+    """Raise the cached ``cycle`` violation as NetworkValidationError, if any."""
+    cycles = [v for v in net._violations if v.kind == "cycle"]
+    if cycles:
+        raise NetworkValidationError(cycles)
 
 
 def _find_violations(net: BayesianNetwork) -> list[Violation]:
@@ -491,16 +502,21 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
             out.append(Violation("row-count", f"cpt {c.child}",
                                  f"has {c.n_rows} rows, parent states require {expect}", c.child))
             continue
-        for r in range(c.n_rows):
-            row = c.table[r]
+        # Whole-table checks; only a failing row's key and label are built.
+        # NaN fails the range test, so it counts as outside [0, 1].
+        t = c.table
+        out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
+        sums = t.sum(axis=1)
+        off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
+        for r in np.flatnonzero(out_of_range | off_sum).tolist():
             key = tuple(int(x) for x in np.unravel_index(r, pdims)) if pdims else ()
             label = ",".join(net.var(p).states[s] for p, s in zip(c.parents, key))
             where = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
-            if np.any(row < 0) or np.any(row > 1):
+            if out_of_range[r]:
                 out.append(Violation("probability-range", where,
                                      "entries outside [0, 1]", c.child, key))
-            s = float(row.sum())
-            if abs(s - 1.0) > ROW_SUM_TOL:
+            if off_sum[r]:
+                s = float(sums[r])
                 out.append(Violation("row-sum", where,
                                      f"row sums to {s!r}, expected 1", c.child, key))
 
@@ -515,8 +531,10 @@ def joint_probability(net: BayesianNetwork, assignment: Assignment) -> float:
 
     Multiplies, for every variable, the CPT entry selected by the
     assignment.  Raises MissingValueError when any variable lacks a
-    value, ValueError when a state index is out of range.
+    value, ValueError when a state index is out of range, and
+    NetworkValidationError on a cyclic graph.
     """
+    _require_acyclic(net)
     missing = [v.id for v in net.variables if v.id not in assignment]
     if missing:
         raise MissingValueError(f"assignment lacks values for: {', '.join(missing)}")

@@ -28,6 +28,7 @@ violations name the line they came from.
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 
@@ -79,10 +80,11 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
             name = _token(parts[1], line_no, "network name")
             continue
 
-        if line.split()[0] == "network":
+        word = line.split(None, 1)[0]
+        if word == "network":
             raise NetfileSyntaxError("duplicate network header", line_no)
 
-        if line.split()[0] == "variable":
+        if word == "variable":
             current = None
             head, sep, rest = line.partition(":")
             if not sep:
@@ -100,7 +102,7 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
             var_lines[vid] = line_no
             continue
 
-        if line.split()[0] == "cpt":
+        if word == "cpt":
             head, sep, rest = line.partition("|")
             parts = head.split()
             if len(parts) != 2:
@@ -174,17 +176,18 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
                     label = ",".join(var_ids[p].states[s] for p, s in zip(parents, miss))
                     raise NetfileSyntaxError(
                         f"cpt {child} is missing the row for ({label})", b["line"])
-        arity = var_ids[child].arity
-        table = np.empty((expect, arity))
+        ordered: list = [None] * expect
         for key, (probs, ln) in b["rows"].items():
-            row = np.asarray(probs, dtype=np.float64)
-            if normalize:
-                s = float(row.sum())
-                if s > 0 and abs(s - 1.0) <= NORMALIZE_TOL:
-                    row = row / s
-            idx = int(np.ravel_multi_index(key, pdims)) if pdims else 0
-            table[idx] = row
+            idx = 0
+            for k, d in zip(key, pdims):
+                idx = idx * d + k   # row-major, the last parent fastest
+            ordered[idx] = probs
             row_lines[(child, key)] = ln
+        table = np.array(ordered, dtype=np.float64)
+        if normalize:
+            sums = table.sum(axis=1)
+            near = (sums > 0) & (np.abs(sums - 1.0) <= NORMALIZE_TOL)
+            table[near] /= sums[near, None]
         cpts.append(Cpt(child, parents, table))
         cpt_lines[child] = b["line"]
 
@@ -230,13 +233,10 @@ def serialize_network(net: BayesianNetwork) -> str:
             lines.append(f"cpt {v.id} | " + ", ".join(c.parents))
         else:
             lines.append(f"cpt {v.id}")
-        pdims = tuple(net.arity(p) for p in c.parents)
-        for r in range(c.n_rows):
-            probs = ", ".join(repr(float(x)) for x in c.table[r])
-            if pdims:
-                key = np.unravel_index(r, pdims)
-                label = ",".join(net.var(p).states[int(s)] for p, s in zip(c.parents, key))
-                lines.append(f"{label} : {probs}")
-            else:
-                lines.append(f": {probs}")
+        # Row labels in row-major order, the last parent varying fastest.  A
+        # table with the wrong number of rows raises ValueError.
+        labels = itertools.product(*(net.var(p).states for p in c.parents))
+        for key, row in zip(labels, c.table.tolist(), strict=True):
+            probs = ", ".join(map(repr, row))
+            lines.append(f"{','.join(key)} : {probs}" if key else f": {probs}")
     return "\n".join(lines) + "\n"

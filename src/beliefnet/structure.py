@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 
-from .errors import InvalidQueryError, NetworkValidationError, NotAPathError
-from .model import BayesianNetwork, Evidence, _once
+from .errors import InvalidQueryError, NotAPathError
+from .model import BayesianNetwork, Evidence, _once, _require_acyclic
 
 
 class ConnectionKind(Enum):
@@ -93,9 +93,7 @@ class SeparationVerdict:
 def _opened(net: BayesianNetwork, e: Evidence) -> set[str]:
     """The converging nodes evidence opens: evidence nodes and their
     ancestors.  Raises NetworkValidationError on a cyclic graph."""
-    cycles = [v for v in net._violations if v.kind == "cycle"]
-    if cycles:
-        raise NetworkValidationError(cycles)
+    _require_acyclic(net)
     opened = set(e.entries)
     stack = list(opened)
     parents = net._parents
@@ -245,7 +243,8 @@ def is_polytree(net: BayesianNetwork) -> PolytreeCheck:
 
     Multiply connected networks get one witness cycle, listed from its
     first-declared node.  The search runs once per network; later calls
-    return its result.
+    return its result.  The answer is a property of the undirected
+    skeleton alone, so it is given on a directed cycle too.
     """
     return _once(net, _check_polytree)
 
@@ -297,8 +296,9 @@ def is_valid_cutset(net: BayesianNetwork, nodes) -> bool:
     therefore keeps each cutset node's incoming edges and drops only its
     outgoing ones; the cutset is valid when that skeleton is acyclic.
     Equivalently, every loop must contain a cutset node in a serial or
-    diverging position.
+    diverging position.  Raises NetworkValidationError on a cyclic graph.
     """
+    _require_acyclic(net)
     cut = set(nodes)
     for c in cut:
         net.var(c)
@@ -318,8 +318,10 @@ def select_cutset(net: BayesianNetwork) -> LoopCutset:
     cutset is reached without testing every subset.  Larger networks
     fall back to a greedy heuristic that repeatedly cuts the
     highest-degree non-sink node on some remaining loop.  The search runs
-    once per network; later calls return its result.
+    once per network; later calls return its result.  Raises
+    NetworkValidationError on a cyclic graph.
     """
+    _require_acyclic(net)
     return _once(net, _search_cutset)
 
 

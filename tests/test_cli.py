@@ -7,6 +7,7 @@ from beliefnet import cutset, load_network, propagation
 from beliefnet.cli import run
 
 BAD_SUM = "network t\nvariable A : a, b\ncpt A\n: 0.9, 0.6\n"
+NAN_ROW = "network t\nvariable A : a, b\ncpt A\n: nan, nan\n"
 BAD_SYNTAX = "network t\nvariable A a, b\n"
 IMPOSSIBLE = """\
 network t
@@ -226,6 +227,16 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "row-sum" in err
 
 
+def test_validate_rejects_a_nan_entry(tmp_path, capsys):
+    p = tmp_path / "nan.bn"
+    p.write_text(NAN_ROW)
+    code = run(["validate", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "probability-range at line 4, cpt A prior: entries outside [0, 1]\n"
+
+
 def test_validate_syntax_error_is_usage(tmp_path, capsys):
     p = tmp_path / "bad.bn"
     p.write_text(BAD_SYNTAX)
@@ -273,6 +284,16 @@ def test_bad_soft_weights(fixture_dir, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert "needs 2 weights" in err
+
+
+@pytest.mark.parametrize("weights", ["nan:1", "inf:1", "1:-inf"])
+def test_non_finite_soft_weights_are_usage(fixture_dir, capsys, weights):
+    code = run(["query", _fx(fixture_dir, "serial.bn"),
+                "--target", "Z", "--soft", f"Y={weights}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: soft evidence weights must be finite\n"
 
 
 def test_impossible_evidence_is_domain_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netgen
 from beliefnet import (
     BayesianNetwork,
     Belief,
@@ -8,8 +9,10 @@ from beliefnet import (
     Evidence,
     HardEvidence,
     MissingValueError,
+    NetworkValidationError,
     SoftEvidence,
     Variable,
+    Violation,
     evidence_weight,
     joint_probability,
     validate,
@@ -136,6 +139,9 @@ def test_soft_evidence_validation():
         SoftEvidence([0.5, -0.1])
     with pytest.raises(ValueError):
         SoftEvidence([0.0, 0.0])
+    for weight in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SoftEvidence([weight, 1.0])
     s = SoftEvidence([0.7, 0.2])
     with pytest.raises(ValueError):
         s.likelihood[0] = 1.0
@@ -148,6 +154,9 @@ def test_belief_checks():
         Belief("X", [0.5, 0.6])
     with pytest.raises(ValueError):
         Belief("X", [1.5, -0.5])
+    for p in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            Belief("X", p)
 
 
 @pytest.mark.parametrize("fixture", ["serial.bn", "diverging.bn", "converging.bn",
@@ -213,6 +222,58 @@ def test_validate_reports_cycle():
     cpts = (Cpt("A", ("B",), np.full((2, 2), 0.5)),
             Cpt("B", ("A",), np.full((2, 2), 0.5)))
     assert "cycle" in _kinds(BayesianNetwork(vs, cpts))
+
+
+def test_validate_counts_nan_as_out_of_range():
+    net = BayesianNetwork(
+        (Variable("A", ("a", "b")), Variable("B", ("a", "b"))),
+        (Cpt("A", (), [0.5, 0.5]),
+         Cpt("B", ("A",), [[0.5, 0.5], [np.nan, 0.5]])))
+    assert validate(net) == [Violation("probability-range", "cpt B row (b)",
+                                       "entries outside [0, 1]", "B", (1,))]
+
+
+def test_validate_builds_labels_only_for_failing_rows(monkeypatch):
+    rng = np.random.default_rng(11)
+    net = netgen.random_polytree(rng, 1000)
+    cpts = list(net.cpts)
+    bad = [i for i, c in enumerate(cpts) if c.n_rows > 2][:2]
+    for i in bad:
+        table = cpts[i].table.copy()
+        table[1] = 0.0
+        table[1, 0] = 0.9
+        cpts[i] = Cpt(cpts[i].child, cpts[i].parents, table)
+    net = BayesianNetwork(net.variables, cpts)
+    calls = []
+    real = np.unravel_index
+    monkeypatch.setattr(np, "unravel_index", lambda *a, **k: calls.append(a) or real(*a, **k))
+    found = validate(net)
+    assert [(v.kind, v.subject, v.detail) for v in found] == [
+        ("row-sum", cpts[i].child, "row sums to 0.9, expected 1") for i in bad]
+    assert len(calls) == 2
+
+
+def test_whole_table_row_sums_match_per_row_sums():
+    # validate and parse_network(normalize=True) sum whole tables; the
+    # result must be the per-row sum bit for bit, or a row's reported sum
+    # and its rescaling would change.
+    rng = np.random.default_rng(2026)
+    for _ in range(3000):
+        rows = int(rng.integers(1, 65))
+        arity = int(rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 128, 129, 300]))
+        table = rng.uniform(-1.0, 2.0, (rows, arity)) * 10.0 ** rng.integers(-8, 3, (rows, arity))
+        table = Cpt("A", (), table).table
+        per_row = np.array([row.sum() for row in table])
+        assert table.sum(axis=1).tobytes() == per_row.tobytes()
+
+
+def test_joint_probability_rejects_a_cycle_with_a_typed_error():
+    vs = tuple(Variable(v, ("a", "b")) for v in "ABC")
+    net = BayesianNetwork(vs, tuple(Cpt(v, (p,), np.full((2, 2), 0.5))
+                                    for v, p in zip("ABC", "CAB")))
+    with pytest.raises(NetworkValidationError) as exc:
+        joint_probability(net, {"A": 0, "B": 0, "C": 0})
+    assert exc.value.violations == [v for v in validate(net) if v.kind == "cycle"] != []
 
 
 def test_joint_probability_chain_values(serial_net):

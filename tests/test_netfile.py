@@ -1,11 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import netgen
 from beliefnet import (
+    BayesianNetwork,
+    Cpt,
     NetfileSyntaxError,
     NetworkValidationError,
     load_network,
     parse_network,
+    Variable,
     serialize_network,
 )
 
@@ -214,3 +220,64 @@ def test_load_network_reads_files(tmp_path):
     p.write_text(GOOD)
     net = load_network(p)
     assert net.name == "demo"
+
+
+def test_nan_entry_is_out_of_range_and_names_its_line():
+    text = "network t\nvariable A : a, b\ncpt A\n: nan, nan\n"
+    with pytest.raises(NetworkValidationError) as exc:
+        parse_network(text)
+    assert [(v.kind, v.where) for v in exc.value.violations] == [
+        ("probability-range", "line 4, cpt A prior")]
+
+
+def _reference_serialize(net):
+    """serialize_network as a loop that ravels each row index on its own."""
+    lines = [f"network {net.name}"]
+    lines += [f"variable {v.id} : " + ", ".join(v.states) for v in net.variables]
+    for v in net.variables:
+        c = net.cpt(v.id)
+        lines.append(f"cpt {v.id} | " + ", ".join(c.parents) if c.parents else f"cpt {v.id}")
+        pdims = tuple(net.arity(p) for p in c.parents)
+        for r in range(c.n_rows):
+            probs = ", ".join(repr(float(x)) for x in c.table[r])
+            key = np.unravel_index(r, pdims) if pdims else ()
+            label = ",".join(net.var(p).states[int(s)] for p, s in zip(c.parents, key))
+            lines.append(f"{label} : {probs}" if pdims else f": {probs}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_normalized(table):
+    """parse_network(normalize=True)'s rescaling, one row at a time."""
+    rows = []
+    for row in table:
+        s = float(row.sum())
+        rows.append(row / s if s > 0 and abs(s - 1.0) <= 1e-6 else row)
+    return np.array(rows)
+
+
+def _reference_nets():
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    rng = np.random.default_rng(150)
+    nets = {p.stem: load_network(p) for p in sorted(fixtures.glob("*.bn"))}
+    nets.update({f"polytree{n}": netgen.random_polytree(rng, n) for n in (150, 500, 1000)})
+    return nets
+
+
+REFERENCE_NETS = _reference_nets()
+
+
+@pytest.mark.parametrize("name", REFERENCE_NETS)
+def test_serialize_and_parse_match_the_per_row_reference(name):
+    net = REFERENCE_NETS[name]
+    text = serialize_network(net)
+    assert text == _reference_serialize(net)
+    plain, normalized = parse_network(text), parse_network(text, normalize=True)
+    for c, p, q in zip(net.cpts, plain.cpts, normalized.cpts):
+        assert p.table.tobytes() == c.table.tobytes()
+        assert q.table.tobytes() == _reference_normalized(c.table).tobytes()
+
+
+def test_serialize_rejects_a_table_with_the_wrong_row_count():
+    net = BayesianNetwork((Variable("A", ("a", "b")),), (Cpt("A", (), [[0.5, 0.5]] * 2),))
+    with pytest.raises(ValueError):
+        serialize_network(net)

@@ -27,6 +27,7 @@ from beliefnet import (
     select_cutset,
     validate,
 )
+from beliefnet.model import ROW_SUM_TOL, Violation
 
 
 @st.composite
@@ -127,7 +128,8 @@ def test_pruned_polytree_answer_and_trace_match_the_full_sweep(query):
         assert _far(values, want_values) <= 1e-15
 
 
-DEFECTS = ("missing-cpt", "cycle", "row-sum", "unknown-parent", "duplicate-cpt")
+DEFECTS = ("missing-cpt", "cycle", "row-sum", "probability-range", "unknown-parent",
+           "duplicate-cpt")
 
 
 @st.composite
@@ -143,6 +145,11 @@ def broken_networks(draw):
     elif defect == "row-sum":
         table = c.table.copy()
         table[0, 0] += 0.5
+        cpts[i] = Cpt(c.child, c.parents, table)
+    elif defect == "probability-range":
+        table = c.table.copy()
+        table[0] = 0.0
+        table[0, :2] = (1.5, -0.5)    # still sums to one
         cpts[i] = Cpt(c.child, c.parents, table)
     elif defect == "unknown-parent":
         cpts[i] = Cpt(c.child, c.parents + ("Ghost",), np.repeat(c.table, 2, axis=0))
@@ -183,3 +190,102 @@ def test_every_engine_rejects_random_invalid_networks(net):
         with pytest.raises(NetworkValidationError) as exc:
             call()
         assert exc.value.violations == problems, name
+
+
+# Entries that break a row: negative, above one, infinite, or finite and
+# in range but off the row's sum.  NaN is left out: it is the one entry
+# the per-row loop below let through.
+DAMAGE = (-0.5, -1e-12, 1.5, 1.0 + 1e-9, np.inf, -np.inf, 0.0, 0.3, 1.0)
+
+
+@st.composite
+def damaged_networks(draw):
+    """A valid or broken network with some CPT entries overwritten."""
+    net = draw(st.one_of(networks(), broken_networks()))
+    cpts = list(net.cpts)
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(cpts) - 1))
+        table = cpts[i].table.copy()
+        r = draw(st.integers(0, table.shape[0] - 1))
+        table[r, draw(st.integers(0, table.shape[1] - 1))] = draw(st.sampled_from(DAMAGE))
+        cpts[i] = Cpt(cpts[i].child, cpts[i].parents, table)
+    return BayesianNetwork(net.variables, cpts)
+
+
+def _reference_violations(net):
+    """validate as a loop over every row of every table, building each
+    row's label whether or not the row fails."""
+    out = []
+    ids = {v.id for v in net.variables}
+    for v in net.variables:
+        if v.arity < 2:
+            out.append(Violation("state-count", f"variable {v.id}",
+                                 f"needs at least 2 states, has {v.arity}", v.id))
+        if len(set(v.states)) != len(v.states):
+            out.append(Violation("duplicate-state", f"variable {v.id}",
+                                 "state labels are not unique", v.id))
+    by_child = {}
+    for c in net.cpts:
+        by_child.setdefault(c.child, []).append(c)
+    for child, cs in by_child.items():
+        if child not in ids:
+            out.append(Violation("unknown-child", f"cpt {child}",
+                                 "table given for an undeclared variable", child))
+        if len(cs) > 1:
+            out.append(Violation("duplicate-cpt", f"cpt {child}",
+                                 f"{len(cs)} tables given for one variable", child))
+    for v in net.variables:
+        if v.id not in by_child:
+            out.append(Violation("missing-cpt", f"variable {v.id}", "no table given", v.id))
+    for c in net.cpts:
+        if c.child not in ids:
+            continue
+        arity = net.arity(c.child)
+        bad_parent = False
+        for p in c.parents:
+            if p not in ids:
+                out.append(Violation("unknown-parent", f"cpt {c.child}",
+                                     f"parent {p!r} is not declared", c.child))
+                bad_parent = True
+        if c.child in c.parents:
+            out.append(Violation("self-loop", f"cpt {c.child}",
+                                 "variable listed as its own parent", c.child))
+            bad_parent = True
+        if len(set(c.parents)) != len(c.parents):
+            out.append(Violation("duplicate-parent", f"cpt {c.child}",
+                                 "parent list has repeats", c.child))
+            bad_parent = True
+        if c.table.shape[1] != arity:
+            out.append(Violation("row-length", f"cpt {c.child}",
+                                 f"rows have {c.table.shape[1]} entries, child has {arity} states",
+                                 c.child))
+            continue
+        if bad_parent:
+            continue
+        pdims = tuple(net.arity(p) for p in c.parents)
+        expect = int(np.prod(pdims, dtype=np.int64))
+        if c.n_rows != expect:
+            out.append(Violation("row-count", f"cpt {c.child}",
+                                 f"has {c.n_rows} rows, parent states require {expect}", c.child))
+            continue
+        for r in range(c.n_rows):
+            row = c.table[r]
+            key = tuple(int(x) for x in np.unravel_index(r, pdims)) if pdims else ()
+            label = ",".join(net.var(p).states[s] for p, s in zip(c.parents, key))
+            where = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
+            if np.any(row < 0) or np.any(row > 1):
+                out.append(Violation("probability-range", where,
+                                     "entries outside [0, 1]", c.child, key))
+            s = float(row.sum())
+            if abs(s - 1.0) > ROW_SUM_TOL:
+                out.append(Violation("row-sum", where,
+                                     f"row sums to {s!r}, expected 1", c.child, key))
+    if net.topological_order() is None:
+        out.append(Violation("cycle", "network", "directed graph has a cycle", ""))
+    return out
+
+
+@given(damaged_networks())
+def test_validate_matches_the_per_row_reference(net):
+    with np.errstate(invalid="ignore"):     # a row holding both inf and -inf
+        assert validate(net) == _reference_violations(net)

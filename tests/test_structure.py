@@ -239,3 +239,27 @@ def test_d_separated_rejects_a_cycle_with_a_typed_error():
     with pytest.raises(NetworkValidationError) as exc:
         d_separated(net, "A", "B", Evidence.empty())
     assert exc.value.violations == [v for v in validate(net) if v.kind == "cycle"]
+
+
+def _three_cycle():
+    """The directed 3-cycle A -> B -> C -> A."""
+    vs = tuple(Variable(v, ("a", "b")) for v in "ABC")
+    cpts = tuple(Cpt(v, (p,), np.full((2, 2), 0.5)) for v, p in zip("ABC", "CAB"))
+    return BayesianNetwork(vs, cpts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: select_cutset(net),
+    lambda net: is_valid_cutset(net, ["A"]),
+], ids=["select_cutset", "is_valid_cutset"])
+def test_cutset_functions_reject_a_cycle_with_a_typed_error(call):
+    net = _three_cycle()
+    for _ in range(2):    # also once the cutset search could have been cached
+        with pytest.raises(NetworkValidationError) as exc:
+            call(net)
+        assert exc.value.violations == [v for v in validate(net) if v.kind == "cycle"] != []
+
+
+def test_is_polytree_answers_on_a_cycle_from_the_skeleton():
+    check = is_polytree(_three_cycle())
+    assert not check and set(check.cycle) == {"A", "B", "C"}
