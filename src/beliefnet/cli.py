@@ -150,7 +150,8 @@ def _cmd_query(ns) -> int:
             print(line, file=sys.stderr)
     var = net.var(ns.target)
     for i, state in enumerate(var.states):
-        print(f"P({var.id}={state}) = {result.belief[i]:.6f}")
+        # Engines agree to ~1e-16; rounding first keeps that from deciding a half-way last digit.
+        print(f"P({var.id}={state}) = {round(result.belief[i], 12):.6f}")
     if result.classification is not None:
         print(f"class: {result.classification.kind.value}")
     print(f"method: {result.method.value}")

@@ -12,20 +12,26 @@ posterior matches full enumeration.  Every instantiation observes the
 same nodes, so all of them share one message schedule and run as the
 rows of one batched sweep, in blocks of at most ``BLOCK`` rows to bound
 its memory; instantiations the evidence rules out are not swept.
+
+The sweep is the collect pass toward the target over the target, the
+evidence, the cutset and all their ancestors, as for a polytree query.
+Every other node is barren, so each row's mass is still P(c, e) and
+the target's belief is read off the collect pass; the rest of the sweep
+is sent only when the traces are read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, InvalidQueryError
 from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
-from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep
+from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, select_cutset
 
 # Instantiations swept together; the sweep's arrays hold this many rows.
@@ -99,7 +105,8 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     combos = list(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
     states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
     rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
-    schedule = _schedule(comp, {*e.hard_states(), *cut.nodes})
+    schedule = _toward(net, comp, e, target, cut.nodes)
+    full = partial(_schedule, comp, {*e.hard_states(), *cut.nodes})
     x = comp.index[target]
     weights = dict.fromkeys(combos, 0.0)
     sweeps = []
@@ -107,7 +114,7 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     total = 0.0
     for start in range(0, len(rows), BLOCK):
         block = rows[start:start + BLOCK]
-        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, states[block]))
+        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, states[block]), full)
         block_combos = tuple(combos[r] for r in block.tolist())
         sweeps.append((sweep, block_combos))
         w = sweep.mass

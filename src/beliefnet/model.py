@@ -506,7 +506,9 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
         # NaN fails the range test, so it counts as outside [0, 1].
         t = c.table
         out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
-        sums = t.sum(axis=1)
+        # A row holding both inf and -inf sums to NaN; it is already out of range.
+        with np.errstate(invalid="ignore"):
+            sums = t.sum(axis=1)
         off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
         for r in np.flatnonzero(out_of_range | off_sum).tolist():
             key = tuple(int(x) for x in np.unravel_index(r, pdims)) if pdims else ()

@@ -12,7 +12,7 @@ arriving from above.  Neighbours exchange messages along edges:
 One collect pass toward a pivot node and one distribute pass back
 compute every message exactly once; on a polytree that single sweep is
 a fixed point.  The belief at X is the normalised product pi(X) *
-lambda(X).
+lambda(X); at the pivot the collect pass alone yields it.
 
 Evidence enters as each node's evidence-lambda: the vector that
 ``model._bind_evidence`` binds for an evidence variable, all ones for
@@ -39,20 +39,20 @@ subscripts) is compiled once per network.
 The total evidence mass (the probability of all evidence) is recovered
 as the product over swept components of the pivot's pi . lambda dot
 product times the normalisation constants absorbed during the collect
-pass.  The collect pass runs at once; the distribute pass runs when a
-node value, a message or the message log is read, and only as far as
-the read needs.  The log is formatted from the messages when first
-read, so a run nobody traces formats nothing.
+pass.  The collect pass runs at once; the first read of a message, of
+the log or of any value but a pivot's belief sends every message still
+missing.  The log is formatted from the messages when first read, so a
+run nobody traces formats nothing.
 
-A run for one target sweeps less at once.  A node that is neither the
-target, nor evidence, nor an ancestor of either is barren: no evidence
-lies at or below it, so the lambda message it sends is all ones and it
-cannot change the target's belief or the evidence mass (Shachter 1986;
-Baker & Boult 1990).  Such a run sends at once only the collect pass of
-the relevant part, toward the target, and reads the target's belief
-off it.  Reading a message, a value outside the relevant part or the
-log sends the rest, in the order of the full sweep, so the log lists
-the same messages in the same order as a run without a target.
+Both engines answer a query for one target from one collect pass
+toward it.  A node that is neither the target, nor observed, nor an
+ancestor of either is barren: no evidence lies at or below it, so the
+lambda message it sends is all ones and it cannot change the target's
+belief or the evidence mass (Shachter 1986; Baker & Boult 1990).  Such
+a run sweeps only the rest, pivoted at the target (``_toward``).
+Reading anything else sends the missing messages in the order of the
+full sweep, so the log lists the same messages in the same order as a
+run without a target.
 """
 
 from __future__ import annotations
@@ -152,20 +152,17 @@ class _Schedule:
 
     Per connected component of the split skeleton: its pivot, then the
     messages of the collect pass and of the distribute pass, each as
-    (is a pi message, edge) in the order sent.  ``inward[nd]`` is the
-    tree neighbour of split node nd on the pivot's side and the
-    distribute message that comes from it.  A split node is (x, 0, -1)
-    for node x, or its incoming piece when x is observed, and (x, 1, e)
-    for the clone of observed x that carries its edge e.  Edges leave a
-    node in the order of their heads, so split nodes sort by node,
-    piece and head.  ``keep`` is the set of nodes swept, with the edges
-    into them; None when the schedule covers the whole network.
+    (is a pi message, edge) in the order sent.  A split node is
+    (x, 0, -1) for node x, or its incoming piece when x is observed, and
+    (x, 1, e) for the clone of observed x that carries its edge e.
+    Edges leave a node in the order of their heads, so split nodes sort
+    by node, piece and head.  ``keep`` is the set of nodes swept, with
+    the edges into them; None when the schedule covers the whole network.
     """
 
     hard: frozenset[int]
     components: tuple[tuple[tuple[int, int, int], tuple[tuple[bool, int], ...],
                             tuple[tuple[bool, int], ...]], ...]
-    inward: dict[tuple[int, int, int], tuple[tuple[int, int, int], tuple[bool, int]]]
     keep: frozenset[int] | None = None
 
 
@@ -218,7 +215,6 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
     pivot_node = None if pivot is None else (comp.index[pivot], 0, -1)
 
     components = []
-    inward = {}
     seen: set[tuple] = set()
     for start in adj:
         if start in seen:
@@ -231,12 +227,25 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
         distribute = []
         for nd in order[1:]:
             up, e = link[nd]
-            step = (up[0] == comp.edges[e][0], e)
-            distribute.append(step)
-            inward[nd] = (up, step)
+            distribute.append((up[0] == comp.edges[e][0], e))
         collect = tuple((not is_pi, e) for is_pi, e in reversed(distribute))
         components.append((order[0], collect, tuple(distribute)))
-    return _Schedule(hard, tuple(components), inward, keep)
+    return _Schedule(hard, tuple(components), keep)
+
+
+def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
+            cut: Sequence[str] = ()) -> _Schedule:
+    """Schedule a run for ``target`` with the evidence and the ``cut``
+    nodes observed, over the target, the evidence, the cut nodes and all
+    their ancestors, pivoted at the target.
+
+    Every other node is barren: no evidence lies at or below it, so the
+    lambda message it sends is all ones and it changes neither the
+    target's belief nor the evidence mass (Shachter 1986).
+    """
+    relevant = _opened(net, e).union({target, *cut}, *map(net.ancestors, (target, *cut)))
+    keep = frozenset(comp.index[v] for v in relevant)
+    return _schedule(comp, {*e.hard_states(), *cut}, target, keep)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -248,20 +257,17 @@ class _Sweep:
     Row k of every array belongs to instantiation k; an array that every
     row shares may have a single row, which broadcasts.
 
-    ``_run`` sends the collect pass, which yields the evidence mass.
-    The distribute pass is sent on demand: ``reach`` sends the part a
-    node's value needs, ``complete`` the rest.  Every message has the
-    same value whenever it is sent, because all it depends on was sent
-    before it in the schedule.  For the same reason node values are kept
-    once computed: the first time the sweep reads a node's pi (or
-    lambda) value, every message it depends on has already been sent.
+    ``_run`` sends the collect pass, which yields the evidence mass and
+    the belief of each pivot.  Reading any other value, a message or the
+    log first calls ``complete``, which sends every message not yet
+    sent, in the order of ``full``, the schedule of the whole network.
+    Every message has the same value whenever it is sent, because all it
+    depends on was sent before it; node values are kept once computed.
 
-    A schedule that keeps only some nodes is swept that way until a
-    value outside them is read.  Until then a lambda message from a
-    child outside them counts as all ones and is not sent; ``complete``
-    then sends every message not yet sent in the order of ``full``, the
-    schedule of the whole network, which also orders the log.  Messages
-    and node values already computed keep their values.
+    A schedule that keeps only some nodes sweeps only them: a lambda
+    message from a child outside them counts as all ones and is not sent
+    until ``complete``.  Messages and node values computed before then
+    keep their values.
     """
 
     def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None],
@@ -269,12 +275,12 @@ class _Sweep:
         self.comp, self.schedule, self.lam = comp, schedule, lam
         self._full = full
         self.hard = schedule.hard
-        self.keep = schedule.keep
+        self.pivots = {pivot for pivot, _, _ in schedule.components}
         # The lambda messages from x's children that its values multiply in.
         self.out: Mapping[int, list[int]] | list[list[int]] = comp.out_edges
-        if self.keep is not None:
-            self.out = {x: [e for e in comp.out_edges[x] if comp.edges[e][1] in self.keep]
-                        for x in self.keep}
+        if schedule.keep is not None:
+            self.out = {x: [e for e in comp.out_edges[x] if comp.edges[e][1] in schedule.keep]
+                        for x in schedule.keep}
         # lam >= 0, so its sign marks the instantiated state of a hard node.
         self.indicator = {x: np.sign(lam[x]) for x in self.hard}
         self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
@@ -345,33 +351,15 @@ class _Sweep:
         self.lambda_msg[e] = self.lambda_message(e)
         return 1.0
 
-    def _sent(self, is_pi: bool, e: int) -> bool:
-        return (self.pi_msg if is_pi else self.lambda_msg)[e] is not None
-
-    def reach(self, nd: tuple[int, int, int]) -> None:
-        """Send the distribute messages on the way from the pivot to split
-        node nd, or every message when nd lies outside the nodes kept."""
-        if self.keep is not None and nd[0] not in self.keep:
-            self.complete()
-            return
-        path = []
-        while nd in self.schedule.inward:
-            nd, step = self.schedule.inward[nd]
-            if self._sent(*step):
-                break
-            path.append(step)
-        for step in reversed(path):
-            self.send(*step)
-
     def complete(self) -> None:
         """Send every message not yet sent, in the order of the full schedule."""
         if self._all_sent:
             return
-        self.keep, self.out = None, self.comp.out_edges
+        self.out = self.comp.out_edges
         for _, collect, distribute in self.full.components:
-            for step in collect + distribute:
-                if not self._sent(*step):
-                    self.send(*step)
+            for is_pi, e in collect + distribute:
+                if (self.pi_msg if is_pi else self.lambda_msg)[e] is None:
+                    self.send(is_pi, e)
         self._all_sent = True
 
     def message(self, is_pi: bool, e: int) -> np.ndarray:
@@ -388,25 +376,24 @@ class _Sweep:
         return (self._pi_value(x) * lv).sum(axis=-1)
 
     def pi_value(self, x: int) -> np.ndarray:
-        """pi(x), once the messages it needs are sent."""
-        self.reach((x, 0, -1))
+        """pi(x), once every message is sent."""
+        self.complete()
         return self._pi_value(x)
 
     def lambda_value(self, x: int) -> np.ndarray:
-        """lambda(x), once the messages it needs are sent."""
-        self.reach((x, 0, -1))
-        if x in self.hard:
-            # The messages from an observed node's children arrive at its clones.
-            for e in self.out[x]:
-                self.reach((x, 1, e))
+        """lambda(x), once every message is sent."""
+        self.complete()
         return self._lambda_value(x)
 
     def belief(self, x: int) -> np.ndarray:
         """Per row, x's normalised pi * lambda, or the indicator of its
-        instantiated state; zero in a row of zero mass."""
+        instantiated state; zero in a row of zero mass.  A pivot's belief
+        is read off the collect pass; any other node's completes the sweep."""
         if x in self.hard:
             return self.indicator[x]
-        raw = self.pi_value(x) * self._lambda_value(x)
+        if (x, 0, -1) not in self.pivots:
+            self.complete()
+        raw = self._pi_value(x) * self._lambda_value(x)
         total = raw.sum(axis=-1, keepdims=True)
         return raw / np.where(total > 0, total, 1.0)
 
@@ -493,14 +480,13 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
               pivot: str | None = None, *, target: str | None = None) -> MessageStore:
     """Run one collect/distribute sweep and return every message.
 
-    Without a target, the collect pass over the whole network runs here,
-    toward the pivot; the store sends the distribute messages when its
-    values are first read.  With a target, only the collect pass over
-    the target, the evidence and their ancestors runs here, toward the
-    target, which yields its belief and the evidence mass; reading a
-    message, the log or a value of any other node sends every message
-    still missing, in the order of the sweep without a target.  Either
-    way the store holds the same messages and the same log.
+    Only a collect pass runs here, which yields the evidence mass and
+    the belief at its pivot.  Without a target it covers the whole network,
+    toward the pivot; with a target it covers the target, the evidence
+    and their ancestors, toward the target.  The first read of a
+    message, the log, a node value or another node's belief sends every
+    message still missing, in the order of the sweep without a target,
+    so either way the store holds the same messages and the same log.
 
     The network must be singly connected; otherwise NotAPolytreeError
     carries a witness loop.  The pivot defaults to the first-declared
@@ -517,15 +503,12 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
         if var is not None:
             net.var(var)
     comp = _compiled(net)
-    hard = e.hard_states()
-    full = partial(_schedule, comp, hard, pivot)
+    full = partial(_schedule, comp, e.hard_states(), pivot)
     lam = _lambdas(comp, bound)
     if target is None:
         sweep = _run(comp, full(), lam)
     else:
-        relevant = _opened(net, e) | net.ancestors(target) | {target}
-        keep = frozenset(comp.index[v] for v in relevant)
-        sweep = _run(comp, _schedule(comp, hard, target, keep), lam, full)
+        sweep = _run(comp, _toward(net, comp, e, target), lam, full)
     mass = float(sweep.mass[0])
     if mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")

@@ -278,13 +278,15 @@ class LoopCutset:
 
 
 def _reduced_skeleton(net: BayesianNetwork, ids: list[str], cut) -> dict[str, list[str]]:
-    """The skeleton left once the edges leaving ``cut`` are dropped."""
+    """The skeleton left once the edges leaving ``cut`` are dropped.
+    Parents that are not declared variables are ignored (validate
+    reports them)."""
     neighbors: dict[str, list[str]] = {v: [] for v in ids}
-    for u, w in net.edges:
-        if u in cut:
-            continue
-        neighbors[u].append(w)
-        neighbors[w].append(u)
+    for w in ids:
+        for u in net._parents[w]:
+            if u not in cut:
+                neighbors[u].append(w)
+                neighbors[w].append(u)
     return neighbors
 
 
@@ -330,8 +332,8 @@ def _search_cutset(net: BayesianNetwork) -> LoopCutset:
         return LoopCutset(())
     ids = [v.id for v in net.variables]
     order = {v: i for i, v in enumerate(ids)}
+    edges = net._edge_set
     if len(ids) <= 20:
-        edges = net._edge_set
         for size in range(1, len(ids) + 1):
             found: list[list[int]] = []
             seen: set[frozenset[str]] = set()
@@ -353,15 +355,7 @@ def _search_cutset(net: BayesianNetwork) -> LoopCutset:
 
     chosen: list[str] = []
     for _ in range(len(ids)):
-        cut = set(chosen)
-        neighbors: dict[str, list[str]] = {v: [] for v in ids}
-        directed: dict[str, set[str]] = {v: set() for v in ids}
-        for u, w in net.edges:
-            if u in cut:
-                continue
-            neighbors[u].append(w)
-            neighbors[w].append(u)
-            directed[u].add(w)
+        neighbors = _reduced_skeleton(net, ids, set(chosen))
         cycle = _skeleton_cycle(ids, neighbors)
         if cycle is None:
             break
@@ -371,7 +365,7 @@ def _search_cutset(net: BayesianNetwork) -> LoopCutset:
             nxt = ring[(i + 1) % len(ring)]
             prv = ring[i - 1]
             # Non-sink on this loop: at least one loop edge leaves v.
-            if nxt in directed[v] or prv in directed[v]:
+            if (v, nxt) in edges or (v, prv) in edges:
                 candidates.append(v)
         best = max(candidates, key=lambda v: (len(neighbors[v]), -order[v]))
         chosen.append(best)

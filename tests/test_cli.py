@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from beliefnet import cutset, load_network, propagation
+from beliefnet import cutset, is_polytree, load_network, propagation
 from beliefnet.cli import run
 
 BAD_SUM = "network t\nvariable A : a, b\ncpt A\n: 0.9, 0.6\n"
@@ -237,6 +237,19 @@ def test_validate_rejects_a_nan_entry(tmp_path, capsys):
     assert err == "probability-range at line 4, cpt A prior: entries outside [0, 1]\n"
 
 
+@pytest.mark.parametrize("command, code", [(["validate"], 1), (["query", "--target", "Z"], 2)],
+                         ids=["validate", "query"])
+def test_a_row_of_inf_and_minus_inf_prints_only_its_violation(fixture_dir, tmp_path,
+                                                              command, code):
+    p = tmp_path / "inf.bn"
+    p.write_text((fixture_dir / "serial.bn").read_text().replace(": 0.9, 0.1", ": inf, -inf"))
+    proc = subprocess.run([sys.executable, "-m", "beliefnet", command[0], str(p), *command[1:]],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr == "probability-range at line 7, cpt X prior: entries outside [0, 1]\n"
+
+
 def test_validate_syntax_error_is_usage(tmp_path, capsys):
     p = tmp_path / "bad.bn"
     p.write_text(BAD_SYNTAX)
@@ -331,3 +344,22 @@ def test_module_entry_point(fixture_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "d-separated\n"
+
+
+@pytest.mark.parametrize("name", ["serial", "diverging", "converging", "sprinkler", "loopy8"])
+def test_every_engine_prints_the_same_digits(fixture_dir, capsys, name):
+    path = _fx(fixture_dir, f"{name}.bn")
+    net = load_network(path)
+    methods = ["enum", "cutset", "auto"] + ["bp"] * bool(is_polytree(net))
+    findings = [[]] + [["--evidence", f"{v.id}={state}"] for v in net.variables for state in v.states]
+    for target in net.variables:
+        for finding in findings:
+            if finding and finding[1].startswith(f"{target.id}="):
+                continue
+            printed = set()
+            for method in methods:
+                code = run(["query", path, "--target", target.id, "--method", method, *finding])
+                out, _ = capsys.readouterr()
+                printed.add((code, tuple(line for line in out.splitlines()
+                                         if line.startswith("P("))))
+            assert len(printed) == 1, (target.id, finding, printed)

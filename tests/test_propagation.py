@@ -3,19 +3,24 @@ import re
 import numpy as np
 import pytest
 
+import netgen
 from beliefnet import (
     BayesianNetwork,
     Cpt,
     Evidence,
     HardEvidence,
     ImpossibleEvidenceError,
+    Method,
     NotAPolytreeError,
     SoftEvidence,
     Variable,
     fixed_point_delta,
     infer,
+    load_network,
     posterior,
     propagate,
+    run_cutset_conditioning,
+    select_cutset,
 )
 from beliefnet import propagation
 
@@ -109,7 +114,7 @@ def test_belief_proportional_to_node_values(diverging_net):
 
 
 def test_node_values_read_first_equal_the_completed_sweep(converging_net, polytree_corpus):
-    # Reading a node value sends only the distribute messages it needs;
+    # Reading a node value first sends every message still missing;
     # the value must not depend on what else was read before.
     cases = [(converging_net, Evidence({"Z": HardEvidence(0)}))] + polytree_corpus[:100]
     for net, e in cases:
@@ -195,9 +200,9 @@ def test_propagate_single_node():
     assert np.array_equal(store.beliefs["A"].probabilities, [0, 1, 0])
 
 
-def _relevant(net, target, e):
-    """The target, the evidence nodes and all their ancestors."""
-    roots = {target, *e.entries}
+def _relevant(net, target, e, cut=()):
+    """The target, the evidence nodes, the cut nodes and all their ancestors."""
+    roots = {target, *e.entries, *cut}
     return roots.union(*(net.ancestors(v) for v in roots))
 
 
@@ -234,6 +239,40 @@ def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
                 store.beliefs[read]
             assert sorted(sent) == every
     assert pruned > 10
+
+
+def _cutset_queries(fixture_dir):
+    """Every target of sprinkler, loopy8 and four grids, each with random evidence."""
+    rng = np.random.default_rng(31)
+    nets = [load_network(fixture_dir / f"{name}.bn") for name in ("sprinkler", "loopy8")]
+    nets += [netgen.grid(rng, rows, cols) for rows, cols in ((3, 3), (3, 4), (4, 4), (4, 5))]
+    for net in nets:
+        for v in net.variables:
+            yield net, v.id, netgen.random_evidence(rng, net, exclude=(v.id,))
+
+
+def test_a_cutset_run_sends_only_the_pruned_collect_pass_until_traces_are_read(
+        monkeypatch, fixture_dir):
+    sent = []
+    real = propagation._Sweep.send
+    monkeypatch.setattr(propagation._Sweep, "send",
+                        lambda sweep, is_pi, e: sent.append((is_pi, e)) or real(sweep, is_pi, e))
+    pruned = 0
+    for net, target, e in _cutset_queries(fixture_dir):
+        keep = _relevant(net, target, e, select_cutset(net).nodes)
+        inside = [i for i, (_, w) in enumerate(net.edges) if w in keep]
+        pruned += len(inside) < len(net.edges)
+
+        sent.clear()
+        infer(net, target, e, Method.CUTSET)
+        # One collect message per edge inside the kept part, and no other.
+        assert sorted(i for _, i in sent) == inside
+
+        sent.clear()
+        run_cutset_conditioning(net, target, e).traces
+        assert sorted(sent) == sorted((is_pi, i) for i in range(len(net.edges))
+                                      for is_pi in (True, False))
+    assert pruned > 20
 
 
 def _zero_branch_net():

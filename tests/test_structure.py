@@ -226,6 +226,29 @@ def test_greedy_cutset_on_large_network():
     assert len(cut) == 5
 
 
+def _ghost_diamond(tail=0):
+    """A -> B, A -> C, {B, C, Ghost} -> D, where Ghost is never declared,
+    and a chain of ``tail`` more nodes hanging below A."""
+    two = ("a", "b")
+    chain = [f"N{i}" for i in range(tail)]
+    vs = tuple(Variable(v, two) for v in ["A", "B", "C", "D", *chain])
+    cpts = [Cpt("A", (), [0.5, 0.5]),
+            Cpt("B", ("A",), np.full((2, 2), 0.5)),
+            Cpt("C", ("A",), np.full((2, 2), 0.5)),
+            Cpt("D", ("B", "C", "Ghost"), np.full((8, 2), 0.5))]
+    cpts += [Cpt(v, (u,), np.full((2, 2), 0.5)) for u, v in zip(["A", *chain], chain)]
+    return BayesianNetwork(vs, tuple(cpts))
+
+
+@pytest.mark.parametrize("tail", [0, 20], ids=["exact", "greedy"])
+def test_cutset_tools_ignore_an_undeclared_parent(tail):
+    net = _ghost_diamond(tail)
+    assert "unknown-parent" in {v.kind for v in validate(net)}
+    assert is_valid_cutset(net, ["A"])
+    assert not is_valid_cutset(net, ["D"])
+    assert select_cutset(net).nodes == ("A",)
+
+
 def test_cutset_valid_unknown_node(serial_net):
     with pytest.raises(ValueError):
         is_valid_cutset(serial_net, ("nope",))
