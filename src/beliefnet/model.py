@@ -13,6 +13,7 @@ fastest; columns follow the child's declared state order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
@@ -324,29 +325,25 @@ class BayesianNetwork:
     def topological_order(self) -> tuple[str, ...] | None:
         """Kahn's algorithm with declaration-order tie-breaking.
 
+        The variables without declared parents come first, in declaration
+        order, then each variable as soon as its last parent is placed.
         Returns None when the directed graph has a cycle.  Parents that
         are not declared variables are ignored (validate reports them).
         """
-        indeg = {v.id: 0 for v in self.variables}
-        for v in self.variables:
-            for p in self.parents(v.id):
-                if p in indeg:
-                    indeg[v.id] += 1
-        ready = [v.id for v in self.variables if indeg[v.id] == 0]
-        out: list[str] = []
-        while ready:
-            u = ready.pop(0)
-            out.append(u)
+        indeg = {u: len(ps) for u, ps in self._parents.items()}
+        order = [u for u, d in indeg.items() if d == 0]
+        for u in order:     # ``order`` grows while it is walked
             for c in self._children[u]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready.append(c)
-        if len(out) != len(self.variables):
+                    order.append(c)
+        if len(order) != len(self.variables):
             return None
-        return tuple(out)
+        return tuple(order)
 
     def descendants(self, var_id: str) -> frozenset[str]:
         self.var(var_id)
+        _require_acyclic(self)
         seen: set[str] = set()
         stack = list(self._children[var_id])
         while stack:
@@ -359,6 +356,7 @@ class BayesianNetwork:
 
     def ancestors(self, var_id: str) -> frozenset[str]:
         self.var(var_id)
+        _require_acyclic(self)
         seen: set[str] = set()
         stack = list(self._parents[var_id])
         while stack:
@@ -428,8 +426,11 @@ def validate(net: BayesianNetwork) -> list[Violation]:
     least two states per variable, exactly one CPT per variable with
     declared distinct parents, rows of the right length summing to one,
     probabilities in [0, 1] (a NaN entry counts as outside it), and an
-    acyclic directed graph.  The check runs once per network; later
-    calls, and the engines' own check, reuse its result.
+    acyclic directed graph.  Table violations follow the order of
+    ``net.cpts``, a table's rows in row-major order, though the rows of
+    all tables of one width are checked in one array pass.  The check
+    runs once per network; later calls, and the engines' own check,
+    reuse its result.
     """
     return list(net._violations)
 
@@ -443,7 +444,7 @@ def _require_acyclic(net: BayesianNetwork) -> None:
 
 def _find_violations(net: BayesianNetwork) -> list[Violation]:
     out: list[Violation] = []
-    ids = {v.id for v in net.variables}
+    arity = {v.id: v.arity for v in net.variables}
 
     for v in net.variables:
         if v.arity < 2:
@@ -458,7 +459,7 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
         by_child.setdefault(c.child, []).append(c)
 
     for child, cs in by_child.items():
-        if child not in ids:
+        if child not in arity:
             out.append(Violation("unknown-child", f"cpt {child}",
                                  "table given for an undeclared variable", child))
         if len(cs) > 1:
@@ -469,13 +470,36 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
             out.append(Violation("missing-cpt", f"variable {v.id}",
                                  "no table given", v.id))
 
-    for c in net.cpts:
-        if c.child not in ids:
+    # Range and row-sum flags, one array pass over the tables of each width.
+    # Each row is still summed alone, so its sum is the per-row one bit for
+    # bit.  failing[i] holds table i's failing rows: (row, out of range,
+    # off sum, sum); only these get keys and labels below.
+    by_width: dict[tuple[int, ...], list[int]] = {}
+    for i, c in enumerate(net.cpts):
+        if c.child in arity:
+            by_width.setdefault(c.table.shape[1:], []).append(i)
+    failing: list[list[tuple[int, bool, bool, float]]] = [[] for _ in net.cpts]
+    for ix in by_width.values():
+        tables = [net.cpts[i].table for i in ix]
+        t = np.concatenate(tables) if len(tables) > 1 else tables[0]
+        # NaN fails the range test, so it counts as outside [0, 1].
+        out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
+        # A row holding both inf and -inf sums to NaN; it is already out of range.
+        with np.errstate(invalid="ignore"):
+            sums = t.sum(axis=1)
+        off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
+        bad = np.flatnonzero(out_of_range | off_sum)
+        starts = np.cumsum([0] + [len(tb) for tb in tables])
+        for r, k in zip(bad.tolist(), (np.searchsorted(starts, bad, side="right") - 1).tolist()):
+            failing[ix[k]].append((r - int(starts[k]), bool(out_of_range[r]),
+                                   bool(off_sum[r]), float(sums[r])))
+
+    for i, c in enumerate(net.cpts):
+        if c.child not in arity:
             continue
-        arity = net.arity(c.child)
         bad_parent = False
         for p in c.parents:
-            if p not in ids:
+            if p not in arity:
                 out.append(Violation("unknown-parent", f"cpt {c.child}",
                                      f"parent {p!r} is not declared", c.child))
                 bad_parent = True
@@ -487,40 +511,30 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
             out.append(Violation("duplicate-parent", f"cpt {c.child}",
                                  "parent list has repeats", c.child))
             bad_parent = True
-        if c.table.shape[1] != arity:
+        width = arity[c.child]
+        if c.table.shape[1] != width:
             out.append(Violation("row-length", f"cpt {c.child}",
-                                 f"rows have {c.table.shape[1]} entries, child has {arity} states",
+                                 f"rows have {c.table.shape[1]} entries, child has {width} states",
                                  c.child))
             continue
         if bad_parent:
             continue
-        pdims = tuple(net.arity(p) for p in c.parents)
-        expect = 1
-        for d in pdims:
-            expect *= d
+        pdims = tuple(arity[p] for p in c.parents)
+        expect = math.prod(pdims)
         if c.n_rows != expect:
             out.append(Violation("row-count", f"cpt {c.child}",
                                  f"has {c.n_rows} rows, parent states require {expect}", c.child))
             continue
-        # Whole-table checks; only a failing row's key and label are built.
-        # NaN fails the range test, so it counts as outside [0, 1].
-        t = c.table
-        out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
-        # A row holding both inf and -inf sums to NaN; it is already out of range.
-        with np.errstate(invalid="ignore"):
-            sums = t.sum(axis=1)
-        off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
-        for r in np.flatnonzero(out_of_range | off_sum).tolist():
+        for r, out_of_range, off_sum, total in failing[i]:
             key = tuple(int(x) for x in np.unravel_index(r, pdims)) if pdims else ()
             label = ",".join(net.var(p).states[s] for p, s in zip(c.parents, key))
             where = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
-            if out_of_range[r]:
+            if out_of_range:
                 out.append(Violation("probability-range", where,
                                      "entries outside [0, 1]", c.child, key))
-            if off_sum[r]:
-                s = float(sums[r])
+            if off_sum:
                 out.append(Violation("row-sum", where,
-                                     f"row sums to {s!r}, expected 1", c.child, key))
+                                     f"row sums to {total!r}, expected 1", c.child, key))
 
     if net.topological_order() is None:
         out.append(Violation("cycle", "network",

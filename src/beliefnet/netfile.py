@@ -18,7 +18,9 @@ comma-joined parent state labels, a colon, then one probability per
 child state.  A root's single row starts directly with the colon.
 Rows may appear in any order; the serialiser emits them row-major with
 the last parent varying fastest.  Names and state labels are single
-tokens without whitespace, ``,``, ``:``, ``|`` or ``#``.
+tokens without whitespace, ``,``, ``:``, ``|`` or ``#``.  The keywords
+are valid labels too: inside a table whose first parent has a state
+``cpt``, the line ``cpt : 0.1, 0.9`` is a row, not a header.
 
 Syntax problems raise NetfileSyntaxError with the offending line
 number; a file that parses but breaks a structural invariant (bad row
@@ -29,6 +31,7 @@ violations name the line they came from.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -81,6 +84,10 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
             continue
 
         word = line.split(None, 1)[0]
+        if (word in ("network", "variable", "cpt") and current is not None
+                and current["parents"] and word in var_ids[current["parents"][0]].states
+                and line[len(word):].lstrip()[:1] in (":", ",")):
+            word = ""   # a row whose first parent state is named like a keyword
         if word == "network":
             raise NetfileSyntaxError("duplicate network header", line_no)
 
@@ -131,7 +138,7 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
             raise NetfileSyntaxError("expected ':' between parent states and probabilities",
                                      line_no)
         parents = current["parents"]
-        labels = [s for s in lhs.split(",")] if lhs.strip() else []
+        labels = lhs.split(",") if lhs.strip() else []
         if len(labels) != len(parents):
             raise NetfileSyntaxError(
                 f"row names {len(labels)} parent states, table has {len(parents)} parents",
@@ -167,23 +174,16 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
     for b in blocks:
         child, parents = b["child"], b["parents"]
         pdims = tuple(var_ids[p].arity for p in parents)
-        expect = 1
-        for d in pdims:
-            expect *= d
+        expect = math.prod(pdims)
         if len(b["rows"]) != expect:
             for miss in np.ndindex(*pdims) if pdims else [()]:
                 if tuple(miss) not in b["rows"]:
                     label = ",".join(var_ids[p].states[s] for p, s in zip(parents, miss))
                     raise NetfileSyntaxError(
                         f"cpt {child} is missing the row for ({label})", b["line"])
-        ordered: list = [None] * expect
-        for key, (probs, ln) in b["rows"].items():
-            idx = 0
-            for k, d in zip(key, pdims):
-                idx = idx * d + k   # row-major, the last parent fastest
-            ordered[idx] = probs
-            row_lines[(child, key)] = ln
-        table = np.array(ordered, dtype=np.float64)
+        rows = sorted(b["rows"].items())    # row-major, the last parent fastest
+        table = np.array([probs for _, (probs, _) in rows], dtype=np.float64)
+        row_lines.update(((child, key), ln) for key, (_, ln) in rows)
         if normalize:
             sums = table.sum(axis=1)
             near = (sums > 0) & (np.abs(sums - 1.0) <= NORMALIZE_TOL)

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,13 @@ cpt C
 
 def _fx(fixture_dir, name):
     return str(fixture_dir / name)
+
+
+def _beliefnet(*args):
+    """``python -m beliefnet *args`` in a fresh process, on this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "beliefnet", *args],
+                          env=env, capture_output=True, text=True)
 
 
 def test_query_forward(fixture_dir, capsys):
@@ -243,8 +252,7 @@ def test_a_row_of_inf_and_minus_inf_prints_only_its_violation(fixture_dir, tmp_p
                                                               command, code):
     p = tmp_path / "inf.bn"
     p.write_text((fixture_dir / "serial.bn").read_text().replace(": 0.9, 0.1", ": inf, -inf"))
-    proc = subprocess.run([sys.executable, "-m", "beliefnet", command[0], str(p), *command[1:]],
-                          capture_output=True, text=True)
+    proc = _beliefnet(command[0], str(p), *command[1:])
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr == "probability-range at line 7, cpt X prior: entries outside [0, 1]\n"
@@ -338,10 +346,7 @@ def test_unknown_subcommand_is_usage(capsys):
 
 
 def test_module_entry_point(fixture_dir):
-    proc = subprocess.run(
-        [sys.executable, "-m", "beliefnet", "dsep",
-         _fx(fixture_dir, "serial.bn"), "X", "Z", "--given", "Y"],
-        capture_output=True, text=True)
+    proc = _beliefnet("dsep", _fx(fixture_dir, "serial.bn"), "X", "Z", "--given", "Y")
     assert proc.returncode == 0
     assert proc.stdout == "d-separated\n"
 

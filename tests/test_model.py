@@ -265,6 +265,13 @@ def test_whole_table_row_sums_match_per_row_sums():
         table = Cpt("A", (), table).table
         per_row = np.array([row.sum() for row in table])
         assert table.sum(axis=1).tobytes() == per_row.tobytes()
+    # validate sums all the tables of one width stacked into one array.
+    for _ in range(300):
+        arity = int(rng.choice([2, 3, 4, 8, 9, 17, 33, 129]))
+        tables = [Cpt("A", (), rng.uniform(-1.0, 2.0, (int(rng.integers(0, 300)), arity))).table
+                  for _ in range(int(rng.integers(1, 12)))]
+        per_row = np.array([row.sum() for t in tables for row in t])
+        assert np.concatenate(tables).sum(axis=1).tobytes() == per_row.tobytes()
 
 
 def test_joint_probability_rejects_a_cycle_with_a_typed_error():
@@ -273,6 +280,16 @@ def test_joint_probability_rejects_a_cycle_with_a_typed_error():
                                     for v, p in zip("ABC", "CAB")))
     with pytest.raises(NetworkValidationError) as exc:
         joint_probability(net, {"A": 0, "B": 0, "C": 0})
+    assert exc.value.violations == [v for v in validate(net) if v.kind == "cycle"] != []
+
+
+@pytest.mark.parametrize("walk", ["ancestors", "descendants"])
+def test_ancestors_and_descendants_reject_a_cycle_with_a_typed_error(walk):
+    vs = tuple(Variable(v, ("a", "b")) for v in "ABC")
+    net = BayesianNetwork(vs, tuple(Cpt(v, (p,), np.full((2, 2), 0.5))
+                                    for v, p in zip("ABC", "CAB")))
+    with pytest.raises(NetworkValidationError) as exc:
+        getattr(net, walk)("A")
     assert exc.value.violations == [v for v in validate(net) if v.kind == "cycle"] != []
 
 

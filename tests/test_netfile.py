@@ -164,6 +164,14 @@ def test_duplicate_row():
     assert err.line == 6 and "duplicate row" in str(err)
 
 
+def test_a_repeated_label_keys_rows_by_its_first_state():
+    # A's second 'a' is never reached, so both rows are A's first state.
+    text = ("network t\nvariable A : a, a\nvariable B : x, y\ncpt A\n: 0.5, 0.5\n"
+            "cpt B | A\na : 0.5, 0.5\na : 0.5, 0.5\n")
+    err = _syntax_error(text)
+    assert err.line == 8 and str(err) == "line 8: duplicate row"
+
+
 def test_bad_probability():
     err = _syntax_error("network t\nvariable A : a, b\ncpt A\n: 0.5, oops\n")
     assert err.line == 4 and "bad probability" in str(err)
@@ -281,3 +289,34 @@ def test_serialize_rejects_a_table_with_the_wrong_row_count():
     net = BayesianNetwork((Variable("A", ("a", "b")),), (Cpt("A", (), [[0.5, 0.5]] * 2),))
     with pytest.raises(ValueError):
         serialize_network(net)
+
+
+@pytest.mark.parametrize("keyword", ["cpt", "variable", "network"])
+def test_states_named_like_keywords_round_trip(keyword):
+    net = BayesianNetwork(
+        (Variable("A", (keyword, "x")), Variable("B", ("b", keyword)), Variable("C", ("u", "v"))),
+        (Cpt("A", (), [0.3, 0.7]), Cpt("B", ("A",), [[0.1, 0.9], [0.2, 0.8]]),
+         Cpt("C", ("A", "B"), [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7], [0.4, 0.6]])))
+    text = serialize_network(net)
+    assert f"\n{keyword} : 0.1, 0.9\n" in text
+    back = parse_network(text)
+    assert [c.table.tobytes() for c in back.cpts] == [c.table.tobytes() for c in net.cpts]
+    # A row may also start with the keyword, a space and a comma.
+    spaced = text.replace(f"\n{keyword},b : ", f"\n{keyword} , b : ")
+    assert spaced != text
+    assert parse_network(spaced).cpts[2].table.tobytes() == net.cpts[2].table.tobytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("variable : a, b", "expected 'variable <name> : <states>'"),
+    ("cpt : x", "expected 'cpt <child> [| <parents>]'"),
+    ("cpt , x", "expected 'cpt <child> [| <parents>]'"),
+    ("network : x", "duplicate network header"),
+])
+@pytest.mark.parametrize("before", ["", "cpt A\n: 0.5, 0.5\n", "cpt A\n: 0.5, 0.5\ncpt B | A\n"])
+def test_a_malformed_header_keeps_its_header_error(line, message, before):
+    # Only a table whose first parent has a state named like the keyword
+    # reads such a line as a row; A's states are a and b.
+    text = f"network t\nvariable A : a, b\nvariable B : x, y\n{before}{line}\n"
+    err = _syntax_error(text)
+    assert str(err) == f"line {text.count(chr(10))}: {message}"

@@ -14,6 +14,7 @@ from beliefnet import (
     Method,
     NetworkValidationError,
     SoftEvidence,
+    Variable,
     classify_query,
     conditioned_posterior,
     evidence_probability,
@@ -193,8 +194,8 @@ def test_every_engine_rejects_random_invalid_networks(net):
 
 
 # Entries that break a row: negative, above one, infinite, or finite and
-# in range but off the row's sum.  NaN is left out: it is the one entry
-# the per-row loop below let through.
+# in range but off the row's sum.  NaN is left out here; the stacked-check
+# test below puts it in a row.
 DAMAGE = (-0.5, -1e-12, 1.5, 1.0 + 1e-9, np.inf, -np.inf, 0.0, 0.3, 1.0)
 
 
@@ -273,7 +274,7 @@ def _reference_violations(net):
             key = tuple(int(x) for x in np.unravel_index(r, pdims)) if pdims else ()
             label = ",".join(net.var(p).states[s] for p, s in zip(c.parents, key))
             where = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
-            if np.any(row < 0) or np.any(row > 1):
+            if np.any(row < 0) or np.any(row > 1) or np.any(np.isnan(row)):
                 out.append(Violation("probability-range", where,
                                      "entries outside [0, 1]", c.child, key))
             s = float(row.sum())
@@ -289,3 +290,44 @@ def _reference_violations(net):
 def test_validate_matches_the_per_row_reference(net):
     with np.errstate(invalid="ignore"):     # a row holding both inf and -inf
         assert validate(net) == _reference_violations(net)
+
+
+def test_validate_checks_tables_of_one_width_together_in_table_order():
+    # Several tables of each width, damaged rows in more than one table of
+    # a width, and structural defects between them: the stacked check must
+    # give the per-row reference's violations in the same order.
+    rng = np.random.default_rng(8)
+    arities = {"A": 2, "B": 3, "C": 8, "H": 2, "D": 8, "E": 9, "I": 9, "F": 17, "G": 17}
+    parents = {"A": (), "B": (), "C": ("A",), "H": ("Ghost",), "D": ("B",), "E": ("A", "B"),
+               "I": ("C",), "F": ("B",), "G": ()}
+    variables = tuple(Variable(v, tuple(f"{v.lower()}{k}" for k in range(n)))
+                      for v, n in arities.items())
+    tables = {}
+    for v, ps in parents.items():
+        rows = int(np.prod([arities.get(p, 2) for p in ps]))
+        t = rng.uniform(0.1, 1.0, (rows, arities[v]))
+        tables[v] = t / t.sum(axis=1, keepdims=True)
+    tables["A"][0] = (0.7, 0.4)                     # off the sum
+    tables["C"][1, 3] = np.nan
+    tables["D"][2, :2] = (np.inf, -np.inf)
+    tables["D"][0, 5] = -0.25
+    tables["E"][4, 0] = 1.5
+    tables["F"][2] = 0.0
+    tables["G"][0, 16] += 1e-8
+    tables["I"] = tables["I"][:-1]                  # a row short
+    tables["I"][3, 1] = -1.0                        # not checked: the count is wrong
+    net = BayesianNetwork(variables, tuple(Cpt(v, ps, tables[v]) for v, ps in parents.items()))
+    with np.errstate(invalid="ignore"):     # the reference sums inf and -inf
+        want = _reference_violations(net)
+    assert validate(net) == want
+    assert [(v.kind, v.subject, v.row) for v in want] == [
+        ("row-sum", "A", ()),
+        ("probability-range", "C", (1,)),
+        ("unknown-parent", "H", None),
+        ("probability-range", "D", (0,)), ("row-sum", "D", (0,)),
+        ("probability-range", "D", (2,)),
+        ("probability-range", "E", (1, 1)), ("row-sum", "E", (1, 1)),
+        ("row-count", "I", None),
+        ("row-sum", "F", (2,)),
+        ("row-sum", "G", ()),
+    ]
