@@ -31,11 +31,10 @@ from .errors import (
     NetfileSyntaxError,
     NetworkValidationError,
 )
-from .model import Evidence, HardEvidence, SoftEvidence
+from .model import Evidence, HardEvidence, SoftEvidence, joint_probability
 from .netfile import load_network
 from .query import Method, classify_query, infer
 from .structure import d_separated, select_cutset
-from .model import joint_probability
 
 
 class _UsageError(Exception):
@@ -227,17 +226,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[ns.command](ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NetfileSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NetworkValidationError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (_UsageError, NetfileSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BeliefNetError as exc:

@@ -23,8 +23,9 @@ is sent only when the traces are read.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -77,11 +78,16 @@ def _allowed(bound: Mapping[str, np.ndarray], cut, states: np.ndarray) -> np.nda
 def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
                          e: Evidence = Evidence.empty()) -> float:
     """P(c, e): the mass of one cutset instantiation joined with the
-    evidence.  Zero when the instantiation contradicts the evidence."""
+    evidence.  Zero when the instantiation contradicts the evidence.
+    A state that is not an integer or is out of range raises ValueError."""
     for var in c:
         net.var(var)
     bound = _bind_evidence(net, e)
     for var, s in c.items():
+        try:
+            operator.index(s)
+        except TypeError:
+            raise ValueError(f"state index {s!r} for {var!r} is not an integer") from None
         if not 0 <= s < net.arity(var):
             raise ValueError(f"state index {s} out of range for {var!r}")
     cut = tuple(c)
@@ -105,8 +111,7 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     combos = list(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
     states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
     rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
-    schedule = _toward(net, comp, e, target, cut.nodes)
-    full = partial(_schedule, comp, {*e.hard_states(), *cut.nodes})
+    schedule, full = _toward(net, comp, e, target, cut.nodes)
     x = comp.index[target]
     weights = dict.fromkeys(combos, 0.0)
     sweeps = []

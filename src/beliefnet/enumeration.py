@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ImpossibleEvidenceError, InvalidQueryError, NetworkTooLargeError
 from .model import (
-    Assignment,
     BayesianNetwork,
     Belief,
     Evidence,
@@ -71,17 +70,7 @@ def evidence_probability(net: BayesianNetwork, e: Evidence) -> float:
 
 def posterior(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty()) -> Belief:
     """Exact posterior over one variable given the evidence."""
-    net.var(target)
-    if e.is_hard(target):
-        raise InvalidQueryError(f"target {target!r} carries hard evidence")
-    arr = weighted_joint(net, e)
-    ax = net.index(target)
-    other = tuple(i for i in range(arr.ndim) if i != ax)
-    marg = arr.sum(axis=other) if other else arr
-    total = float(marg.sum())
-    if total <= 0.0:
-        raise ImpossibleEvidenceError("evidence has probability zero")
-    return Belief(target, marg / total)
+    return Belief(target, marginal_joint(net, [target], e))
 
 
 def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()) -> np.ndarray:

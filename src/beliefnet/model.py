@@ -344,28 +344,12 @@ class BayesianNetwork:
     def descendants(self, var_id: str) -> frozenset[str]:
         self.var(var_id)
         _require_acyclic(self)
-        seen: set[str] = set()
-        stack = list(self._children[var_id])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self._children[u])
-        return frozenset(seen)
+        return frozenset(_closure(self._children[var_id], self._children))
 
     def ancestors(self, var_id: str) -> frozenset[str]:
         self.var(var_id)
         _require_acyclic(self)
-        seen: set[str] = set()
-        stack = list(self._parents[var_id])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self._parents[u])
-        return frozenset(seen)
+        return frozenset(_closure(self._parents[var_id], self._parents))
 
     # -- CPT access ------------------------------------------------------
 
@@ -417,6 +401,20 @@ def _once(net: BayesianNetwork, derive):
     if derive not in memo:
         memo[derive] = derive(net)
     return memo[derive]
+
+
+def _closure(seeds, step: Mapping[str, Sequence[str]]) -> set[str]:
+    """The seeds and every node reached from them along ``step``, which
+    is ``net._parents`` for ancestors or ``net._children`` for
+    descendants.  The walk ends on a cyclic graph too."""
+    reached = set(seeds)
+    stack = list(reached)
+    while stack:
+        for u in step[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return reached
 
 
 def validate(net: BayesianNetwork) -> list[Violation]:

@@ -65,8 +65,8 @@ from collections.abc import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _once
-from .structure import _opened, is_polytree
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _once
+from .structure import is_polytree
 
 
 # -- compiled network ------------------------------------------------------
@@ -212,17 +212,16 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
                     adj[(x, 1, e)] = [((y, 0, -1), e)]
         else:
             adj[(x, 0, -1)] = [((y, 0, -1) if down else tail(y, e), e) for y, e, down in nbrs]
-    pivot_node = None if pivot is None else (comp.index[pivot], 0, -1)
+    pivot_tree = None if pivot is None else _tree(adj, (comp.index[pivot], 0, -1))
 
     components = []
     seen: set[tuple] = set()
     for start in adj:
         if start in seen:
             continue
-        order, link = _tree(adj, start)
+        in_pivot = pivot_tree is not None and start in pivot_tree[1]
+        order, link = pivot_tree if in_pivot else _tree(adj, start)
         seen.update(order)
-        if pivot_node is not None and pivot_node != start and pivot_node in link:
-            order, link = _tree(adj, pivot_node)
         # Outward from the pivot; a message leaving the tail side of its edge is a pi message.
         distribute = []
         for nd in order[1:]:
@@ -234,18 +233,21 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
 
 
 def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
-            cut: Sequence[str] = ()) -> _Schedule:
-    """Schedule a run for ``target`` with the evidence and the ``cut``
-    nodes observed, over the target, the evidence, the cut nodes and all
-    their ancestors, pivoted at the target.
+            cut: Sequence[str] = (), pivot: str | None = None
+            ) -> tuple[_Schedule, Callable[[], _Schedule]]:
+    """Set up a run for ``target`` with the evidence and the ``cut``
+    nodes observed: the schedule over the target, the evidence, the cut
+    nodes and all their ancestors (one walk up ``net._parents``),
+    pivoted at the target, and the thunk that completes it by the full
+    sweep's schedule, pivoted at ``pivot``.
 
     Every other node is barren: no evidence lies at or below it, so the
     lambda message it sends is all ones and it changes neither the
     target's belief nor the evidence mass (Shachter 1986).
     """
-    relevant = _opened(net, e).union({target, *cut}, *map(net.ancestors, (target, *cut)))
-    keep = frozenset(comp.index[v] for v in relevant)
-    return _schedule(comp, {*e.hard_states(), *cut}, target, keep)
+    hard = {*e.hard_states(), *cut}
+    keep = frozenset(comp.index[v] for v in _closure({target, *e.entries, *cut}, net._parents))
+    return _schedule(comp, hard, target, keep), partial(_schedule, comp, hard, pivot)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -503,12 +505,12 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
         if var is not None:
             net.var(var)
     comp = _compiled(net)
-    full = partial(_schedule, comp, e.hard_states(), pivot)
     lam = _lambdas(comp, bound)
     if target is None:
-        sweep = _run(comp, full(), lam)
+        sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), lam)
     else:
-        sweep = _run(comp, _toward(net, comp, e, target), lam, full)
+        schedule, full = _toward(net, comp, e, target, pivot=pivot)
+        sweep = _run(comp, schedule, lam, full)
     mass = float(sweep.mass[0])
     if mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")

@@ -105,13 +105,14 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     AUTO picks message passing on polytrees and cutset conditioning on
     loopy networks.  The classification is attached whenever evidence
     is present.  With ``trace`` the result carries the run's message
-    log; without it no message is formatted.
+    log; without it no message is formatted.  ``method`` may also be
+    a method's value, such as ``"enum"``; any other raises ValueError.
     """
+    resolved = Method(method)
     net.var(target)
     if e.is_hard(target):
         raise InvalidQueryError(f"target {target!r} carries hard evidence")
-    resolved = method
-    if method is Method.AUTO:
+    if resolved is Method.AUTO:
         resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
     log: tuple[str, ...] = ()
     if resolved is Method.ENUMERATION:

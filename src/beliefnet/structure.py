@@ -27,7 +27,7 @@ from enum import Enum
 from functools import cached_property, partial
 
 from .errors import InvalidQueryError, NotAPathError
-from .model import BayesianNetwork, Evidence, _once, _require_acyclic
+from .model import BayesianNetwork, Evidence, _closure, _once, _require_acyclic
 
 
 class ConnectionKind(Enum):
@@ -90,28 +90,14 @@ class SeparationVerdict:
         return self.separated
 
 
-def _opened(net: BayesianNetwork, e: Evidence) -> set[str]:
-    """The converging nodes evidence opens: evidence nodes and their
-    ancestors.  Raises NetworkValidationError on a cyclic graph."""
-    _require_acyclic(net)
-    opened = set(e.entries)
-    stack = list(opened)
-    parents = net._parents
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in opened:
-                opened.add(p)
-                stack.append(p)
-    return opened
-
-
 def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence, opened: set[str]) -> bool:
     """Does a Bayes ball from x arrive at z, given e?
 
     It does exactly when some trail from x to z is unblocked at every
     intermediate node.  The search runs over (node, arrived from a
-    child) states, each visited at most once.  ``opened`` is
-    ``_opened(net, e)``.
+    child) states, each visited at most once.  ``opened`` holds the
+    converging nodes evidence opens: the evidence nodes and their
+    ancestors, ``_closure(e.entries, net._parents)``.
     """
     hard = e.hard_states()
     parents, children = net._parents, net._children
@@ -175,17 +161,20 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
 
     x and z must be distinct and themselves free of hard evidence.  A
     connected verdict carries the first active path in depth-first,
-    declaration order, found when it is first read.
+    declaration order, found when it is first read.  An unknown
+    endpoint or evidence variable raises ValueError, and a cyclic graph
+    NetworkValidationError.
     """
-    net.var(x)
-    net.var(z)
+    for v in (x, z, *e.entries):
+        net.var(v)
     if x == z:
         raise InvalidQueryError("d-separation endpoints must be distinct")
     for endpoint in (x, z):
         if e.is_hard(endpoint):
             raise InvalidQueryError(f"endpoint {endpoint!r} carries hard evidence")
 
-    opened = _opened(net, e)
+    _require_acyclic(net)
+    opened = _closure(e.entries, net._parents)
     if not _d_connected(net, x, z, e, opened):
         return SeparationVerdict(True)
     return SeparationVerdict(False, _find_path=partial(_first_active_path, net, x, z, e, opened))

@@ -93,6 +93,17 @@ def test_instantiation_weight_checks_names(sprinkler_net):
         instantiation_weight(sprinkler_net, {"nope": 0})
 
 
+@pytest.mark.parametrize("state", [0.5, 1.0, "0", None])
+def test_instantiation_weight_rejects_a_state_that_is_not_an_integer(serial_net, state):
+    with pytest.raises(ValueError, match="not an integer"):
+        instantiation_weight(serial_net, {"X": state})
+
+
+def test_instantiation_weight_takes_a_numpy_integer_state(serial_net):
+    assert instantiation_weight(serial_net, {"X": np.int64(1)}) == \
+        instantiation_weight(serial_net, {"X": 1})
+
+
 def test_hard_target_rejected(sprinkler_net):
     with pytest.raises(InvalidQueryError):
         run_cutset_conditioning(sprinkler_net, "X4",

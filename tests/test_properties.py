@@ -1,10 +1,13 @@
 """Property tests on random networks: the engines agree on valid DAGs and
 every engine rejects an invalid network with a typed error."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import beliefnet
 import netgen
 from beliefnet import (
     BayesianNetwork,
@@ -17,16 +20,23 @@ from beliefnet import (
     Variable,
     classify_query,
     conditioned_posterior,
+    d_separated,
     evidence_probability,
     evidence_weight,
+    fixed_point_delta,
     infer,
     instantiation_weight,
     is_polytree,
+    is_valid_cutset,
+    joint_probability,
+    marginal_joint,
+    most_probable_assignment,
     posterior,
     propagate,
     run_cutset_conditioning,
     select_cutset,
     validate,
+    weighted_joint,
 )
 from beliefnet.model import ROW_SUM_TOL, Violation
 
@@ -191,6 +201,73 @@ def test_every_engine_rejects_random_invalid_networks(net):
         with pytest.raises(NetworkValidationError) as exc:
             call()
         assert exc.value.violations == problems, name
+
+
+# Every public callable whose first parameter is a network is in one group.
+# Engines raise what validate reports on any invalid network.
+ENGINES = ("classify_query", "conditioned_posterior", "evidence_probability", "evidence_weight",
+           "fixed_point_delta", "infer", "instantiation_weight", "marginal_joint",
+           "most_probable_assignment", "posterior", "propagate", "run_cutset_conditioning",
+           "weighted_joint")
+# These read only the graph, or only the tables an assignment picks: they
+# raise the cycle violation on a directed cycle and may answer otherwise.
+STRUCTURE_ONLY = ("d_separated", "is_valid_cutset", "joint_probability", "select_cutset")
+EXEMPT = {
+    "validate": "it reports the violations rather than raising them",
+    "is_polytree": "its answer is a property of the undirected skeleton alone",
+    "classify_connection": "it reads only the edges between three named nodes",
+    "serialize_network": "it writes a network out as given and computes nothing from it",
+}
+
+
+def test_every_public_callable_that_takes_a_network_is_in_one_group():
+    takes_a_network = {
+        name for name in beliefnet.__all__
+        if inspect.isfunction(obj := getattr(beliefnet, name))
+        and next(iter(inspect.signature(obj).parameters)) == "net"}
+    grouped = [*ENGINES, *STRUCTURE_ONLY, *EXEMPT]
+    assert len(grouped) == len(set(grouped))
+    assert takes_a_network == set(grouped)
+
+
+def _public_calls(net):
+    """Calls of every grouped public callable but the exempt ones, by
+    name; ``infer`` once per method."""
+    ids = [v.id for v in net.variables]
+    x, t = ids[0], ids[-1]
+    e = Evidence({x: HardEvidence(0)})
+    engines = _engines(net)
+    calls = {name: [call] for name, call in engines.items() if not name.startswith("infer-")}
+    calls["infer"] = [call for name, call in engines.items() if name.startswith("infer-")]
+    calls.update({
+        "weighted_joint": [lambda: weighted_joint(net, e)],
+        "marginal_joint": [lambda: marginal_joint(net, [t], e)],
+        "most_probable_assignment": [lambda: most_probable_assignment(net, e)],
+        # It rejects the network before it reads the store.
+        "fixed_point_delta": [lambda: fixed_point_delta(net, e, None)],
+        "d_separated": [lambda: d_separated(net, x, t, Evidence.empty())],
+        "is_valid_cutset": [lambda: is_valid_cutset(net, [x])],
+        "joint_probability": [lambda: joint_probability(net, {v: 0 for v in ids})],
+        "select_cutset": [lambda: select_cutset(net)],
+    })
+    return calls
+
+
+@given(broken_networks())
+def test_every_public_callable_that_takes_a_network_rejects_random_invalid_ones(net):
+    problems = validate(net)
+    cycle = [v for v in problems if v.kind == "cycle"]
+    calls = _public_calls(net)
+    assert set(calls) == {*ENGINES, *STRUCTURE_ONLY}
+    for name in ENGINES:
+        for call in calls[name]:
+            with pytest.raises(NetworkValidationError) as exc:
+                call()
+            assert exc.value.violations == problems, name
+    for name in STRUCTURE_ONLY if cycle else ():
+        with pytest.raises(NetworkValidationError) as exc:
+            calls[name][0]()
+        assert exc.value.violations == cycle, name
 
 
 # Entries that break a row: negative, above one, infinite, or finite and

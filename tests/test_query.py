@@ -111,6 +111,18 @@ def test_infer_polytree_method_rejects_loops(sprinkler_net):
               Method.POLYTREE)
 
 
+def test_infer_dispatches_on_a_method_value_and_rejects_an_unknown_one(sprinkler_net):
+    e = Evidence({"X5": HardEvidence(0)})
+    by_value = infer(sprinkler_net, "X2", e, "enum")
+    assert by_value.method is Method.ENUMERATION
+    assert np.array_equal(by_value.belief.probabilities,
+                          posterior(sprinkler_net, "X2", e).probabilities)
+    with pytest.raises(NotAPolytreeError):
+        infer(sprinkler_net, "X2", e, "bp")
+    with pytest.raises(ValueError, match="bogus"):
+        infer(sprinkler_net, "X2", e, "bogus")
+
+
 def test_infer_without_evidence(serial_net):
     r = infer(serial_net, "Y")
     assert r.classification is None

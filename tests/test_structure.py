@@ -138,6 +138,11 @@ def test_dsep_endpoint_rules(serial_net):
     assert not d_separated(serial_net, "X", "Z", e).separated
 
 
+def test_dsep_rejects_an_unknown_evidence_variable(serial_net):
+    with pytest.raises(ValueError, match="unknown variable 'nope'"):
+        d_separated(serial_net, "X", "Z", Evidence({"nope": HardEvidence(0)}))
+
+
 # -- polytree check ----------------------------------------------------------
 
 

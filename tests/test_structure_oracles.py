@@ -64,6 +64,21 @@ def test_d_separated_agrees_with_networkx():
     assert 0 < separated < checked
 
 
+def test_ancestors_and_descendants_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2718)
+    checked = 0
+    for k in range(90):
+        net = _random_net(rng, k)
+        graph = nx.DiGraph(net.edges)
+        graph.add_nodes_from(v.id for v in net.variables)
+        for v in net.variables:
+            assert net.ancestors(v.id) == nx.ancestors(graph, v.id), (net.edges, v.id)
+            assert net.descendants(v.id) == nx.descendants(graph, v.id), (net.edges, v.id)
+            checked += 1
+    assert checked > 600
+
+
 def _reference_paths(net, x, z, e):
     """Every simple x-z path in depth-first, declaration order, mapped to
     its first blocking node, or None when the path is active."""
