@@ -23,7 +23,6 @@ is sent only when the traces are read.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -31,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state
 from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, select_cutset
 
@@ -83,15 +82,9 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
     for var in c:
         net.var(var)
     bound = _bind_evidence(net, e)
-    for var, s in c.items():
-        try:
-            operator.index(s)
-        except TypeError:
-            raise ValueError(f"state index {s!r} for {var!r} is not an integer") from None
-        if not 0 <= s < net.arity(var):
-            raise ValueError(f"state index {s} out of range for {var!r}")
     cut = tuple(c)
-    states = np.array([[c[v] for v in cut]], dtype=np.intp).reshape(1, len(cut))
+    states = np.array([[_checked_state(v, c[v], net.arity(v)) for v in cut]],
+                      dtype=np.intp).reshape(1, len(cut))
     if not _allowed(bound, cut, states)[0]:
         return 0.0
     comp = _compiled(net)

@@ -14,6 +14,7 @@ fastest; columns follow the child's declared state order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
@@ -433,6 +434,12 @@ def validate(net: BayesianNetwork) -> list[Violation]:
     return list(net._violations)
 
 
+def _require_valid(net: BayesianNetwork) -> None:
+    """Raise the cached ``validate`` result as NetworkValidationError, if any."""
+    if net._violations:
+        raise NetworkValidationError(net._violations)
+
+
 def _require_acyclic(net: BayesianNetwork) -> None:
     """Raise the cached ``cycle`` violation as NetworkValidationError, if any."""
     cycles = [v for v in net._violations if v.kind == "cycle"]
@@ -544,22 +551,32 @@ def joint_probability(net: BayesianNetwork, assignment: Assignment) -> float:
     """Chain-rule probability of one complete assignment.
 
     Multiplies, for every variable, the CPT entry selected by the
-    assignment.  Raises MissingValueError when any variable lacks a
-    value, ValueError when a state index is out of range, and
-    NetworkValidationError on a cyclic graph.
+    assignment.  Raises NetworkValidationError on a network that fails
+    ``validate``, MissingValueError when any variable lacks a value, and
+    ValueError when a state is not an integer or is out of range.
     """
-    _require_acyclic(net)
+    _require_valid(net)
     missing = [v.id for v in net.variables if v.id not in assignment]
     if missing:
         raise MissingValueError(f"assignment lacks values for: {', '.join(missing)}")
+    states = {v.id: _checked_state(v.id, assignment[v.id], v.arity) for v in net.variables}
     p = 1.0
     for v in net.variables:
-        s = assignment[v.id]
-        if not 0 <= s < v.arity:
-            raise ValueError(f"state index {s} out of range for {v.id!r}")
-        row = net.cpt_row(v.id, tuple(assignment[q] for q in net.parents(v.id)))
-        p *= float(row[s])
+        row = net.cpt_row(v.id, tuple(states[q] for q in net.parents(v.id)))
+        p *= float(row[states[v.id]])
     return p
+
+
+def _checked_state(var: str, s, arity: int) -> int:
+    """``s`` as an int, or ValueError when it is not an integer or not
+    one of ``var``'s ``arity`` state indices."""
+    try:
+        s = operator.index(s)
+    except TypeError:
+        raise ValueError(f"state index {s!r} for {var!r} is not an integer") from None
+    if not 0 <= s < arity:
+        raise ValueError(f"state index {s} out of range for {var!r}")
+    return s
 
 
 def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
@@ -572,8 +589,7 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     and where an unknown variable, a hard state out of range and a soft
     vector of the wrong length raise ValueError.
     """
-    if net._violations:
-        raise NetworkValidationError(net._violations)
+    _require_valid(net)
     bound: dict[str, np.ndarray] = {}
     for var, entry in e.entries.items():
         arity = net.arity(var)
@@ -599,13 +615,12 @@ def evidence_weight(net: BayesianNetwork, e: Evidence, assignment: Assignment) -
 
     Hard evidence contributes an indicator (1 when the assignment
     agrees, else 0); soft evidence contributes its likelihood entry.
+    An evidence variable's state that is not an integer or is out of
+    range raises ValueError.
     """
     w = 1.0
     for var, lam in _bind_evidence(net, e).items():
         if var not in assignment:
             raise MissingValueError(f"assignment lacks a value for evidence variable {var!r}")
-        s = assignment[var]
-        if not 0 <= s < lam.size:
-            raise ValueError(f"state index {s} out of range for {var!r}")
-        w *= float(lam[s])
+        w *= float(lam[_checked_state(var, assignment[var], lam.size)])
     return w

@@ -300,66 +300,42 @@ def is_valid_cutset(net: BayesianNetwork, nodes) -> bool:
 def select_cutset(net: BayesianNetwork) -> LoopCutset:
     """Pick a deterministic minimum loop cutset.
 
-    Polytrees get the empty cutset.  Up to 20 nodes the search is exact:
-    the first size that admits a valid cutset wins, and among cutsets of
-    that size the first in declaration order (as ``combinations`` would
-    list them).  The search deepens one size at a time, and at each size
-    branches on the tails of one loop left in the reduced skeleton:
-    every valid cutset contains a tail of every loop, so each minimum
-    cutset is reached without testing every subset.  Larger networks
-    fall back to a greedy heuristic that repeatedly cuts the
-    highest-degree non-sink node on some remaining loop.  The search runs
-    once per network; later calls return its result.  Raises
-    NetworkValidationError on a cyclic graph.
+    The search goes one size at a time, from the empty cut up, and
+    checks each candidate cut once.  A cut that leaves a loop in the
+    reduced skeleton grows by each tail of that loop, a node with an
+    outgoing loop edge: every valid cutset contains a tail of every
+    loop, so each minimum cutset is reached without testing every
+    subset.  The first size with a valid cut wins, and among its cuts
+    the first in declaration order (as ``combinations`` would list
+    them); a polytree gets the empty cutset.  Above 20 nodes the search
+    keeps one branch, the tail of highest degree in the reduced
+    skeleton (the first declared on a tie), so it is greedy.  The
+    search runs once per network; later calls return its result.
+    Raises NetworkValidationError on a cyclic graph.
     """
     _require_acyclic(net)
     return _once(net, _search_cutset)
 
 
 def _search_cutset(net: BayesianNetwork) -> LoopCutset:
-    if is_polytree(net):
-        return LoopCutset(())
     ids = [v.id for v in net.variables]
     order = {v: i for i, v in enumerate(ids)}
     edges = net._edge_set
-    if len(ids) <= 20:
-        for size in range(1, len(ids) + 1):
-            found: list[list[int]] = []
-            seen: set[frozenset[str]] = set()
-            stack = [frozenset()]
-            while stack:
-                cut = stack.pop()
-                cycle = _skeleton_cycle(ids, _reduced_skeleton(net, ids, cut))
-                if cycle is None:
-                    found.append(sorted(order[v] for v in cut))
-                elif len(cut) < size:
-                    # Only a tail, a node with an outgoing loop edge, cuts the loop.
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                        grown = cut | {a if (a, b) in edges else b}
-                        if grown not in seen:
-                            seen.add(grown)
-                            stack.append(grown)
-            if found:
-                return LoopCutset(tuple(ids[i] for i in min(found)))
-
-    chosen: list[str] = []
-    for _ in range(len(ids)):
-        neighbors = _reduced_skeleton(net, ids, set(chosen))
-        cycle = _skeleton_cycle(ids, neighbors)
-        if cycle is None:
-            break
-        ring = list(cycle)
-        candidates = []
-        for i, v in enumerate(ring):
-            nxt = ring[(i + 1) % len(ring)]
-            prv = ring[i - 1]
-            # Non-sink on this loop: at least one loop edge leaves v.
-            if (v, nxt) in edges or (v, prv) in edges:
-                candidates.append(v)
-        best = max(candidates, key=lambda v: (len(neighbors[v]), -order[v]))
-        chosen.append(best)
-    chosen.sort(key=lambda v: order[v])
-    result = LoopCutset(tuple(chosen))
-    if not is_valid_cutset(net, result.nodes):
-        raise AssertionError("greedy cutset construction failed to break every loop")
-    return result
+    level = {frozenset()}
+    while True:
+        found: list[list[int]] = []
+        grown: set[frozenset[str]] = set()
+        for cut in level:
+            neighbors = _reduced_skeleton(net, ids, cut)
+            cycle = _skeleton_cycle(ids, neighbors)
+            if cycle is None:
+                found.append(sorted(order[v] for v in cut))
+                continue
+            # Only a tail, a node with an outgoing loop edge, cuts the loop.
+            tails = [a if (a, b) in edges else b for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            if len(ids) > 20:
+                tails = [max(tails, key=lambda v: (len(neighbors[v]), -order[v]))]
+            grown.update(cut | {t} for t in tails)
+        if found:
+            return LoopCutset(tuple(ids[i] for i in min(found)))
+        level = grown

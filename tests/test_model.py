@@ -307,6 +307,26 @@ def test_joint_probability_requires_full_assignment(serial_net):
         joint_probability(serial_net, {"X": 0, "Y": 0, "Z": 7})
     with pytest.raises(ValueError):
         joint_probability(serial_net, {"X": 0, "Y": 0, "Z": -1})
+    for state in (0.5, "0", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            joint_probability(serial_net, {"X": 0, "Y": state, "Z": 0})
+
+
+@pytest.mark.parametrize("defect", ["unknown-parent", "row-count", "row-sum"])
+def test_joint_probability_rejects_an_invalid_network_like_the_engines(defect):
+    vs = (Variable("A", ("a", "b")), Variable("B", ("a", "b")))
+    prior, child = Cpt("A", (), [0.5, 0.5]), Cpt("B", ("A",), np.full((2, 2), 0.5))
+    if defect == "unknown-parent":
+        child = Cpt("B", ("A", "Ghost"), np.full((4, 2), 0.5))
+    elif defect == "row-count":
+        child = Cpt("B", ("A",), [[0.5, 0.5]])
+    else:
+        prior = Cpt("A", (), [0.3, 0.8])
+    net = BayesianNetwork(vs, (prior, child))
+    with pytest.raises(NetworkValidationError) as exc:
+        joint_probability(net, {"A": 1, "B": 1})
+    assert [v.kind for v in exc.value.violations] == [defect]
+    assert exc.value.violations == validate(net)
 
 
 def test_evidence_weight(serial_net):
@@ -321,3 +341,6 @@ def test_evidence_weight(serial_net):
     bad = Evidence({"Y": SoftEvidence([0.7, 0.2, 0.1])})
     with pytest.raises(ValueError):
         evidence_weight(serial_net, bad, a)
+    for state in (0.5, "0", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            evidence_weight(serial_net, e, {"X": 0, "Y": state, "Z": 0})

@@ -206,12 +206,12 @@ def test_every_engine_rejects_random_invalid_networks(net):
 # Every public callable whose first parameter is a network is in one group.
 # Engines raise what validate reports on any invalid network.
 ENGINES = ("classify_query", "conditioned_posterior", "evidence_probability", "evidence_weight",
-           "fixed_point_delta", "infer", "instantiation_weight", "marginal_joint",
-           "most_probable_assignment", "posterior", "propagate", "run_cutset_conditioning",
-           "weighted_joint")
-# These read only the graph, or only the tables an assignment picks: they
-# raise the cycle violation on a directed cycle and may answer otherwise.
-STRUCTURE_ONLY = ("d_separated", "is_valid_cutset", "joint_probability", "select_cutset")
+           "fixed_point_delta", "infer", "instantiation_weight", "joint_probability",
+           "marginal_joint", "most_probable_assignment", "posterior", "propagate",
+           "run_cutset_conditioning", "weighted_joint")
+# These read only the graph: they raise the cycle violation on a directed
+# cycle and may answer otherwise.
+STRUCTURE_ONLY = ("d_separated", "is_valid_cutset", "select_cutset")
 EXEMPT = {
     "validate": "it reports the violations rather than raising them",
     "is_polytree": "its answer is a property of the undirected skeleton alone",

@@ -20,9 +20,11 @@ from beliefnet import (
     d_separated,
     is_polytree,
     is_valid_cutset,
+    load_network,
     select_cutset,
     validate,
 )
+from beliefnet import structure
 
 
 def _uniform_net(parent_idx, arity=2, prefix="n"):
@@ -228,7 +230,32 @@ def test_greedy_cutset_on_large_network():
     net = _uniform_net(parent_idx, prefix="g")
     cut = select_cutset(net)
     assert is_valid_cutset(net, cut.nodes)
-    assert len(cut) == 5
+    assert cut.nodes == ("g0", "g4", "g8", "g12", "g16")
+
+
+@pytest.mark.parametrize("rows, cols, want", [
+    (3, 7, ("G1", "G8", "G9", "G10", "G11", "G12")),
+    (4, 6, ("G1", "G7", "G8", "G9", "G10", "G12", "G14", "G16")),
+    (5, 5, ("G1", "G6", "G7", "G8", "G10", "G12", "G16", "G17", "G18")),
+    (3, 9, ("G1", "G10", "G11", "G12", "G13", "G14", "G15", "G16")),
+])
+def test_greedy_cutset_on_grids_above_20_nodes(rows, cols, want):
+    net = netgen.grid(np.random.default_rng(rows * cols), rows, cols)
+    assert select_cutset(net).nodes == want
+    assert is_valid_cutset(net, want)
+
+
+def test_select_cutset_checks_each_candidate_cut_once(monkeypatch, fixture_dir):
+    seen = []
+    real = structure._reduced_skeleton
+    monkeypatch.setattr(structure, "_reduced_skeleton",
+                        lambda net, ids, cut: seen.append(frozenset(cut)) or real(net, ids, cut))
+    # Fresh networks: the cutset is searched once per network and kept.
+    for net in (load_network(fixture_dir / "loopy8.bn"),
+                netgen.grid(np.random.default_rng(16), 4, 4)):
+        seen.clear()
+        select_cutset(net)
+        assert len(seen) > 1 and len(seen) == len(set(seen))
 
 
 def _ghost_diamond(tail=0):

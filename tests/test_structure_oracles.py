@@ -2,7 +2,8 @@
 
 d-separation is checked against networkx and against an explicit
 enumeration of simple paths, query classification against one
-networkx d-separation test per evidence node, and cutset selection
+networkx d-separation test per evidence node, the polytree and cutset
+validity tests against networkx forest tests, and cutset selection
 against a brute-force search over node subsets.
 """
 
@@ -21,6 +22,7 @@ from beliefnet import (
     classify_connection,
     classify_query,
     d_separated,
+    is_polytree,
     is_valid_cutset,
     load_network,
     select_cutset,
@@ -204,6 +206,33 @@ def test_classification_matches_one_networkx_d_separation_test_per_evidence_node
 
 
 # -- cutset selection ---------------------------------------------------------
+
+
+def test_polytree_and_cutset_validity_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(1990)
+    verdicts = {True: 0, False: 0}
+    for k in range(150):
+        net = _random_net(rng, k)
+        ids = [v.id for v in net.variables]
+        skeleton = nx.Graph(net.edges)
+        skeleton.add_nodes_from(ids)
+        check = is_polytree(net)
+        assert check.is_polytree == nx.is_forest(skeleton), net.edges
+        if not check:
+            ring = check.cycle
+            assert len(ring) >= 3 and len(set(ring)) == len(ring), ring
+            assert all(skeleton.has_edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])), ring
+        for _ in range(8):
+            p = rng.uniform(0.0, 0.6)
+            cut = {v for v in ids if rng.random() < p}
+            # An instantiated node keeps its incoming edges and loses its outgoing ones.
+            reduced = nx.Graph((u, w) for u, w in net.edges if u not in cut)
+            reduced.add_nodes_from(ids)
+            want = nx.is_forest(reduced)
+            assert is_valid_cutset(net, cut) == want, (net.edges, cut)
+            verdicts[want] += 1
+    assert min(verdicts.values()) > 200
 
 
 def _first_valid_combination(net):
