@@ -14,10 +14,13 @@ rows of one batched sweep, in blocks of at most ``BLOCK`` rows to bound
 its memory; instantiations the evidence rules out are not swept.
 
 The sweep is the collect pass toward the target over the target, the
-evidence, the cutset and all their ancestors, as for a polytree query.
-Every other node is barren, so each row's mass is still P(c, e) and
-the target's belief is read off the collect pass; the rest of the sweep
-is sent only when the traces are read.
+evidence, the cutset and all their ancestors.  Every other node is
+barren, so each row's mass is still P(c, e) and the target's belief is
+read off the collect pass; the rest of the sweep is sent only when the
+traces are read.
+
+An empty cutset, as on a polytree, leaves one row whose belief is read
+unmixed (Suermondt & Cooper 1990); ``infer`` answers ``bp`` this way.
 """
 
 from __future__ import annotations
@@ -99,20 +102,34 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     if e.is_hard(target):
         raise InvalidQueryError(f"target {target!r} carries hard evidence")
     bound = _bind_evidence(net, e)
-    cut = select_cutset(net)
+    return _condition(net, target, e, bound, select_cutset(net))
+
+
+def _condition(net: BayesianNetwork, target: str, e: Evidence,
+               bound: Mapping[str, np.ndarray], cut: LoopCutset) -> CutsetRun:
+    """Sweep each instantiation of ``cut`` the evidence allows (``bound``,
+    from ``_bind_evidence``) and mix the target's beliefs by weight; with
+    the empty cut, read the one row's belief unmixed."""
     comp = _compiled(net)
+    schedule = _toward(net, comp, e, target, cut.nodes)
+    x = comp.index[target]
+    if not cut.nodes:
+        sweep = _run(comp, schedule, _lambdas(comp, bound))
+        mass = float(sweep.mass[0])
+        if mass <= 0:
+            raise ImpossibleEvidenceError("evidence has probability zero")
+        return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, {(): mass}, 1,
+                         ((sweep, ((),)),))
     combos = list(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
     states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
     rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
-    schedule, full = _toward(net, comp, e, target, cut.nodes)
-    x = comp.index[target]
     weights = dict.fromkeys(combos, 0.0)
     sweeps = []
     mixed = np.zeros(net.arity(target))
     total = 0.0
     for start in range(0, len(rows), BLOCK):
         block = rows[start:start + BLOCK]
-        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, states[block]), full)
+        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, states[block]))
         block_combos = tuple(combos[r] for r in block.tolist())
         sweeps.append((sweep, block_combos))
         w = sweep.mass

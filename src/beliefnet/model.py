@@ -316,10 +316,6 @@ class BayesianNetwork:
                                    key=self._order.__getitem__))
                 for v in self.variables}
 
-    def skeleton_neighbors(self, var_id: str) -> tuple[str, ...]:
-        self.var(var_id)
-        return self._skeleton[var_id]
-
     def roots(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables if not self.parents(v.id))
 
@@ -374,10 +370,8 @@ class BayesianNetwork:
         if not c.parents:
             return c.table[0]
         pdims = tuple(self.arity(p) for p in c.parents)
-        for s, d, p in zip(parent_states, pdims, c.parents):
-            if not 0 <= s < d:
-                raise ValueError(f"state index {s} out of range for parent {p!r}")
-        idx = int(np.ravel_multi_index(tuple(parent_states), pdims))
+        states = tuple(_checked_state(p, s, d) for s, d, p in zip(parent_states, pdims, c.parents))
+        idx = int(np.ravel_multi_index(states, pdims))
         return c.table[idx]
 
     # -- validation ------------------------------------------------------

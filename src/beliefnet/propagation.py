@@ -44,23 +44,21 @@ the log or of any value but a pivot's belief sends every message still
 missing.  The log is formatted from the messages when first read, so a
 run nobody traces formats nothing.
 
-Both engines answer a query for one target from one collect pass
-toward it.  A node that is neither the target, nor observed, nor an
-ancestor of either is barren: no evidence lies at or below it, so the
-lambda message it sends is all ones and it cannot change the target's
-belief or the evidence mass (Shachter 1986; Baker & Boult 1990).  Such
-a run sweeps only the rest, pivoted at the target (``_toward``).
-Reading anything else sends the missing messages in the order of the
-full sweep, so the log lists the same messages in the same order as a
-run without a target.
+``propagate`` sweeps the whole network.  A query for one target runs
+the cutset-conditioning driver, on a polytree with the empty cutset,
+which sweeps toward the target only the target, the evidence and their
+ancestors (``_toward``).  Every other node is barren: no evidence lies
+at or below it, so its lambda message is all ones (Shachter 1986; Baker
+& Boult 1990).  Reading anything else sends the missing messages in the
+whole network's order, so the log lists what ``propagate``'s does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from string import ascii_letters
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -233,21 +231,13 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
 
 
 def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
-            cut: Sequence[str] = (), pivot: str | None = None
-            ) -> tuple[_Schedule, Callable[[], _Schedule]]:
-    """Set up a run for ``target`` with the evidence and the ``cut``
-    nodes observed: the schedule over the target, the evidence, the cut
-    nodes and all their ancestors (one walk up ``net._parents``),
-    pivoted at the target, and the thunk that completes it by the full
-    sweep's schedule, pivoted at ``pivot``.
-
-    Every other node is barren: no evidence lies at or below it, so the
-    lambda message it sends is all ones and it changes neither the
-    target's belief nor the evidence mass (Shachter 1986).
-    """
-    hard = {*e.hard_states(), *cut}
+            cut: Sequence[str] = ()) -> _Schedule:
+    """The schedule toward ``target`` with the evidence and the ``cut``
+    nodes observed, over the target, the evidence, the cut nodes and all
+    their ancestors (one walk up ``net._parents``); every other node is
+    barren, and changes neither the target's belief nor the evidence mass."""
     keep = frozenset(comp.index[v] for v in _closure({target, *e.entries, *cut}, net._parents))
-    return _schedule(comp, hard, target, keep), partial(_schedule, comp, hard, pivot)
+    return _schedule(comp, {*e.hard_states(), *cut}, target, keep)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -272,10 +262,8 @@ class _Sweep:
     keep their values.
     """
 
-    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None],
-                 full: Callable[[], _Schedule] | None = None):
+    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
         self.comp, self.schedule, self.lam = comp, schedule, lam
-        self._full = full
         self.hard = schedule.hard
         self.pivots = {pivot for pivot, _, _ in schedule.components}
         # The lambda messages from x's children that its values multiply in.
@@ -295,7 +283,9 @@ class _Sweep:
     @cached_property
     def full(self) -> _Schedule:
         """The schedule of every message, which orders ``complete`` and the log."""
-        return self.schedule if self._full is None else self._full()
+        if self.schedule.keep is None:
+            return self.schedule
+        return _schedule(self.comp, [self.comp.ids[x] for x in self.hard])
 
     def _pi_value(self, x: int) -> np.ndarray:
         """pi(x): x's CPT contracted with the pi messages from its parents."""
@@ -414,11 +404,10 @@ class _Sweep:
         return tuple(lines)
 
 
-def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None],
-         full: Callable[[], _Schedule] | None = None) -> _Sweep:
+def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]) -> _Sweep:
     """Send the collect pass of the schedule; ``mass`` holds each row's
     probability of its evidence."""
-    sweep = _Sweep(comp, schedule, lam, full)
+    sweep = _Sweep(comp, schedule, lam)
     mass = np.ones(1)
     for pivot, collect, _ in schedule.components:
         scale = 1.0
@@ -478,17 +467,23 @@ class MessageStore:
         return self._sweep.trace(0)
 
 
-def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
-              pivot: str | None = None, *, target: str | None = None) -> MessageStore:
-    """Run one collect/distribute sweep and return every message.
+def _require_polytree(net: BayesianNetwork) -> None:
+    """Raise NotAPolytreeError, naming a witness loop, on a loopy network."""
+    check = is_polytree(net)
+    if not check:
+        loop = "-".join(check.cycle + (check.cycle[0],))
+        raise NotAPolytreeError(f"network is multiply connected (loop {loop})")
 
-    Only a collect pass runs here, which yields the evidence mass and
-    the belief at its pivot.  Without a target it covers the whole network,
-    toward the pivot; with a target it covers the target, the evidence
-    and their ancestors, toward the target.  The first read of a
+
+def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
+              pivot: str | None = None) -> MessageStore:
+    """Run one collect/distribute sweep over the network; return every message.
+
+    Only a collect pass toward the pivot runs here, which yields the
+    evidence mass and the belief at the pivot.  The first read of a
     message, the log, a node value or another node's belief sends every
-    message still missing, in the order of the sweep without a target,
-    so either way the store holds the same messages and the same log.
+    message still missing.  A query for one target is cheaper through
+    ``infer``, which sweeps only what the target's belief depends on.
 
     The network must be singly connected; otherwise NotAPolytreeError
     carries a witness loop.  The pivot defaults to the first-declared
@@ -497,20 +492,11 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
     ImpossibleEvidenceError.
     """
     bound = _bind_evidence(net, e)
-    check = is_polytree(net)
-    if not check:
-        loop = "-".join(check.cycle + (check.cycle[0],))
-        raise NotAPolytreeError(f"network is multiply connected (loop {loop})")
-    for var in (pivot, target):
-        if var is not None:
-            net.var(var)
+    _require_polytree(net)
+    if pivot is not None:
+        net.var(pivot)
     comp = _compiled(net)
-    lam = _lambdas(comp, bound)
-    if target is None:
-        sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), lam)
-    else:
-        schedule, full = _toward(net, comp, e, target, pivot=pivot)
-        sweep = _run(comp, schedule, lam, full)
+    sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), _lambdas(comp, bound))
     mass = float(sweep.mass[0])
     if mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")

@@ -16,10 +16,10 @@ from enum import Enum
 
 from . import cutset as _cutset
 from . import enumeration as _enumeration
-from . import propagation as _propagation
 from .errors import InvalidQueryError
 from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
-from .structure import d_separated, is_polytree
+from .propagation import _require_polytree
+from .structure import LoopCutset, d_separated, is_polytree
 
 
 class QueryClass(Enum):
@@ -117,13 +117,14 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     log: tuple[str, ...] = ()
     if resolved is Method.ENUMERATION:
         belief = _enumeration.posterior(net, target, e)
-    elif resolved is Method.POLYTREE:
-        store = _propagation.propagate(net, e, target=target)
-        belief = store.beliefs[target]
-        if trace:
-            log = store.trace
     else:
-        run = _cutset.run_cutset_conditioning(net, target, e)
+        if resolved is Method.POLYTREE:
+            # Message passing is conditioning on the empty cutset.
+            bound = _bind_evidence(net, e)
+            _require_polytree(net)
+            run = _cutset._condition(net, target, e, bound, LoopCutset())
+        else:
+            run = _cutset.run_cutset_conditioning(net, target, e)
         belief = run.belief
         if trace:
             log = tuple(line for sweep in run.traces.values() for line in sweep)

@@ -59,7 +59,6 @@ def test_graph_helpers_on_chain(serial_net):
     assert net.children("Y") == ("Z",)
     assert net.roots() == ("X",)
     assert net.edges == (("X", "Y"), ("Y", "Z"))
-    assert net.skeleton_neighbors("Y") == ("X", "Z")
     assert net.index("Z") == 2
     assert net.dims == (2, 2, 2)
     assert net.joint_state_count == 8
@@ -100,11 +99,14 @@ def test_cpt_row_is_row_major_with_last_parent_fastest(converging_net):
     assert np.allclose(net.cpt_row("X", ()), [0.4, 0.6])
 
 
-def test_cpt_row_errors(converging_net):
+def test_cpt_row_errors(converging_net, serial_net):
     with pytest.raises(MissingValueError):
         converging_net.cpt_row("Y", (0,))
     with pytest.raises(ValueError):
         converging_net.cpt_row("Y", (0, 5))
+    for state in (0.5, "0"):
+        with pytest.raises(ValueError, match="not an integer"):
+            serial_net.cpt_row("Y", (state,))
 
 
 def test_cpt_tensor_shape(sprinkler_net):

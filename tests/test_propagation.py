@@ -228,15 +228,18 @@ def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
         assert all(set(net.edges[i]) <= keep for _, i in sent)
 
         # Reading the log or a value outside the relevant part sends every
-        # message still missing, each message once over the whole run.
+        # message still missing, each message once over the whole run.  On
+        # a polytree the driver conditions on the empty cutset, as ``bp`` does.
         for read in ("trace", *outside[:1]):
             sent.clear()
-            store = propagate(net, e, target=target)
+            run = run_cutset_conditioning(net, target, e)
+            assert run.cutset.nodes == ()
             assert all(set(net.edges[i]) <= keep for _, i in sent)
             if read == "trace":
-                assert len(store.trace) == 2 * len(net.edges)
+                assert len(run.traces[()]) == 2 * len(net.edges)
             else:
-                store.beliefs[read]
+                sweep, _ = run._sweeps[0]
+                sweep.belief(net.index(read))
             assert sorted(sent) == every
     assert pruned > 10
 
@@ -295,12 +298,12 @@ def test_impossible_evidence_away_from_the_target_is_still_impossible():
         with pytest.raises(ImpossibleEvidenceError):
             infer(net, "T", e)
         with pytest.raises(ImpossibleEvidenceError):
-            propagate(net, e, target="T")
+            run_cutset_conditioning(net, "T", e)
     for e in (Evidence({"C": HardEvidence(1)}),
               Evidence({"B": HardEvidence(1), "C": SoftEvidence([0.0, 2.0])})):
         full = propagate(net, e)
-        store = propagate(net, e, target="T")
-        assert store.evidence_mass == pytest.approx(full.evidence_mass, rel=1e-15, abs=0)
-        assert np.allclose(store.beliefs["T"].probabilities,
+        run = run_cutset_conditioning(net, "T", e)
+        assert run.weights[()] == pytest.approx(full.evidence_mass, rel=1e-15, abs=0)
+        assert np.allclose(run.belief.probabilities,
                            posterior(net, "T", e).probabilities, atol=1e-12)
-        assert store.trace == full.trace
+        assert run.traces[()] == full.trace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netgen
 from beliefnet import (
     Evidence,
     HardEvidence,
@@ -160,3 +161,36 @@ def test_structure_is_searched_once_per_network(monkeypatch, fixture_dir):
     infer(net, "H", Evidence({"A": HardEvidence(0)}))
     infer(net, "D", Evidence({"H": HardEvidence(1)}), Method.CUTSET)
     assert sorted(calls) == ["_check_polytree", "_search_cutset"]
+
+
+
+def _forest(rng, n):
+    """A random polytree with about a third of its tree links left out."""
+    parent_idx = [[] for _ in range(n)]
+    for i in range(1, n):
+        j = int(rng.integers(0, i))
+        if rng.random() < 1 / 3:
+            continue
+        child, parent = (i, j) if rng.random() < 0.5 else (j, i)
+        parent_idx[child].append(parent)
+    return netgen.assemble(rng, parent_idx, [int(rng.integers(2, 5)) for _ in range(n)])
+
+
+def test_bp_and_cutset_agree_bit_for_bit_on_polytrees():
+    # On a polytree the cutset is empty, and conditioning on it is the
+    # one sweep message passing runs: the same belief bits, the same log.
+    rng = np.random.default_rng(1990)
+    queries = 0
+    for k in range(60):
+        n = int(rng.integers(4, 30))
+        net = netgen.random_polytree(rng, n) if k % 2 else _forest(rng, n)
+        e = netgen.random_evidence(rng, net, p_node=0.3, soft_ratio=0.5)
+        for v in net.variables:
+            if e.is_hard(v.id):
+                continue
+            bp = infer(net, v.id, e, Method.POLYTREE, trace=True)
+            cut = infer(net, v.id, e, Method.CUTSET, trace=True)
+            assert np.array_equal(bp.belief.probabilities, cut.belief.probabilities)
+            assert bp.trace == cut.trace
+            queries += 1
+    assert queries > 600

@@ -16,3 +16,19 @@ def test_no_runtime_check_rests_on_assert():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _callers(name):
+    """The source files holding a call of ``name``, bare or as an attribute."""
+    return {path.name for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def test_queries_reach_the_sweep_only_through_the_conditioning_driver():
+    # Message passing is conditioning on the empty cutset: the pruned
+    # schedule is built by the driver alone, and ``propagate`` is the
+    # full-store API for callers outside the library.
+    assert _callers("_toward") == {"cutset.py"}
+    assert _callers("propagate") == set()

@@ -97,13 +97,21 @@ def _reference_paths(net, x, z, e):
                 return v
         return None
 
+    # The skeleton, read off the edges, each node's neighbours in declaration order.
+    order = {v.id: i for i, v in enumerate(net.variables)}
+    neighbours = {v.id: [] for v in net.variables}
+    for u, w in net.edges:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    for nbs in neighbours.values():
+        nbs.sort(key=order.__getitem__)
     out = {}
 
     def walk(path):
         if path[-1] == z:
             out[tuple(path)] = blocker(path)
             return
-        for nb in net.skeleton_neighbors(path[-1]):
+        for nb in neighbours[path[-1]]:
             if nb not in path:
                 walk(path + [nb])
 
