@@ -17,9 +17,9 @@ from enum import Enum
 from . import cutset as _cutset
 from . import enumeration as _enumeration
 from .errors import InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure
 from .propagation import _require_polytree
-from .structure import LoopCutset, d_separated, is_polytree
+from .structure import LoopCutset, _reached, is_polytree
 
 
 class QueryClass(Enum):
@@ -43,7 +43,11 @@ class QueryClassification:
 
 
 def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClassification:
-    """Name the direction of reasoning a query performs."""
+    """Name the direction of reasoning a query performs.
+
+    The evidence is bound and checked once, and one Bayes-ball pass
+    from the target finds every evidence node that influences it.
+    """
     net.var(target)
     bound = _bind_evidence(net, e)
     if e.is_empty():
@@ -51,21 +55,21 @@ def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClass
     if e.is_hard(target):
         raise InvalidQueryError(f"target {target!r} carries hard evidence")
 
+    # One ball from the target, given all of the evidence, reaches just
+    # the evidence nodes d-connected to it given the other findings: a
+    # node's own finding opens only colliders above it, and a trail
+    # through such a collider can run down to the node instead.
+    reached = _reached(net, target, e.hard_states(), _closure(e.entries, net._parents))
     anc = net.ancestors(target)
     desc = net.descendants(target)
     subs: dict[str, QueryClass] = {}
-    for v in net.variables:
-        if v.id not in bound or v.id == target:
-            continue
-        rest = e.without(v.id)
-        if d_separated(net, v.id, target, rest):
-            continue
-        if v.id in anc:
-            subs[v.id] = QueryClass.FORWARD
-        elif v.id in desc:
-            subs[v.id] = QueryClass.BACKWARD
+    for v in sorted(reached.intersection(bound).difference((target,)), key=net.index):
+        if v in anc:
+            subs[v] = QueryClass.FORWARD
+        elif v in desc:
+            subs[v] = QueryClass.BACKWARD
         else:
-            subs[v.id] = QueryClass.INTERCAUSAL
+            subs[v] = QueryClass.INTERCAUSAL
 
     kinds = set(subs.values())
     if len(kinds) == 1:

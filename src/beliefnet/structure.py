@@ -14,9 +14,12 @@ a likelihood on a variable leaves the variable itself unobserved.
 d-separation is decided by a Bayes-ball pass (Shachter 1998; Koller &
 Friedman, Alg. 3.1): a search over (node, direction of arrival) states
 that follows exactly the unblocked trails from the source, in time
-linear in the size of the graph.  Query classification makes one such
-pass per evidence node.  Only reading a connected verdict's active path
-searches simple paths, for the first active one.
+linear in the size of the graph.  The same pass classifies a query: a
+ball sent from the target, given all of the evidence, reaches exactly
+the evidence nodes that are d-connected to the target given the other
+findings, so one pass serves every evidence node.  Only reading a
+connected verdict's active path searches simple paths, for the first
+active one.
 """
 
 from __future__ import annotations
@@ -90,16 +93,17 @@ class SeparationVerdict:
         return self.separated
 
 
-def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence, opened: set[str]) -> bool:
-    """Does a Bayes ball from x arrive at z, given e?
+def _reached(net: BayesianNetwork, x: str, hard, opened: set[str]) -> set[str]:
+    """Every node a Bayes ball sent from x arrives at, x included.
 
-    It does exactly when some trail from x to z is unblocked at every
-    intermediate node.  The search runs over (node, arrived from a
-    child) states, each visited at most once.  ``opened`` holds the
-    converging nodes evidence opens: the evidence nodes and their
-    ancestors, ``_closure(e.entries, net._parents)``.
+    A node is reached when some trail from x to it is unblocked at
+    every intermediate node; a node with hard evidence is reached but
+    passes the ball on no further.  The search runs over (node, arrived
+    from a child) states, each visited at most once.  ``hard`` holds
+    the nodes with hard evidence, and ``opened`` the converging nodes
+    evidence opens: the evidence nodes and their ancestors,
+    ``_closure(e.entries, net._parents)``.
     """
-    hard = e.hard_states()
     parents, children = net._parents, net._children
     # The states reached: arrived from a child (up) or from a parent (down).
     # x sends the ball both ways, as if it had arrived from a child.
@@ -108,8 +112,6 @@ def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence, opened: set[
     stack = [(x, True)]
     while stack:
         v, from_child = stack.pop()
-        if v == z:
-            return True
         if v not in hard:
             for c in children[v]:
                 if c not in down:
@@ -122,7 +124,7 @@ def _d_connected(net: BayesianNetwork, x: str, z: str, e: Evidence, opened: set[
                 if p not in up:
                     up.add(p)
                     stack.append((p, True))
-    return False
+    return up | down
 
 
 def _blocks(edges, a: str, v: str, b: str, hard, opened: set[str]) -> bool:
@@ -175,7 +177,7 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
 
     _require_acyclic(net)
     opened = _closure(e.entries, net._parents)
-    if not _d_connected(net, x, z, e, opened):
+    if z not in _reached(net, x, e.hard_states(), opened):
         return SeparationVerdict(True)
     return SeparationVerdict(False, _find_path=partial(_first_active_path, net, x, z, e, opened))
 

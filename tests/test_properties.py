@@ -16,6 +16,7 @@ from beliefnet import (
     HardEvidence,
     Method,
     NetworkValidationError,
+    QueryClass,
     SoftEvidence,
     Variable,
     classify_query,
@@ -137,6 +138,37 @@ def test_pruned_polytree_answer_and_trace_match_the_full_sweep(query):
         (head, values), (want_head, want_values) = _split(got), _split(want)
         assert head == want_head
         assert _far(values, want_values) <= 1e-15
+
+
+@st.composite
+def classification_queries(draw):
+    """A netgen polytree or loopy DAG, a target and hard and soft
+    evidence, sometimes with soft evidence on the target itself."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 30))
+    loopy = draw(st.booleans())
+    net = netgen.random_loopy(rng, n, extra_edges=(1, 4)) if loopy else netgen.random_polytree(rng, n)
+    target = draw(st.sampled_from([v.id for v in net.variables]))
+    p_node = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    entries = dict(netgen.random_evidence(rng, net, p_node, exclude=(target,)).entries)
+    assume(entries)
+    if draw(st.booleans()):
+        entries[target] = SoftEvidence(rng.uniform(0.1, 1.0, net.arity(target)))
+    return net, target, Evidence(entries)
+
+
+@given(classification_queries())
+def test_one_pass_classification_matches_one_separation_test_per_evidence_node(query):
+    net, target, e = query
+    anc, desc = net.ancestors(target), net.descendants(target)
+    want = {}
+    for v in (u.id for u in net.variables):
+        if v == target or not e.has(v) or d_separated(net, v, target, e.without(v)):
+            continue
+        want[v] = (QueryClass.FORWARD if v in anc
+                   else QueryClass.BACKWARD if v in desc
+                   else QueryClass.INTERCAUSAL)
+    assert list(classify_query(net, target, e).sub_verdicts.items()) == list(want.items())
 
 
 DEFECTS = ("missing-cpt", "cycle", "row-sum", "probability-range", "unknown-parent",

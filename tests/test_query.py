@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,52 @@ def test_structure_is_searched_once_per_network(monkeypatch, fixture_dir):
     infer(net, "D", Evidence({"H": HardEvidence(1)}), Method.CUTSET)
     assert sorted(calls) == ["_check_polytree", "_search_cutset"]
 
+
+
+def _spy(monkeypatch, owner, name, counts):
+    """Count the calls of ``owner.name`` under every name the library
+    binds it to."""
+    real = getattr(owner, name)
+    counts[name] = 0
+
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("beliefnet.") and \
+                getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
+
+
+def test_classification_is_one_walk_from_the_target(monkeypatch):
+    # A ball from the target, given all of the evidence, reaches every
+    # influencing evidence node at once: no d-separation test and no
+    # evidence copy per node.
+    rng = np.random.default_rng(300)
+    tree = netgen.random_polytree(rng, 300)
+    e_tree = netgen.random_evidence(rng, tree, p_node=0.1, soft_ratio=0.3)
+    target = next(v.id for v in tree.variables if not e_tree.has(v.id))
+    grid = netgen.grid(rng, 4, 4)
+    e_grid = Evidence({"G0": HardEvidence(0), "G5": SoftEvidence([0.2, 0.7]),
+                       "G10": HardEvidence(1), "G15": HardEvidence(0)})
+    assert 20 <= len(e_tree) <= 40
+    assert {e_tree.is_hard(v) for v in e_tree} == {True, False}
+    cases = ((tree, target, e_tree), (grid, "G6", e_grid))
+    want = [classify_query(net, t, e) for net, t, e in cases]
+    assert all(w.sub_verdicts for w in want)
+
+    counts: dict[str, int] = {}
+    _spy(monkeypatch, structure, "d_separated", counts)
+    _spy(monkeypatch, Evidence, "without", counts)
+    _spy(monkeypatch, structure, "_reached", counts)
+    for (net, t, e), w in zip(cases, want):
+        for classify in (lambda: classify_query(net, t, e),
+                         lambda: infer(net, t, e, trace=False).classification):
+            counts.update(dict.fromkeys(counts, 0))
+            assert classify() == w
+            assert counts == {"d_separated": 0, "without": 0, "_reached": 1}
 
 
 def _forest(rng, n):

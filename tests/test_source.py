@@ -32,3 +32,10 @@ def test_queries_reach_the_sweep_only_through_the_conditioning_driver():
     # full-store API for callers outside the library.
     assert _callers("_toward") == {"cutset.py"}
     assert _callers("propagate") == set()
+
+
+def test_classification_makes_no_per_node_separation_test():
+    # One Bayes-ball pass from the target classifies a query; only the
+    # ``dsep`` command asks whether two named nodes are d-separated.
+    assert _callers("d_separated") == {"cli.py"}
+    assert _callers("without") == set()
