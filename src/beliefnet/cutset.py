@@ -19,8 +19,10 @@ barren, so each row's mass is still P(c, e) and the target's belief is
 read off the collect pass; the rest of the sweep is sent only when the
 traces are read.
 
-An empty cutset, as on a polytree, leaves one row whose belief is read
-unmixed (Suermondt & Cooper 1990); ``infer`` answers ``bp`` this way.
+On a polytree ``run_cutset_conditioning`` skips the cutset search: the
+empty cutset leaves one row, whose belief is read unmixed (Suermondt &
+Cooper 1990).  It is the one driver ``infer`` runs, so ``bp`` is this
+case.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ImpossibleEvidenceError, InvalidQueryError
 from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state
 from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
-from .structure import LoopCutset, select_cutset
+from .structure import LoopCutset, is_polytree, select_cutset
 
 # Instantiations swept together; the sweep's arrays hold this many rows.
 BLOCK = 1024
@@ -97,19 +99,17 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
 
 def run_cutset_conditioning(net: BayesianNetwork, target: str,
                             e: Evidence = Evidence.empty()) -> CutsetRun:
-    """Condition on a selected cutset and mix the sweep posteriors."""
+    """Condition on a loop cutset and mix the target's beliefs by weight.
+
+    A polytree is conditioned on the empty cutset with no search, and its
+    one row's belief is read unmixed; any other network is conditioned on
+    ``select_cutset``'s cutset.
+    """
     net.var(target)
     if e.is_hard(target):
         raise InvalidQueryError(f"target {target!r} carries hard evidence")
     bound = _bind_evidence(net, e)
-    return _condition(net, target, e, bound, select_cutset(net))
-
-
-def _condition(net: BayesianNetwork, target: str, e: Evidence,
-               bound: Mapping[str, np.ndarray], cut: LoopCutset) -> CutsetRun:
-    """Sweep each instantiation of ``cut`` the evidence allows (``bound``,
-    from ``_bind_evidence``) and mix the target's beliefs by weight; with
-    the empty cut, read the one row's belief unmixed."""
+    cut = LoopCutset() if is_polytree(net) else select_cutset(net)
     comp = _compiled(net)
     schedule = _toward(net, comp, e, target, cut.nodes)
     x = comp.index[target]

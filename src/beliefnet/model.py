@@ -60,7 +60,8 @@ class Cpt:
 
     ``table`` has one row per full parent assignment (row-major, last
     parent fastest) and one column per child state.  A root variable has
-    a single row holding its prior.
+    a single row holding its prior, which may be given 1-D; a table of
+    any other dimension raises ValueError.
     """
 
     child: str
@@ -69,6 +70,8 @@ class Cpt:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=np.float64)
+        if t.ndim not in (1, 2):
+            raise ValueError(f"CPT table for {self.child!r} must be 1-D or 2-D, got {t.ndim}-D")
         if t.ndim == 1:
             t = t.reshape(1, -1)
         t = np.ascontiguousarray(t)
@@ -83,13 +86,19 @@ class Cpt:
 
 @dataclass(frozen=True)
 class HardEvidence:
-    """An observed state index for one variable."""
+    """An observed state index for one variable: any integer, numpy's
+    included, kept as an int."""
 
     state: int
 
     def __post_init__(self):
-        if not isinstance(self.state, int) or self.state < 0:
+        try:
+            state = operator.index(self.state)
+        except TypeError:
+            state = -1
+        if state < 0:
             raise ValueError(f"hard evidence state must be a non-negative int, got {self.state!r}")
+        object.__setattr__(self, "state", state)
 
 
 @dataclass(frozen=True, eq=False)

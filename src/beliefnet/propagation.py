@@ -39,18 +39,20 @@ subscripts) is compiled once per network.
 The total evidence mass (the probability of all evidence) is recovered
 as the product over swept components of the pivot's pi . lambda dot
 product times the normalisation constants absorbed during the collect
-pass.  The collect pass runs at once; the first read of a message, of
-the log or of any value but a pivot's belief sends every message still
-missing.  The log is formatted from the messages when first read, so a
-run nobody traces formats nothing.
+pass.  The collect pass runs at once.  Only two readers need the rest
+of a sweep, and each sends every message still missing: ``propagate``,
+which returns the whole store, and the message log.  The log is
+formatted from the messages when first read, so a run nobody traces
+formats nothing.
 
 ``propagate`` sweeps the whole network.  A query for one target runs
 the cutset-conditioning driver, on a polytree with the empty cutset,
 which sweeps toward the target only the target, the evidence and their
-ancestors (``_toward``).  Every other node is barren: no evidence lies
-at or below it, so its lambda message is all ones (Shachter 1986; Baker
-& Boult 1990).  Reading anything else sends the missing messages in the
-whole network's order, so the log lists what ``propagate``'s does.
+ancestors (``_toward``), and reads the target's belief off the collect
+pass.  Every other node is barren: no evidence lies at or below it, so
+its lambda message is all ones (Shachter 1986; Baker & Boult 1990).
+Reading the log sends the missing messages in the whole network's
+order, so it lists what ``propagate``'s does.
 """
 
 from __future__ import annotations
@@ -250,9 +252,9 @@ class _Sweep:
     row shares may have a single row, which broadcasts.
 
     ``_run`` sends the collect pass, which yields the evidence mass and
-    the belief of each pivot.  Reading any other value, a message or the
-    log first calls ``complete``, which sends every message not yet
-    sent, in the order of ``full``, the schedule of the whole network.
+    the belief of each pivot.  ``complete`` sends every message not yet
+    sent, in the order of ``full``, the schedule of the whole network;
+    the log and ``propagate`` call it before they read anything else.
     Every message has the same value whenever it is sent, because all it
     depends on was sent before it; node values are kept once computed.
 
@@ -265,7 +267,6 @@ class _Sweep:
     def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
         self.comp, self.schedule, self.lam = comp, schedule, lam
         self.hard = schedule.hard
-        self.pivots = {pivot for pivot, _, _ in schedule.components}
         # The lambda messages from x's children that its values multiply in.
         self.out: Mapping[int, list[int]] | list[list[int]] = comp.out_edges
         if schedule.keep is not None:
@@ -287,7 +288,7 @@ class _Sweep:
             return self.schedule
         return _schedule(self.comp, [self.comp.ids[x] for x in self.hard])
 
-    def _pi_value(self, x: int) -> np.ndarray:
+    def pi_value(self, x: int) -> np.ndarray:
         """pi(x): x's CPT contracted with the pi messages from its parents."""
         pi = self._pi.get(x)
         if pi is None:
@@ -298,7 +299,7 @@ class _Sweep:
             self._pi[x] = pi
         return pi
 
-    def _lambda_value(self, x: int) -> np.ndarray:
+    def lambda_value(self, x: int) -> np.ndarray:
         """lambda(x): x's evidence lambda times the lambda messages from its children."""
         lv = self._lambda.get(x)
         if lv is None:
@@ -315,7 +316,7 @@ class _Sweep:
         u = self.comp.edges[e][0]
         if u in self.hard:
             return self.indicator[u], 1.0
-        vec = self._pi_value(u)
+        vec = self.pi_value(u)
         if self.lam[u] is not None:
             vec = vec * self.lam[u]
         for f in self.out[u]:
@@ -331,7 +332,7 @@ class _Sweep:
         """The lambda message up edge e, over the states of its parent."""
         c = self.comp
         w = c.edges[e][1]
-        lam_w = self.lam[w] if w in self.hard else self._lambda_value(w)
+        lam_w = self.lam[w] if w in self.hard else self.lambda_value(w)
         return np.einsum(c.lambda_subs[e], c.cpt[w], lam_w,
                          *[self.pi_msg[f] for f in c.others[e]])
 
@@ -354,50 +355,34 @@ class _Sweep:
                     self.send(is_pi, e)
         self._all_sent = True
 
-    def message(self, is_pi: bool, e: int) -> np.ndarray:
-        """The message along edge e, once every message is sent."""
-        self.complete()
-        return (self.pi_msg if is_pi else self.lambda_msg)[e]
-
     def pivot_mass(self, pivot: tuple[int, int, int]) -> np.ndarray:
         """Per row, the evidence mass the collect pass gathered at the pivot."""
         x, clone, e = pivot
         if clone:
             return (self.lambda_msg[e] * self.indicator[x]).sum(axis=-1)
-        lv = self.lam[x] if x in self.hard else self._lambda_value(x)
-        return (self._pi_value(x) * lv).sum(axis=-1)
-
-    def pi_value(self, x: int) -> np.ndarray:
-        """pi(x), once every message is sent."""
-        self.complete()
-        return self._pi_value(x)
-
-    def lambda_value(self, x: int) -> np.ndarray:
-        """lambda(x), once every message is sent."""
-        self.complete()
-        return self._lambda_value(x)
+        lv = self.lam[x] if x in self.hard else self.lambda_value(x)
+        return (self.pi_value(x) * lv).sum(axis=-1)
 
     def belief(self, x: int) -> np.ndarray:
         """Per row, x's normalised pi * lambda, or the indicator of its
-        instantiated state; zero in a row of zero mass.  A pivot's belief
-        is read off the collect pass; any other node's completes the sweep."""
+        instantiated state; zero in a row of zero mass.  x is a pivot,
+        whose belief the collect pass yields, or the sweep is complete."""
         if x in self.hard:
             return self.indicator[x]
-        if (x, 0, -1) not in self.pivots:
-            self.complete()
-        raw = self._pi_value(x) * self._lambda_value(x)
+        raw = self.pi_value(x) * self.lambda_value(x)
         total = raw.sum(axis=-1, keepdims=True)
         return raw / np.where(total > 0, total, 1.0)
 
     def trace(self, k: int) -> tuple[str, ...]:
         """Row k's message log: one ``MSG`` line per message, in the order
-        of the full schedule."""
+        of the full schedule; sends every message still missing."""
+        self.complete()
         ids, edges = self.comp.ids, self.comp.edges
         lines = []
         for _, collect, distribute in self.full.components:
             for is_pi, e in collect + distribute:
                 u, w = edges[e]
-                msg = self.message(is_pi, e)
+                msg = (self.pi_msg if is_pi else self.lambda_msg)[e]
                 head = f"MSG {ids[u]} {ids[w]} pi " if is_pi else f"MSG {ids[w]} {ids[u]} lambda "
                 row = msg[k if len(msg) > 1 else 0]
                 lines.append(head + ",".join(repr(float(p)) for p in row))
@@ -479,11 +464,10 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
               pivot: str | None = None) -> MessageStore:
     """Run one collect/distribute sweep over the network; return every message.
 
-    Only a collect pass toward the pivot runs here, which yields the
-    evidence mass and the belief at the pivot.  The first read of a
-    message, the log, a node value or another node's belief sends every
-    message still missing.  A query for one target is cheaper through
-    ``infer``, which sweeps only what the target's belief depends on.
+    Every message, two per edge, is sent before the store is returned;
+    node values, beliefs and the log are computed from them when first
+    read.  A query for one target is cheaper through ``infer``, which
+    sweeps only what the target's belief depends on.
 
     The network must be singly connected; otherwise NotAPolytreeError
     carries a witness loop.  The pivot defaults to the first-declared
@@ -500,11 +484,12 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
     mass = float(sweep.mass[0])
     if mass <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
+    sweep.complete()
     return MessageStore(
         _Lazy(comp.index, lambda x: sweep.pi_value(x)[0]),
         _Lazy(comp.index, lambda x: sweep.lambda_value(x)[0]),
-        _Lazy(comp.edge_index, lambda e: sweep.message(True, e)[0]),
-        _Lazy(comp.edge_index, lambda e: sweep.message(False, e)[0]),
+        _Lazy(comp.edge_index, lambda e: sweep.pi_msg[e][0]),
+        _Lazy(comp.edge_index, lambda e: sweep.lambda_msg[e][0]),
         _Lazy(comp.index, lambda x: Belief(comp.ids[x], sweep.belief(x)[0])),
         mass, sweep)
 

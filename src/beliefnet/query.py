@@ -7,6 +7,11 @@ the target: evidence among the target's ancestors pushes belief forward
 effect.  Evidence nodes that are d-separated from the target given the
 rest contribute nothing and are skipped; disagreeing directions make
 the query mixed.
+
+``infer`` answers by enumeration or through the one conditioning
+driver, ``cutset.run_cutset_conditioning``.  Message passing (``bp``)
+is conditioning on the empty cutset, which the driver picks on a
+polytree; ``infer`` first checks that the network is a valid polytree.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from enum import Enum
 from . import cutset as _cutset
 from . import enumeration as _enumeration
 from .errors import InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _require_valid
 from .propagation import _require_polytree
-from .structure import LoopCutset, _reached, is_polytree
+from .structure import _reached, is_polytree
 
 
 class QueryClass(Enum):
@@ -123,12 +128,9 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
         belief = _enumeration.posterior(net, target, e)
     else:
         if resolved is Method.POLYTREE:
-            # Message passing is conditioning on the empty cutset.
-            bound = _bind_evidence(net, e)
+            _require_valid(net)
             _require_polytree(net)
-            run = _cutset._condition(net, target, e, bound, LoopCutset())
-        else:
-            run = _cutset.run_cutset_conditioning(net, target, e)
+        run = _cutset.run_cutset_conditioning(net, target, e)
         belief = run.belief
         if trace:
             log = tuple(line for sweep in run.traces.values() for line in sweep)

@@ -68,6 +68,15 @@ def test_every_engine_rejects_bad_evidence(serial_net, engine, bad):
         ENGINES[engine](serial_net, BAD_EVIDENCE[bad])
 
 
+def test_a_numpy_integer_state_is_the_same_finding(serial_net):
+    for k in range(2):
+        for method in Method:
+            plain = infer(serial_net, "Z", Evidence({"X": HardEvidence(k)}), method)
+            typed = infer(serial_net, "Z", Evidence({"X": HardEvidence(np.int64(k))}), method)
+            assert plain.belief.probabilities.tobytes() == typed.belief.probabilities.tobytes()
+            assert plain.classification == typed.classification
+
+
 def _xyz(parents, drop=()):
     """Binary X, Y, Z with the given parent tuples and uniform tables,
     leaving out the CPTs named in ``drop``."""

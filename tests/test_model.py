@@ -134,6 +134,26 @@ def test_hard_evidence_validation():
         HardEvidence(-1)
 
 
+def test_hard_evidence_takes_any_integer_as_a_plain_int():
+    # The same ``operator.index`` rule as every other state check.
+    for state, want in ((np.int64(1), 1), (np.uint8(0), 0), (True, 1), (2, 2)):
+        entry = HardEvidence(state)
+        assert type(entry.state) is int and entry.state == want
+        assert entry == HardEvidence(want)
+    for bad in (1.0, "0", None, -1, np.int64(-1), np.float64(1.0)):
+        with pytest.raises(ValueError, match="non-negative int"):
+            HardEvidence(bad)
+
+
+def test_a_cpt_table_has_one_or_two_dimensions():
+    assert Cpt("A", (), [0.5, 0.5]).table.shape == (1, 2)
+    assert Cpt("B", ("A",), np.full((2, 2), 0.5)).table.shape == (2, 2)
+    for parents, table in (((), 0.5), (("A",), np.full((2, 1, 2), 0.5)),
+                           ((), np.full((1, 2, 1), 0.5))):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            Cpt("B", parents, table)
+
+
 def test_soft_evidence_validation():
     with pytest.raises(ValueError):
         SoftEvidence([])

@@ -16,6 +16,7 @@ from beliefnet import (
     Variable,
     fixed_point_delta,
     infer,
+    is_polytree,
     load_network,
     posterior,
     propagate,
@@ -206,12 +207,22 @@ def _relevant(net, target, e, cut=()):
     return roots.union(*(net.ancestors(v) for v in roots))
 
 
-def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
-        monkeypatch, polytree_corpus):
+def _spy_sends(monkeypatch):
+    """Record every message any sweep sends, as (is a pi message, edge)."""
     sent = []
     real = propagation._Sweep.send
     monkeypatch.setattr(propagation._Sweep, "send",
                         lambda sweep, is_pi, e: sent.append((is_pi, e)) or real(sweep, is_pi, e))
+    return sent
+
+
+def _every_message(net):
+    return sorted((is_pi, i) for i in range(len(net.edges)) for is_pi in (True, False))
+
+
+def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
+        monkeypatch, polytree_corpus):
+    sent = _spy_sends(monkeypatch)
     pruned = 0
     for net, e in polytree_corpus[:100]:
         free = [v.id for v in net.variables if not e.is_hard(v.id)]
@@ -219,29 +230,43 @@ def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
             continue
         target = free[-1]
         keep = _relevant(net, target, e)
-        outside = [v.id for v in net.variables if v.id not in keep]
-        pruned += bool(outside)
-        every = sorted((is_pi, i) for i in range(len(net.edges)) for is_pi in (True, False))
+        pruned += len(keep) < len(net.variables)
 
         sent.clear()
         infer(net, target, e)
         assert all(set(net.edges[i]) <= keep for _, i in sent)
 
-        # Reading the log or a value outside the relevant part sends every
-        # message still missing, each message once over the whole run.  On
-        # a polytree the driver conditions on the empty cutset, as ``bp`` does.
-        for read in ("trace", *outside[:1]):
-            sent.clear()
-            run = run_cutset_conditioning(net, target, e)
-            assert run.cutset.nodes == ()
-            assert all(set(net.edges[i]) <= keep for _, i in sent)
-            if read == "trace":
-                assert len(run.traces[()]) == 2 * len(net.edges)
-            else:
-                sweep, _ = run._sweeps[0]
-                sweep.belief(net.index(read))
-            assert sorted(sent) == every
+        # Reading the log sends every message still missing, each message
+        # once over the whole run.  On a polytree the driver conditions on
+        # the empty cutset, as ``bp`` does.
+        sent.clear()
+        run = run_cutset_conditioning(net, target, e)
+        assert run.cutset.nodes == ()
+        assert all(set(net.edges[i]) <= keep for _, i in sent)
+        assert len(run.traces[()]) == 2 * len(net.edges)
+        assert sorted(sent) == _every_message(net)
     assert pruned > 10
+
+
+def test_propagate_sends_its_whole_sweep_before_it_returns(
+        monkeypatch, fixture_dir, polytree_corpus):
+    # ``propagate`` is the one caller besides the log that completes a
+    # sweep: every message is sent once, and reading the store sends none.
+    sent = _spy_sends(monkeypatch)
+    fixtures = [load_network(path) for path in sorted(fixture_dir.glob("*.bn"))]
+    cases = [(net, Evidence.empty()) for net in fixtures if is_polytree(net)]
+    assert len(cases) == 3
+    for net, e in cases + polytree_corpus[:50]:
+        sent.clear()
+        store = propagate(net, e)
+        assert sorted(sent) == _every_message(net)
+        sent.clear()
+        for v in net.variables:
+            store.beliefs[v.id], store.pi_node[v.id], store.lambda_node[v.id]
+        for edge in net.edges:
+            store.pi_messages[edge], store.lambda_messages[edge]
+        assert len(store.trace) == 2 * len(net.edges)
+        assert sent == []
 
 
 def _cutset_queries(fixture_dir):
@@ -256,10 +281,7 @@ def _cutset_queries(fixture_dir):
 
 def test_a_cutset_run_sends_only_the_pruned_collect_pass_until_traces_are_read(
         monkeypatch, fixture_dir):
-    sent = []
-    real = propagation._Sweep.send
-    monkeypatch.setattr(propagation._Sweep, "send",
-                        lambda sweep, is_pi, e: sent.append((is_pi, e)) or real(sweep, is_pi, e))
+    sent = _spy_sends(monkeypatch)
     pruned = 0
     for net, target, e in _cutset_queries(fixture_dir):
         keep = _relevant(net, target, e, select_cutset(net).nodes)
@@ -273,8 +295,7 @@ def test_a_cutset_run_sends_only_the_pruned_collect_pass_until_traces_are_read(
 
         sent.clear()
         run_cutset_conditioning(net, target, e).traces
-        assert sorted(sent) == sorted((is_pi, i) for i in range(len(net.edges))
-                                      for is_pi in (True, False))
+        assert sorted(sent) == _every_message(net)
     assert pruned > 20
 
 

@@ -16,6 +16,7 @@ from beliefnet import (
     infer,
     load_network,
     posterior,
+    run_cutset_conditioning,
 )
 from beliefnet import propagation, structure
 
@@ -224,9 +225,12 @@ def _forest(rng, n):
     return netgen.assemble(rng, parent_idx, [int(rng.integers(2, 5)) for _ in range(n)])
 
 
-def test_bp_and_cutset_agree_bit_for_bit_on_polytrees():
-    # On a polytree the cutset is empty, and conditioning on it is the
-    # one sweep message passing runs: the same belief bits, the same log.
+def test_bp_and_cutset_agree_bit_for_bit_on_polytrees(monkeypatch):
+    # On a polytree the driver conditions on the empty cutset with no
+    # search, and that is the one sweep message passing runs: the same
+    # belief bits, the same log, through ``infer`` or the driver itself.
+    counts: dict[str, int] = {}
+    _spy(monkeypatch, structure, "select_cutset", counts)
     rng = np.random.default_rng(1990)
     queries = 0
     for k in range(60):
@@ -238,7 +242,10 @@ def test_bp_and_cutset_agree_bit_for_bit_on_polytrees():
                 continue
             bp = infer(net, v.id, e, Method.POLYTREE, trace=True)
             cut = infer(net, v.id, e, Method.CUTSET, trace=True)
-            assert np.array_equal(bp.belief.probabilities, cut.belief.probabilities)
-            assert bp.trace == cut.trace
+            run = run_cutset_conditioning(net, v.id, e)
+            bits = bp.belief.probabilities.tobytes()
+            assert bits == cut.belief.probabilities.tobytes() == run.belief.probabilities.tobytes()
+            assert bp.trace == cut.trace == run.traces[()]
             queries += 1
     assert queries > 600
+    assert counts["select_cutset"] == 0

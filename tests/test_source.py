@@ -39,3 +39,41 @@ def test_classification_makes_no_per_node_separation_test():
     # ``dsep`` command asks whether two named nodes are d-separated.
     assert _callers("d_separated") == {"cli.py"}
     assert _callers("without") == set()
+
+
+def test_every_private_helper_is_used():
+    # A private function, or a method of a private class, that nothing
+    # in the library names any more is dead code left behind.  A method
+    # counts as used when some attribute bears its name.
+    functions, methods, names, attributes = set(), set(), set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                functions.add((path.name, node.name))
+            elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                methods.update((path.name, node.name, item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    assert functions and methods
+    assert sorted(f for f in functions if f[-1] not in names | attributes) == []
+    assert sorted(m for m in methods if m[-1] not in attributes) == []
+
+
+def test_queries_enter_the_cutset_module_only_through_its_driver():
+    # ``infer`` runs the one driver: it builds no cutset of its own and
+    # reads no other name of ``cutset``.
+    tree = ast.parse((SOURCES[0].parent / "query.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not any(node.module == "cutset" for node in imports)
+    aliases = {alias.asname or alias.name for node in imports if node.module is None
+               for alias in node.names if alias.name == "cutset"}
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases}
+    assert read == {"run_cutset_conditioning"}
+    assert "LoopCutset" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
