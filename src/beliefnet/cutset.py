@@ -14,10 +14,11 @@ rows of one batched sweep, in blocks of at most ``BLOCK`` rows to bound
 its memory; instantiations the evidence rules out are not swept.
 
 The sweep is the collect pass toward the target over the target, the
-evidence, the cutset and all their ancestors.  Every other node is
-barren, so each row's mass is still P(c, e) and the target's belief is
-read off the collect pass; the rest of the sweep is sent only when the
-traces are read.
+evidence, the cutset and all their ancestors, less the in-trees whose
+pi messages are cached priors.  Every other node is barren, so each
+row's mass is still P(c, e) and the target's belief is read off the
+collect pass; the rest of the sweep is sent only when the traces are
+read.
 
 On a polytree ``run_cutset_conditioning`` skips the cutset search: the
 empty cutset leaves one row, whose belief is read unmixed (Suermondt &
@@ -49,9 +50,12 @@ class CutsetRun:
 
     ``weights`` maps each cutset instantiation (state indices in cutset
     node order) to its mass P(c, evidence); their sum is the evidence
-    probability.  ``traces`` holds each instantiation's message log,
-    empty for one the evidence rules out; it is formatted when first
-    read.
+    probability.  It leaves out the normalisers of the cached priors,
+    each 1 up to rounding, so it may differ from a full sweep's in the
+    last bits; a prior never has zero mass, so no verdict on impossible
+    evidence changes.  ``traces`` holds each instantiation's message
+    log, empty for one the evidence rules out; it is formatted when
+    first read.
     """
 
     belief: Belief

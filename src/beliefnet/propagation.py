@@ -30,8 +30,9 @@ nodes to cut every loop.
 
 A sweep is batched.  Every message carries a leading instantiation
 axis, one row per evidence pattern over the same set of observed
-nodes, and every pi value and lambda message is one ``np.einsum`` of
-the node's CPT with the incoming messages.  ``propagate`` sweeps one
+nodes, and every pi value (``_Compiled.contract_pi``) and lambda
+message (``_Sweep.lambda_message``) is one ``np.einsum`` of the node's
+CPT with the incoming messages.  ``propagate`` sweeps one
 row; cutset conditioning sweeps all its instantiations at once.  The
 network's index form (parents, children, CPT tensors, contraction
 subscripts) is compiled once per network.
@@ -47,12 +48,16 @@ formats nothing.
 
 ``propagate`` sweeps the whole network.  A query for one target runs
 the cutset-conditioning driver, on a polytree with the empty cutset,
-which sweeps toward the target only the target, the evidence and their
-ancestors (``_toward``), and reads the target's belief off the collect
-pass.  Every other node is barren: no evidence lies at or below it, so
-its lambda message is all ones (Shachter 1986; Baker & Boult 1990).
-Reading the log sends the missing messages in the whole network's
-order, so it lists what ``propagate``'s does.
+which reads the target's belief off a collect pass toward it
+(``_toward``).  Only the target, the evidence and their ancestors
+matter.  Every other node is barren: no evidence lies at or below it,
+so its lambda message is all ones (Shachter 1986; Baker & Boult 1990).
+An ancestral in-tree that no evidence reaches is not swept either: its
+pi messages are prior marginals, which the compiled network computes
+once with the sweep's own pi contraction and keeps (lazy propagation's
+reuse of evidence-free potentials; Madsen & Jensen 1999).  Reading the
+log sends the missing messages in the whole network's order, so it
+lists what ``propagate``'s does.
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ class _Compiled:
     ``pi_subs[x]`` contracts the pi messages from x's parents with its
     CPT; ``lambda_subs[e]`` contracts the CPT of the child of edge e
     with its lambda and the pi messages from its other parents
-    (``others[e]``).
+    (``others[e]``).  ``priors`` keeps each prior marginal that
+    ``prior`` has computed.
     """
 
     def __init__(self, net: BayesianNetwork):
@@ -118,6 +124,31 @@ class _Compiled:
                 rest = "".join(f",...{a}" for j, a in enumerate(letters) if j != i)
                 self.lambda_subs[e] = f"{letters}{child},...{child}{rest}->...{letters[i]}"
                 self.others[e] = [f for f in ins if f != e]
+        self.priors: dict[int, np.ndarray] = {}
+
+    def contract_pi(self, x: int, msgs: Sequence[np.ndarray]) -> np.ndarray:
+        """pi(x): x's CPT contracted with ``msgs``, the pi messages from its parents."""
+        if not msgs:
+            return self.cpt[x]
+        return np.einsum(self.pi_subs[x], *msgs, self.cpt[x])
+
+    def prior(self, x: int) -> np.ndarray:
+        """The pi message x sends a child, as one row, when no evidence
+        lies at or above x and its other children are barren.  Where x's
+        ancestors form an in-tree, as a prior-only node's do, it is x's
+        prior marginal.  It depends on no evidence, so it is computed
+        once per network, ancestors first, by a walk that does not recurse."""
+        stack = [] if x in self.priors else [x]
+        while stack:
+            y = stack.pop()
+            parents = [self.edges[e][0] for e in self.in_edges[y]]
+            missing = [u for u in parents if u not in self.priors]
+            if missing:
+                stack += [y, *missing]
+            elif y not in self.priors:
+                pi = self.contract_pi(y, [self.priors[u] for u in parents])
+                self.priors[y] = pi / pi.sum(axis=-1)[:, None]
+        return self.priors[x]
 
 
 def _compiled(net: BayesianNetwork) -> _Compiled:
@@ -157,13 +188,16 @@ class _Schedule:
     (x, 1, e) for the clone of observed x that carries its edge e.
     Edges leave a node in the order of their heads, so split nodes sort
     by node, piece and head.  ``keep`` is the set of nodes swept, with
-    the edges into them; None when the schedule covers the whole network.
+    the edges between them; None when the schedule covers the whole
+    network.  ``preset`` lists the edges whose pi message is a cached
+    prior (``_Compiled.prior``), which is never sent.
     """
 
     hard: frozenset[int]
     components: tuple[tuple[tuple[int, int, int], tuple[tuple[bool, int], ...],
                             tuple[tuple[bool, int], ...]], ...]
     keep: frozenset[int] | None = None
+    preset: tuple[int, ...] = ()
 
 
 def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
@@ -186,13 +220,14 @@ def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
 
 
 def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
-              keep: frozenset[int] | None = None) -> _Schedule:
+              keep: frozenset[int] | None = None, preset: tuple[int, ...] = ()) -> _Schedule:
     """Schedule a sweep with ``hard_vars`` observed, over the nodes in
-    ``keep`` and the edges into them, or over the whole network.
+    ``keep`` and the edges between them, or over the whole network.
 
-    ``keep`` must hold the parents of its nodes.  Components are taken
-    in order of their first split node; each is rooted at that node, or
-    at the pivot variable's node when the component holds it.
+    Every edge into ``keep`` from outside it must be ``preset``.
+    Components are taken in order of their first split node; each is
+    rooted at that node, or at the pivot variable's node when the
+    component holds it.
     """
     hard = frozenset(comp.index[v] for v in hard_vars)
 
@@ -229,17 +264,26 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
             distribute.append((up[0] == comp.edges[e][0], e))
         collect = tuple((not is_pi, e) for is_pi, e in reversed(distribute))
         components.append((order[0], collect, tuple(distribute)))
-    return _Schedule(hard, tuple(components), keep)
+    return _Schedule(hard, tuple(components), keep, preset)
 
 
 def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
             cut: Sequence[str] = ()) -> _Schedule:
     """The schedule toward ``target`` with the evidence and the ``cut``
-    nodes observed, over the target, the evidence, the cut nodes and all
-    their ancestors (one walk up ``net._parents``); every other node is
-    barren, and changes neither the target's belief nor the evidence mass."""
-    keep = frozenset(comp.index[v] for v in _closure({target, *e.entries, *cut}, net._parents))
-    return _schedule(comp, {*e.hard_states(), *cut}, target, keep)
+    nodes observed.  K is the target, the evidence, the cut nodes (the
+    seeds) and all their ancestors; every other node is barren, and
+    changes neither the target's belief nor the evidence mass.  A node
+    of K that is no seed, has one child in K and only such parents is
+    prior-only: its pi message to that child is its prior, preset.  The
+    rest of K is swept: the seeds, the nodes with two or more children
+    in K, and every node of K below them."""
+    seeds = {target, *e.entries, *cut}
+    kept = _closure(seeds, net._parents)
+    below = {v: [c for c in net._children[v] if c in kept] for v in kept}
+    swept = _closure(seeds | {v for v, cs in below.items() if len(cs) > 1}, below)
+    preset = tuple(comp.edge_index[(v, below[v][0])] for v in kept - swept)
+    return _schedule(comp, {*e.hard_states(), *cut}, target,
+                     frozenset(comp.index[v] for v in swept), preset)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -260,8 +304,9 @@ class _Sweep:
 
     A schedule that keeps only some nodes sweeps only them: a lambda
     message from a child outside them counts as all ones and is not sent
-    until ``complete``.  Messages and node values computed before then
-    keep their values.
+    until ``complete``.  The schedule's preset pi messages are set at
+    once and never sent.  Messages and node values computed before
+    ``complete`` keep their values.
     """
 
     def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
@@ -276,6 +321,8 @@ class _Sweep:
         self.indicator = {x: np.sign(lam[x]) for x in self.hard}
         self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
         self.lambda_msg: list[np.ndarray | None] = [None] * len(comp.edges)
+        for e in schedule.preset:
+            self.pi_msg[e] = comp.prior(comp.edges[e][0])
         self.mass: np.ndarray | None = None
         self._all_sent = False
         self._pi: dict[int, np.ndarray] = {}
@@ -292,10 +339,7 @@ class _Sweep:
         """pi(x): x's CPT contracted with the pi messages from its parents."""
         pi = self._pi.get(x)
         if pi is None:
-            c = self.comp
-            pi = c.cpt[x]
-            if c.in_edges[x]:
-                pi = np.einsum(c.pi_subs[x], *[self.pi_msg[e] for e in c.in_edges[x]], pi)
+            pi = self.comp.contract_pi(x, [self.pi_msg[e] for e in self.comp.in_edges[x]])
             self._pi[x] = pi
         return pi
 

@@ -16,6 +16,7 @@ from beliefnet import (
     instantiation_weight,
     load_network,
     posterior,
+    propagate,
     run_cutset_conditioning,
 )
 from beliefnet import cutset, propagation
@@ -86,6 +87,18 @@ def test_traces_record_each_sweep(sprinkler_net):
     for trace in run.traces.values():
         assert len(trace) == 2 * len(sprinkler_net.edges)
         assert all(line.startswith("MSG ") for line in trace)
+
+
+def test_a_polytree_run_weighs_its_row_by_the_evidence_mass(polytree_corpus):
+    # The pruned run leaves out the normalisers of the prior-only
+    # in-trees, each 1 up to rounding, which the full sweep multiplies in.
+    for net, e in polytree_corpus[:200]:
+        target = next((v.id for v in net.variables if not e.is_hard(v.id)), None)
+        if target is None:
+            continue
+        run = run_cutset_conditioning(net, target, e)
+        want = propagate(net, e).evidence_mass
+        assert abs(run.weights[()] - want) <= 1e-14 * want
 
 
 def test_instantiation_weight_checks_names(sprinkler_net):

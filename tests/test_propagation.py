@@ -220,32 +220,104 @@ def _every_message(net):
     return sorted((is_pi, i) for i in range(len(net.edges)) for is_pi in (True, False))
 
 
+def _prior_only(net, target, e, cut=()):
+    """The prior-only nodes of a query, by their definition: in the kept
+    set, not the target, an evidence or a cut node, with one child in
+    the kept set and only prior-only parents."""
+    keep = _relevant(net, target, e, cut)
+    seeds = {target, *e.entries, *cut}
+    found = set()
+    for v in net.topological_order():
+        if (v in keep and v not in seeds and len(keep.intersection(net.children(v))) == 1
+                and found.issuperset(net.parents(v))):
+            found.add(v)
+    return found
+
+
 def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
         monkeypatch, polytree_corpus):
     sent = _spy_sends(monkeypatch)
-    pruned = 0
+    pruned = cached = 0
     for net, e in polytree_corpus[:100]:
         free = [v.id for v in net.variables if not e.is_hard(v.id)]
         if not free:
             continue
         target = free[-1]
         keep = _relevant(net, target, e)
+        prior_only = _prior_only(net, target, e)
+        # A prior-only node's pi message to its one child in the kept set
+        # is preset from the network's cache of priors.
+        preset = [(True, i) for i, (u, w) in enumerate(net.edges) if u in prior_only and w in keep]
         pruned += len(keep) < len(net.variables)
+        cached += bool(preset)
+
+        def relevant(i):
+            u, w = net.edges[i]
+            return {u, w} <= keep and u not in prior_only
 
         sent.clear()
         infer(net, target, e)
-        assert all(set(net.edges[i]) <= keep for _, i in sent)
+        assert all(relevant(i) for _, i in sent)
 
-        # Reading the log sends every message still missing, each message
-        # once over the whole run.  On a polytree the driver conditions on
-        # the empty cutset, as ``bp`` does.
+        # Reading the log sends every message still missing: with the
+        # preset pi messages, each message once over the whole run.  On
+        # a polytree the driver conditions on the empty cutset, as
+        # ``bp`` does.
         sent.clear()
         run = run_cutset_conditioning(net, target, e)
         assert run.cutset.nodes == ()
-        assert all(set(net.edges[i]) <= keep for _, i in sent)
+        assert all(relevant(i) for _, i in sent)
         assert len(run.traces[()]) == 2 * len(net.edges)
-        assert sorted(sent) == _every_message(net)
+        assert sorted(sent + preset) == _every_message(net)
     assert pruned > 10
+    assert cached > 10
+
+
+def test_a_second_query_computes_no_prior_again(monkeypatch, polytree_corpus):
+    contracted = []
+    real = propagation._Compiled.contract_pi
+    monkeypatch.setattr(propagation._Compiled, "contract_pi",
+                        lambda comp, x, msgs: contracted.append(x) or real(comp, x, msgs))
+    cached = 0
+    for shared, e in polytree_corpus[100:200]:
+        # A copy, whose cache no other test has filled.
+        net = BayesianNetwork(shared.variables, shared.cpts)
+        free = [v.id for v in net.variables if not e.is_hard(v.id)]
+        if not free:
+            continue
+        target = free[0]
+        comp = propagation._compiled(net)
+        prior_only = {comp.index[v] for v in _prior_only(net, target, e)}
+        cached += bool(prior_only)
+
+        contracted.clear()
+        first = infer(net, target, e).belief.probabilities
+        assert prior_only <= set(comp.priors) and prior_only <= set(contracted)
+        priors = dict(comp.priors)
+
+        contracted.clear()
+        second = infer(net, target, e).belief.probabilities
+        assert prior_only.isdisjoint(contracted)
+        assert comp.priors.keys() == priors.keys()
+        assert all(comp.priors[x] is vec for x, vec in priors.items())
+        assert np.array_equal(first, second)
+    assert cached > 10
+
+
+def test_a_long_chain_answers_from_the_cached_priors_alone(monkeypatch):
+    # Every node above the bottom one is prior-only, so no message is
+    # sent, and the 4,999 priors are computed without recursion.  The
+    # chain is declared bottom first, so the first prior asked for is
+    # the deepest one.
+    n = 5000
+    net = netgen.assemble(np.random.default_rng(3), [[i + 1] for i in range(n - 1)] + [[]], [2] * n)
+    sent = _spy_sends(monkeypatch)
+    belief = infer(net, net.variables[0].id).belief.probabilities
+    assert sent == []
+    want = net.cpt(net.variables[-1].id).table.reshape(-1)
+    for v in reversed(net.variables[:-1]):
+        want = want @ net.cpt(v.id).table
+    assert np.max(np.abs(belief - want)) <= 1e-12
 
 
 def test_propagate_sends_its_whole_sweep_before_it_returns(

@@ -39,6 +39,7 @@ from beliefnet import (
     validate,
     weighted_joint,
 )
+from beliefnet import propagation
 from beliefnet.model import ROW_SUM_TOL, Violation
 
 
@@ -138,6 +139,48 @@ def test_pruned_polytree_answer_and_trace_match_the_full_sweep(query):
         (head, values), (want_head, want_values) = _split(got), _split(want)
         assert head == want_head
         assert _far(values, want_values) <= 1e-15
+
+
+@st.composite
+def generated_networks(draw):
+    """A netgen polytree or loopy DAG small enough to enumerate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        return netgen.random_loopy(rng, n)
+    return netgen.random_polytree(rng, n, max_states=3)
+
+
+@given(generated_networks())
+def test_each_cached_prior_is_the_marginal_and_the_sweeps_message(net):
+    # A node's prior is exact where its ancestors form an in-tree, each
+    # with one child among them; only such nodes can be prior-only, so
+    # queries on every target cache no other.
+    comp = propagation._compiled(net)
+    for v in net.variables:
+        infer(net, v.id)
+    cached = set(comp.priors)
+    joint = weighted_joint(net)
+    axes = set(range(len(net.variables)))
+    in_tree = set()
+    for i, v in enumerate(net.variables):
+        above = net.ancestors(v.id) | {v.id}
+        if all(len(above.intersection(net.children(u))) == 1 for u in above - {v.id}):
+            in_tree.add(i)
+            prior = comp.prior(i)
+            assert prior.shape == (1, v.arity)
+            assert _far(prior[0], joint.sum(axis=tuple(axes - {i}))) <= 1e-12
+    assert cached <= in_tree
+    if not is_polytree(net):
+        return
+    # Where a node and all its ancestors each have one child, no sweep
+    # multiplies in a lambda message on the way down, so the full
+    # sweep's pi message is the cached prior, bit for bit.
+    store = propagate(net)
+    for v in net.variables:
+        if all(len(net.children(u)) == 1 for u in {v.id, *net.ancestors(v.id)}):
+            edge = (v.id, net.children(v.id)[0])
+            assert np.array_equal(comp.prior(comp.index[v.id])[0], store.pi_messages[edge])
 
 
 @st.composite

@@ -77,3 +77,16 @@ def test_queries_enter_the_cutset_module_only_through_its_driver():
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases}
     assert read == {"run_cutset_conditioning"}
     assert "LoopCutset" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_contraction_runs_through_one_of_two_kernels():
+    # Every pi value, a cached prior's included, is contracted in one
+    # place and every lambda message in one other, so a cached prior
+    # equals the pi message a sweep would send by construction.
+    sites = [(path.name, function.name) for path in SOURCES
+             for function in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"]
+    assert sorted(sites) == [("propagation.py", "contract_pi"),
+                             ("propagation.py", "lambda_message")]
