@@ -17,8 +17,11 @@ The sweep is the collect pass toward the target over the target, the
 evidence, the cutset and all their ancestors, less the in-trees whose
 pi messages are cached priors.  Every other node is barren, so each
 row's mass is still P(c, e) and the target's belief is read off the
-collect pass; the rest of the sweep is sent only when the traces are
-read.
+collect pass.  If every CPT entry is positive, the pass covers only
+the components of the split network that hold the target or a piece
+of a cutset node: any other has the same positive mass on every row,
+which cancels in the mixture, and is swept when ``weights`` is first
+read.  The rest of the sweep is sent only when the traces are read.
 
 On a polytree ``run_cutset_conditioning`` skips the cutset search: the
 empty cutset leaves one row, whose belief is read unmixed (Suermondt &
@@ -50,19 +53,26 @@ class CutsetRun:
 
     ``weights`` maps each cutset instantiation (state indices in cutset
     node order) to its mass P(c, evidence); their sum is the evidence
-    probability.  It leaves out the normalisers of the cached priors,
+    probability.  It is computed when first read, which sends the
+    collect passes the belief did not need; a weight below about 1e-308
+    may read 0.0.  It leaves out the normalisers of the cached priors,
     each 1 up to rounding, so it may differ from a full sweep's in the
-    last bits; a prior never has zero mass, so no verdict on impossible
-    evidence changes.  ``traces`` holds each instantiation's message
-    log, empty for one the evidence rules out; it is formatted when
-    first read.
+    last bits.  ``traces`` holds each instantiation's message log, empty
+    for one the evidence rules out; it is formatted when first read.
     """
 
     belief: Belief
     cutset: LoopCutset
-    weights: dict[tuple[int, ...], float]
     instantiation_count: int
+    _combos: tuple[tuple[int, ...], ...] = field(repr=False)
     _sweeps: tuple[tuple[_Sweep, tuple[tuple[int, ...], ...]], ...] = field(repr=False)
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, ...], float]:
+        out = dict.fromkeys(self._combos, 0.0)
+        for sweep, combos in self._sweeps:
+            out.update(zip(combos, sweep.mass.tolist()))
+        return out
 
     @cached_property
     def traces(self) -> dict[tuple[int, ...], tuple[str, ...]]:
@@ -119,15 +129,12 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     x = comp.index[target]
     if not cut.nodes:
         sweep = _run(comp, schedule, _lambdas(comp, bound))
-        mass = float(sweep.mass[0])
-        if mass <= 0:
+        if sweep.gathered[0] <= 0:
             raise ImpossibleEvidenceError("evidence has probability zero")
-        return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, {(): mass}, 1,
-                         ((sweep, ((),)),))
-    combos = list(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
+        return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, 1, ((),), ((sweep, ((),)),))
+    combos = tuple(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
     states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
     rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
-    weights = dict.fromkeys(combos, 0.0)
     sweeps = []
     mixed = np.zeros(net.arity(target))
     total = 0.0
@@ -136,14 +143,13 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
         sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, states[block]))
         block_combos = tuple(combos[r] for r in block.tolist())
         sweeps.append((sweep, block_combos))
-        w = sweep.mass
-        weights.update(zip(block_combos, w.tolist()))
+        w = sweep.gathered
         # A row of zero mass has a zero (not undefined) belief, so it adds nothing.
         mixed = mixed + (w[:, None] * sweep.belief(x)).sum(axis=0)
         total += float(w.sum())
     if total <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
-    return CutsetRun(Belief(target, mixed / total), cut, weights, len(combos), tuple(sweeps))
+    return CutsetRun(Belief(target, mixed / total), cut, len(combos), combos, tuple(sweeps))
 
 
 def conditioned_posterior(net: BayesianNetwork, target: str,

@@ -386,8 +386,18 @@ class BayesianNetwork:
     # -- validation ------------------------------------------------------
 
     @cached_property
+    def _checked(self) -> tuple[tuple[Violation, ...], bool]:
+        """``validate``'s violations, and whether every CPT entry is positive."""
+        violations, positive = _find_violations(self)
+        return tuple(violations), positive
+
+    @property
     def _violations(self) -> tuple[Violation, ...]:
-        return tuple(_find_violations(self))
+        return self._checked[0]
+
+    @property
+    def _positive(self) -> bool:
+        return self._checked[1]
 
     @cached_property
     def _memo(self) -> dict:
@@ -450,7 +460,7 @@ def _require_acyclic(net: BayesianNetwork) -> None:
         raise NetworkValidationError(cycles)
 
 
-def _find_violations(net: BayesianNetwork) -> list[Violation]:
+def _find_violations(net: BayesianNetwork) -> tuple[list[Violation], bool]:
     out: list[Violation] = []
     arity = {v.id: v.arity for v in net.variables}
 
@@ -478,18 +488,20 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
             out.append(Violation("missing-cpt", f"variable {v.id}",
                                  "no table given", v.id))
 
-    # Range and row-sum flags, one array pass over the tables of each width.
-    # Each row is still summed alone, so its sum is the per-row one bit for
-    # bit.  failing[i] holds table i's failing rows: (row, out of range,
-    # off sum, sum); only these get keys and labels below.
+    # Range, row-sum and positivity flags, one array pass over the tables
+    # of each width.  Each row is still summed alone, so its sum is the
+    # per-row one bit for bit.  failing[i] holds table i's failing rows:
+    # (row, out of range, off sum, sum); only these get keys and labels.
     by_width: dict[tuple[int, ...], list[int]] = {}
     for i, c in enumerate(net.cpts):
         if c.child in arity:
             by_width.setdefault(c.table.shape[1:], []).append(i)
     failing: list[list[tuple[int, bool, bool, float]]] = [[] for _ in net.cpts]
+    positive = True
     for ix in by_width.values():
         tables = [net.cpts[i].table for i in ix]
         t = np.concatenate(tables) if len(tables) > 1 else tables[0]
+        positive = positive and bool((t > 0).all())
         # NaN fails the range test, so it counts as outside [0, 1].
         out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
         # A row holding both inf and -inf sums to NaN; it is already out of range.
@@ -547,7 +559,7 @@ def _find_violations(net: BayesianNetwork) -> list[Violation]:
     if net.topological_order() is None:
         out.append(Violation("cycle", "network",
                              "directed graph has a cycle", ""))
-    return out
+    return out, positive
 
 
 def joint_probability(net: BayesianNetwork, assignment: Assignment) -> float:

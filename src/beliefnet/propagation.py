@@ -40,11 +40,12 @@ subscripts) is compiled once per network.
 The total evidence mass (the probability of all evidence) is recovered
 as the product over swept components of the pivot's pi . lambda dot
 product times the normalisation constants absorbed during the collect
-pass.  The collect pass runs at once.  Only two readers need the rest
-of a sweep, and each sends every message still missing: ``propagate``,
-which returns the whole store, and the message log.  The log is
-formatted from the messages when first read, so a run nobody traces
-formats nothing.
+pass.  The collect pass runs at once; a component the schedule leaves
+out sends its own when the mass is first read.  Only two readers need
+the rest of a sweep, and each sends every message still missing:
+``propagate``, which returns the whole store, and the message log.  The
+log is formatted from the messages when first read, so a run nobody
+traces formats nothing.
 
 ``propagate`` sweeps the whole network.  A query for one target runs
 the cutset-conditioning driver, on a polytree with the empty cutset,
@@ -55,9 +56,12 @@ so its lambda message is all ones (Shachter 1986; Baker & Boult 1990).
 An ancestral in-tree that no evidence reaches is not swept either: its
 pi messages are prior marginals, which the compiled network computes
 once with the sweep's own pi contraction and keeps (lazy propagation's
-reuse of evidence-free potentials; Madsen & Jensen 1999).  Reading the
-log sends the missing messages in the whole network's order, so it
-lists what ``propagate``'s does.
+reuse of evidence-free potentials; Madsen & Jensen 1999).  A component
+that hard findings cut off from the target and from every cut node
+cannot change the target's belief (the requisite set of Bayes-ball;
+Shachter 1998); if no CPT entry is zero, the schedule leaves it out.
+Reading the log sends the missing messages in the whole network's
+order, so it lists what ``propagate``'s does.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ class _Schedule:
     by node, piece and head.  ``keep`` is the set of nodes swept, with
     the edges between them; None when the schedule covers the whole
     network.  ``preset`` lists the edges whose pi message is a cached
-    prior (``_Compiled.prior``), which is never sent.
+    prior (``_Compiled.prior``), which is never sent.  ``seen`` holds
+    the split nodes scheduled when components may be left out, else None.
     """
 
     hard: frozenset[int]
@@ -198,16 +203,17 @@ class _Schedule:
                             tuple[tuple[bool, int], ...]], ...]
     keep: frozenset[int] | None = None
     preset: tuple[int, ...] = ()
+    seen: set[tuple[int, int, int]] | None = None
 
 
-def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
-    """Breadth-first spanning tree of root's component; a second way
-    into any split node means a loop survived instantiation."""
+def _tree(adj, root: tuple) -> tuple[list, dict]:
+    """Breadth-first spanning tree of root's component, by ``adj(node)``;
+    a second way into any split node means a loop survived instantiation."""
     link: dict[tuple, tuple | None] = {root: None}
     order = [root]
     for nd in order:
         back = link[nd][0] if link[nd] else None
-        for nb, e in adj[nd]:
+        for nb, e in adj(nd):
             if nb == back:
                 continue
             if nb in link:
@@ -220,51 +226,64 @@ def _tree(adj: dict, root: tuple) -> tuple[list, dict]:
 
 
 def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
-              keep: frozenset[int] | None = None, preset: tuple[int, ...] = ()) -> _Schedule:
+              keep: frozenset[int] | None = None, preset: tuple[int, ...] = (),
+              only: Sequence[str] | None = None, seen=()) -> _Schedule:
     """Schedule a sweep with ``hard_vars`` observed, over the nodes in
     ``keep`` and the edges between them, or over the whole network.
 
-    Every edge into ``keep`` from outside it must be ``preset``.
     Components are taken in order of their first split node; each is
     rooted at that node, or at the pivot variable's node when the
-    component holds it.
+    component holds it.  Given ``only``, just the components holding a
+    piece of the pivot or of a node in ``only`` are built.  A component
+    holding a split node in ``seen`` is left out.  Every edge into
+    ``keep`` from outside it must be ``preset``.
     """
     hard = frozenset(comp.index[v] for v in hard_vars)
+    edges, neighbors = comp.edges, comp.neighbors
 
-    def tail(u: int, e: int) -> tuple[int, int, int]:
-        return (u, 1, e) if u in hard else (u, 0, -1)
+    def kept(x: int) -> list:
+        return neighbors[x] if keep is None else [nb for nb in neighbors[x] if nb[0] in keep]
 
-    # Split nodes are inserted in sorted order, each with its neighbours sorted.
-    adj: dict[tuple[int, int, int], list] = {}
-    for x in range(len(comp.ids)) if keep is None else sorted(keep):
-        nbrs = comp.neighbors[x]
-        if keep is not None:
-            nbrs = [nb for nb in nbrs if nb[0] in keep]
+    def pieces(x: int) -> list:
+        return [(x, 0, -1)] + ([(x, 1, e) for _, e, down in kept(x) if down] if x in hard else [])
+
+    def adj(nd: tuple[int, int, int]) -> list:
+        x, clone, e = nd
+        if clone:
+            return [((edges[e][1], 0, -1), e)]
         if x in hard:
-            adj[(x, 0, -1)] = [(tail(y, e), e) for y, e, down in nbrs if not down]
-            for y, e, down in nbrs:
-                if down:
-                    adj[(x, 1, e)] = [((y, 0, -1), e)]
-        else:
-            adj[(x, 0, -1)] = [((y, 0, -1) if down else tail(y, e), e) for y, e, down in nbrs]
+            return [((y, 1, f) if y in hard else (y, 0, -1), f)
+                    for y, f, down in kept(x) if not down]
+        return [((y, 0, -1) if down or y not in hard else (y, 1, f), f)
+                for y, f, down in kept(x)]
+
+    nodes = keep if only is None else {comp.index[v] for v in (pivot, *only)}
+    starts = [nd for x in (range(len(comp.ids)) if nodes is None else sorted(nodes))
+              for nd in pieces(x)]
     pivot_tree = None if pivot is None else _tree(adj, (comp.index[pivot], 0, -1))
 
     components = []
-    seen: set[tuple] = set()
-    for start in adj:
+    seen = set(seen)
+    for start in starts:
         if start in seen:
             continue
-        in_pivot = pivot_tree is not None and start in pivot_tree[1]
-        order, link = pivot_tree if in_pivot else _tree(adj, start)
+        if pivot_tree is not None and start in pivot_tree[1]:
+            order, link = pivot_tree
+        else:
+            order, link = _tree(adj, start)
+            # Rooted as a schedule of every component roots it, so the same
+            # messages precede ``complete`` and each keeps its bits.
+            if min(order) != start:
+                order, link = _tree(adj, min(order))
         seen.update(order)
         # Outward from the pivot; a message leaving the tail side of its edge is a pi message.
         distribute = []
         for nd in order[1:]:
             up, e = link[nd]
-            distribute.append((up[0] == comp.edges[e][0], e))
+            distribute.append((up[0] == edges[e][0], e))
         collect = tuple((not is_pi, e) for is_pi, e in reversed(distribute))
         components.append((order[0], collect, tuple(distribute)))
-    return _Schedule(hard, tuple(components), keep, preset)
+    return _Schedule(hard, tuple(components), keep, preset, None if only is None else seen)
 
 
 def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
@@ -276,14 +295,20 @@ def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
     of K that is no seed, has one child in K and only such parents is
     prior-only: its pi message to that child is its prior, preset.  The
     rest of K is swept: the seeds, the nodes with two or more children
-    in K, and every node of K below them."""
+    in K, and every node of K below them.
+
+    If every CPT entry is positive, only the components holding a piece
+    of the target or of a cut node are scheduled: any other has the same
+    mass on every cutset row, which cancels in the mixture and is
+    positive, as every valid evidence is then possible."""
     seeds = {target, *e.entries, *cut}
     kept = _closure(seeds, net._parents)
     below = {v: [c for c in net._children[v] if c in kept] for v in kept}
     swept = _closure(seeds | {v for v, cs in below.items() if len(cs) > 1}, below)
     preset = tuple(comp.edge_index[(v, below[v][0])] for v in kept - swept)
     return _schedule(comp, {*e.hard_states(), *cut}, target,
-                     frozenset(comp.index[v] for v in swept), preset)
+                     frozenset(comp.index[v] for v in swept), preset,
+                     cut if net._positive else None)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -295,12 +320,13 @@ class _Sweep:
     Row k of every array belongs to instantiation k; an array that every
     row shares may have a single row, which broadcasts.
 
-    ``_run`` sends the collect pass, which yields the evidence mass and
-    the belief of each pivot.  ``complete`` sends every message not yet
-    sent, in the order of ``full``, the schedule of the whole network;
-    the log and ``propagate`` call it before they read anything else.
-    Every message has the same value whenever it is sent, because all it
-    depends on was sent before it; node values are kept once computed.
+    ``_run`` sends the collect pass, which yields the belief of each
+    pivot and the mass the scheduled components gather.  ``complete``
+    sends every message not yet sent, in the order of ``full``, the
+    schedule of the whole network; the log and ``propagate`` call it
+    before they read anything else.  Every message has the same value
+    whenever it is sent, because all it depends on was sent before it;
+    node values are kept once computed.
 
     A schedule that keeps only some nodes sweeps only them: a lambda
     message from a child outside them counts as all ones and is not sent
@@ -323,10 +349,21 @@ class _Sweep:
         self.lambda_msg: list[np.ndarray | None] = [None] * len(comp.edges)
         for e in schedule.preset:
             self.pi_msg[e] = comp.prior(comp.edges[e][0])
-        self.mass: np.ndarray | None = None
+        self.gathered: np.ndarray | None = None
         self._all_sent = False
         self._pi: dict[int, np.ndarray] = {}
         self._lambda: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Per row, the evidence mass: ``gathered`` times that of the components
+        left out, whose collect passes it sends; ``CutsetRun`` reads it before
+        any trace, so that ``complete`` sends none of them again."""
+        s = self.schedule
+        if s.seen is None:
+            return self.gathered
+        rest = _schedule(self.comp, [self.comp.ids[x] for x in s.hard], keep=s.keep, seen=s.seen)
+        return self.gathered * self.collect(rest.components)
 
     @cached_property
     def full(self) -> _Schedule:
@@ -388,6 +425,16 @@ class _Sweep:
         self.lambda_msg[e] = self.lambda_message(e)
         return 1.0
 
+    def collect(self, components) -> np.ndarray:
+        """Send the collect passes of ``components``; per row, the mass they gather."""
+        mass = np.ones(1)
+        for pivot, collect, _ in components:
+            scale = 1.0
+            for is_pi, e in collect:
+                scale = scale * self.send(is_pi, e)
+            mass = mass * (self.pivot_mass(pivot) * scale)
+        return mass
+
     def complete(self) -> None:
         """Send every message not yet sent, in the order of the full schedule."""
         if self._all_sent:
@@ -434,16 +481,10 @@ class _Sweep:
 
 
 def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]) -> _Sweep:
-    """Send the collect pass of the schedule; ``mass`` holds each row's
-    probability of its evidence."""
+    """Send the collect pass of the schedule; ``gathered`` holds each
+    row's mass of the components swept."""
     sweep = _Sweep(comp, schedule, lam)
-    mass = np.ones(1)
-    for pivot, collect, _ in schedule.components:
-        scale = 1.0
-        for is_pi, e in collect:
-            scale = scale * sweep.send(is_pi, e)
-        mass = mass * (sweep.pivot_mass(pivot) * scale)
-    sweep.mass = mass
+    sweep.gathered = sweep.collect(schedule.components)
     return sweep
 
 

@@ -3,7 +3,9 @@
 All generators take an explicit numpy Generator so every test run sees
 the same networks.  CPT rows are drawn strictly positive, which keeps
 every evidence combination possible and spares the tests flaky
-zero-probability branches.
+zero-probability branches.  Given a positive ``zero_share``, the
+builders zero about that share of the entries instead, never a row's
+largest, so every row still sums to 1 with a positive entry.
 """
 
 import numpy as np
@@ -19,16 +21,19 @@ from beliefnet import (
 )
 
 
-def random_cpt(rng, child, parents, arity, pdims):
+def random_cpt(rng, child, parents, arity, pdims, zero_share=0.0):
     rows = 1
     for d in pdims:
         rows *= d
     table = rng.uniform(0.05, 1.0, size=(rows, arity))
+    if zero_share:
+        zero = rng.random(table.shape) < zero_share
+        table[zero & (table < table.max(axis=1, keepdims=True))] = 0.0
     table /= table.sum(axis=1, keepdims=True)
     return Cpt(child, tuple(parents), table)
 
 
-def assemble(rng, parent_idx, arities, prefix="N"):
+def assemble(rng, parent_idx, arities, prefix="N", zero_share=0.0):
     """Build a network from adjacency lists of parent indices."""
     names = [f"{prefix}{i}" for i in range(len(parent_idx))]
     variables = tuple(
@@ -39,11 +44,11 @@ def assemble(rng, parent_idx, arities, prefix="N"):
     for i, ps in enumerate(parent_idx):
         pnames = tuple(names[j] for j in ps)
         pdims = tuple(arities[j] for j in ps)
-        cpts.append(random_cpt(rng, names[i], pnames, arities[i], pdims))
+        cpts.append(random_cpt(rng, names[i], pnames, arities[i], pdims, zero_share))
     return BayesianNetwork(variables, cpts)
 
 
-def random_polytree(rng, n, min_states=2, max_states=4):
+def random_polytree(rng, n, min_states=2, max_states=4, zero_share=0.0):
     """A connected singly connected DAG: random tree skeleton, each
     edge randomly oriented."""
     parent_idx = [[] for _ in range(n)]
@@ -54,10 +59,10 @@ def random_polytree(rng, n, min_states=2, max_states=4):
         else:
             parent_idx[j].append(i)
     arities = [int(rng.integers(min_states, max_states + 1)) for _ in range(n)]
-    return assemble(rng, parent_idx, arities)
+    return assemble(rng, parent_idx, arities, zero_share=zero_share)
 
 
-def random_loopy(rng, n, min_states=2, max_states=3, extra_edges=(1, 2)):
+def random_loopy(rng, n, min_states=2, max_states=3, extra_edges=(1, 2), zero_share=0.0):
     """A multiply connected DAG: random tree skeleton plus a number of
     extra edges drawn from the inclusive range ``extra_edges``.
 
@@ -82,7 +87,7 @@ def random_loopy(rng, n, min_states=2, max_states=3, extra_edges=(1, 2)):
                     and len(parent_idx[head]) < 3:
                 parent_idx[head].append(tail)
         arities = [int(rng.integers(min_states, max_states + 1)) for _ in range(n)]
-        net = assemble(rng, parent_idx, arities)
+        net = assemble(rng, parent_idx, arities, zero_share=zero_share)
         if not is_polytree(net):
             return net
 

@@ -1,5 +1,6 @@
 import re
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -351,24 +352,115 @@ def _cutset_queries(fixture_dir):
             yield net, v.id, netgen.random_evidence(rng, net, exclude=(v.id,))
 
 
+def _needed_components(net, target, e, cut):
+    """The swept edges of a query by the components of the split
+    skeleton, by their definition, as (edges needed, edges deferred).
+
+    The swept nodes are the kept ones that are not prior-only.  Each
+    swept node has one piece, and an observed or cut node one more piece
+    per swept child; an edge joins its child's first piece to its
+    parent's piece for that edge, or to the parent's one piece.  On a
+    network whose CPT entries are all positive, the components holding
+    a piece of the target or of a cut node are needed and the others
+    deferred; with a zero entry every component is needed.
+    """
+    swept = _relevant(net, target, e, cut) - _prior_only(net, target, e, cut)
+    observed = set(e.hard_states()) | set(cut)
+    skeleton = nx.Graph()
+    skeleton.add_nodes_from((v, None) for v in swept)
+    edges = {}
+    for i, (u, w) in enumerate(net.edges):
+        if {u, w} <= swept:
+            skeleton.add_edge((u, i if u in observed else None), (w, None))
+            edges[i] = (w, None)
+    positive = all((c.table > 0).all() for c in net.cpts)
+    needed, deferred = set(), set()
+    for part in nx.connected_components(skeleton):
+        inside = {i for i, nd in edges.items() if nd in part}
+        if not positive or any(v in cut or v == target for v, _ in part):
+            needed |= inside
+        else:
+            deferred |= inside
+    return sorted(needed), sorted(deferred)
+
+
 def test_a_cutset_run_sends_only_the_pruned_collect_pass_until_traces_are_read(
         monkeypatch, fixture_dir):
     sent = _spy_sends(monkeypatch)
-    pruned = 0
+    pruned = deferring = 0
     for net, target, e in _cutset_queries(fixture_dir):
-        keep = _relevant(net, target, e, select_cutset(net).nodes)
+        cut = select_cutset(net).nodes
+        keep = _relevant(net, target, e, cut)
         inside = [i for i, (_, w) in enumerate(net.edges) if w in keep]
         pruned += len(inside) < len(net.edges)
+        needed, deferred = _needed_components(net, target, e, cut)
+        deferring += bool(deferred)
 
         sent.clear()
         infer(net, target, e, Method.CUTSET)
-        # One collect message per edge inside the kept part, and no other.
-        assert sorted(i for _, i in sent) == inside
+        # One collect message per edge of the components that hold the
+        # target or a piece of a cut node, and no other.
+        assert sorted(i for _, i in sent) == needed
 
         sent.clear()
-        run_cutset_conditioning(net, target, e).traces
+        run = run_cutset_conditioning(net, target, e)
+        assert sorted(i for _, i in sent) == needed
+        # Reading the weights sends each other collect message of the
+        # kept part once; reading the traces then sends every message
+        # once in all.
+        run.weights
+        assert sorted(i for _, i in sent) == sorted(needed + deferred) == inside
+        run.traces
+        assert sorted(sent) == _every_message(net)
+
+        # Reading the traces first sends every message once as well.
+        sent.clear()
+        run = run_cutset_conditioning(net, target, e)
+        run.traces, run.weights
         assert sorted(sent) == _every_message(net)
     assert pruned > 20
+    assert deferring > 5
+
+
+def test_leaving_components_out_changes_no_trace_and_moves_no_answer(
+        monkeypatch, fixture_dir, polytree_corpus):
+    # The same queries with every component swept at once, as on a
+    # network with a zero entry: every trace line is the same, bit for
+    # bit, polytree beliefs too, and loopy beliefs and the weights move
+    # only by rounding.
+    queries = list(_cutset_queries(fixture_dir))
+    for net, e in polytree_corpus[:100]:
+        free = [v.id for v in net.variables if not e.is_hard(v.id)]
+        queries += [(net, free[-1], e)] if free else []
+    runs = [run_cutset_conditioning(net, target, e) for net, target, e in queries]
+    monkeypatch.setattr(BayesianNetwork, "_positive", False)
+    for (net, target, e), run in zip(queries, runs):
+        whole = run_cutset_conditioning(net, target, e)
+        assert run.traces == whole.traces
+        moved = np.max(np.abs(run.belief.probabilities - whole.belief.probabilities))
+        assert moved <= (1e-15 if run.cutset.nodes else 0.0)
+        assert run.weights.keys() == whole.weights.keys()
+        for combo, w in whole.weights.items():
+            assert abs(run.weights[combo] - w) <= 1e-15 * w
+
+
+def test_a_long_observed_chain_answers_though_its_evidence_mass_underflows():
+    # P(e) = 0.5 * 0.1**398 is below the smallest float, but the target
+    # X399 needs only its own component of the split chain: the cut-off
+    # components, each of positive mass, are swept when the weights are
+    # read, and their product reads 0.0.
+    n = 400
+    flip = [[0.9, 0.1], [0.1, 0.9]]
+    net = BayesianNetwork(
+        tuple(Variable(f"X{i}", ("s0", "s1")) for i in range(n)),
+        (Cpt("X0", (), [0.5, 0.5]),
+         *(Cpt(f"X{i}", (f"X{i - 1}",), flip) for i in range(1, n))))
+    e = Evidence({f"X{i}": HardEvidence(i % 2) for i in range(n - 1)})
+    for method in (Method.POLYTREE, Method.CUTSET):
+        belief = infer(net, f"X{n - 1}", e, method).belief.probabilities
+        assert np.max(np.abs(belief - [0.9, 0.1])) <= 1e-12
+    run = run_cutset_conditioning(net, f"X{n - 1}", e)
+    assert run.weights[()] == 0.0
 
 
 def _zero_branch_net():

@@ -14,6 +14,7 @@ from beliefnet import (
     Cpt,
     Evidence,
     HardEvidence,
+    ImpossibleEvidenceError,
     Method,
     NetworkValidationError,
     QueryClass,
@@ -181,6 +182,45 @@ def test_each_cached_prior_is_the_marginal_and_the_sweeps_message(net):
         if all(len(net.children(u)) == 1 for u in {v.id, *net.ancestors(v.id)}):
             edge = (v.id, net.children(v.id)[0])
             assert np.array_equal(comp.prior(comp.index[v.id])[0], store.pi_messages[edge])
+
+
+@st.composite
+def zeroed_queries(draw):
+    """A netgen polytree or loopy DAG, with strictly positive tables or
+    with some entries zeroed, a target and hard and soft evidence."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 9))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    if draw(st.booleans()):
+        net = netgen.random_loopy(rng, n, zero_share=zero_share)
+    else:
+        net = netgen.random_polytree(rng, n, max_states=3, zero_share=zero_share)
+    target = draw(st.sampled_from([v.id for v in net.variables]))
+    entries = {v.id: _finding(draw, v) for v in net.variables
+               if v.id != target and draw(st.integers(0, 2)) == 0}
+    return net, target, Evidence(entries)
+
+
+@given(zeroed_queries())
+def test_every_engine_finds_impossible_evidence_exactly_when_enumeration_does(query):
+    # The cut-off components of a positive network are swept only when
+    # the weights are read; a network with a zero entry sweeps them all.
+    net, target, e = query
+    p_e = evidence_probability(net, e)
+    methods = [Method.CUTSET, Method.ENUMERATION] + [Method.POLYTREE] * bool(is_polytree(net))
+    for method in methods:
+        if p_e == 0:
+            with pytest.raises(ImpossibleEvidenceError):
+                infer(net, target, e, method)
+        else:
+            assert _far(infer(net, target, e, method).belief.probabilities,
+                        posterior(net, target, e).probabilities) <= 1e-9
+    if p_e == 0:
+        with pytest.raises(ImpossibleEvidenceError):
+            run_cutset_conditioning(net, target, e)
+    else:
+        run = run_cutset_conditioning(net, target, e)
+        assert abs(sum(run.weights.values()) - p_e) <= 1e-12 * p_e
 
 
 @st.composite

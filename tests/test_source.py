@@ -90,3 +90,15 @@ def test_every_contraction_runs_through_one_of_two_kernels():
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"]
     assert sorted(sites) == [("propagation.py", "contract_pi"),
                              ("propagation.py", "lambda_message")]
+
+
+def test_one_site_reads_whether_every_table_is_positive():
+    # Only the schedule toward a target may leave out the components cut
+    # off from it, and only on a positive network, where they cannot
+    # make the evidence impossible; every other sweep takes them all.
+    sites = [(path.name, function.name) for path in SOURCES
+             for function in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Attribute) and node.attr == "_positive"]
+    assert sites == [("propagation.py", "_toward")]
