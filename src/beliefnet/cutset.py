@@ -38,8 +38,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ImpossibleEvidenceError, InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state
+from .errors import ImpossibleEvidenceError
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state, _relevance
 from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
@@ -119,28 +119,25 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     one row's belief is read unmixed; any other network is conditioned on
     ``select_cutset``'s cutset.
     """
-    net.var(target)
-    if e.is_hard(target):
-        raise InvalidQueryError(f"target {target!r} carries hard evidence")
-    bound = _bind_evidence(net, e)
+    rel = _relevance(net, target, e)
     cut = LoopCutset() if is_polytree(net) else select_cutset(net)
     comp = _compiled(net)
-    schedule = _toward(net, comp, e, target, cut.nodes)
+    schedule = _toward(net, comp, rel, cut.nodes)
     x = comp.index[target]
     if not cut.nodes:
-        sweep = _run(comp, schedule, _lambdas(comp, bound))
+        sweep = _run(comp, schedule, _lambdas(comp, rel.bound))
         if sweep.gathered[0] <= 0:
             raise ImpossibleEvidenceError("evidence has probability zero")
         return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, 1, ((),), ((sweep, ((),)),))
     combos = tuple(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
     states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
-    rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
+    rows = np.flatnonzero(_allowed(rel.bound, cut.nodes, states))
     sweeps = []
     mixed = np.zeros(net.arity(target))
     total = 0.0
     for start in range(0, len(rows), BLOCK):
         block = rows[start:start + BLOCK]
-        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, states[block]))
+        sweep = _run(comp, schedule, _lambdas(comp, rel.bound, cut.nodes, states[block]))
         block_combos = tuple(combos[r] for r in block.tolist())
         sweeps.append((sweep, block_combos))
         w = sweep.gathered

@@ -17,11 +17,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import MissingValueError, NetworkValidationError
+from .errors import InvalidQueryError, MissingValueError, NetworkValidationError
 
 # Tolerance for CPT row sums and belief normalisation.
 ROW_SUM_TOL = 1e-9
@@ -114,7 +115,8 @@ class SoftEvidence:
     likelihood: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.likelihood, dtype=np.float64).reshape(-1)
+        # A copy, so that the caller's array cannot change the checked weights.
+        v = np.array(self.likelihood, dtype=np.float64).reshape(-1)
         if v.size == 0:
             raise ValueError("soft evidence vector is empty")
         if not np.isfinite(v).all():
@@ -123,7 +125,6 @@ class SoftEvidence:
             raise ValueError("soft evidence weights must be non-negative")
         if not np.any(v > 0):
             raise ValueError("soft evidence vector must have at least one positive weight")
-        v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "likelihood", v)
 
@@ -133,7 +134,7 @@ EvidenceEntry = Union[HardEvidence, SoftEvidence]
 
 @dataclass(frozen=True, eq=False)
 class Evidence:
-    """A set of evidence entries, at most one per variable."""
+    """A set of evidence entries, at most one per variable, read-only."""
 
     entries: Mapping[str, EvidenceEntry] = field(default_factory=dict)
 
@@ -142,7 +143,7 @@ class Evidence:
         for var, entry in d.items():
             if not isinstance(entry, (HardEvidence, SoftEvidence)):
                 raise TypeError(f"evidence for {var!r} must be HardEvidence or SoftEvidence")
-        object.__setattr__(self, "entries", d)
+        object.__setattr__(self, "entries", MappingProxyType(d))
 
     @staticmethod
     def empty() -> "Evidence":
@@ -401,7 +402,7 @@ class BayesianNetwork:
 
     @cached_property
     def _memo(self) -> dict:
-        """What ``_once`` derived from the network, by the function that derived it."""
+        """``_once``'s results, by the function that derived them, and the last ``_relevance``."""
         return {}
 
 
@@ -623,6 +624,36 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
             vec = entry.likelihood
         bound[var] = vec
     return bound
+
+
+@dataclass(frozen=True, eq=False)
+class _Relevance:
+    """A checked query and its bound evidence; ``opened`` is the evidence and
+    its ancestors (the colliders it opens), ``above`` the target and its ancestors."""
+
+    evidence: Evidence
+    target: str
+    bound: Mapping[str, np.ndarray]
+    hard: Mapping[str, int]
+    opened: frozenset[str]
+    above: frozenset[str]
+
+
+def _relevance(net: BayesianNetwork, target: str, e: Evidence) -> _Relevance:
+    """Check the target, then the network and the evidence (``_bind_evidence``),
+    then that the target has no hard finding.  The network keeps the last value,
+    found again by the target and by ``e``'s identity, which holding ``e`` keeps unique."""
+    rel = net._memo.get(_relevance)
+    if rel is None or rel.evidence is not e or rel.target != target:
+        net.var(target)
+        bound = _bind_evidence(net, e)
+        if e.is_hard(target):
+            raise InvalidQueryError(f"target {target!r} carries hard evidence")
+        rel = net._memo[_relevance] = _Relevance(
+            e, target, MappingProxyType(bound), MappingProxyType(e.hard_states()),
+            frozenset(_closure(e.entries, net._parents)),
+            frozenset(_closure((target,), net._parents)))
+    return rel
 
 
 def evidence_weight(net: BayesianNetwork, e: Evidence, assignment: Assignment) -> float:

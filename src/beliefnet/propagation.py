@@ -74,7 +74,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _once
+from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _once, _Relevance
 from .structure import is_polytree
 
 
@@ -286,27 +286,28 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
     return _Schedule(hard, tuple(components), keep, preset, None if only is None else seen)
 
 
-def _toward(net: BayesianNetwork, comp: _Compiled, e: Evidence, target: str,
+def _toward(net: BayesianNetwork, comp: _Compiled, rel: _Relevance,
             cut: Sequence[str] = ()) -> _Schedule:
-    """The schedule toward ``target`` with the evidence and the ``cut``
-    nodes observed.  K is the target, the evidence, the cut nodes (the
-    seeds) and all their ancestors; every other node is barren, and
-    changes neither the target's belief nor the evidence mass.  A node
-    of K that is no seed, has one child in K and only such parents is
-    prior-only: its pi message to that child is its prior, preset.  The
-    rest of K is swept: the seeds, the nodes with two or more children
-    in K, and every node of K below them.
+    """The schedule toward ``rel``'s target with its evidence and the
+    ``cut`` nodes observed.  K, the seeds (target, evidence and cut nodes)
+    and their ancestors, is ``rel.opened | rel.above`` and the ancestors
+    of any cut node outside it; every other node is barren, and changes
+    neither the target's belief nor the evidence mass.  A node of K that
+    is no seed, has one child in K and only such parents is prior-only:
+    its pi message to that child is its prior, preset.  The rest of K is
+    swept: the seeds, the nodes with two or more children in K, and all
+    of K below them.
 
     If every CPT entry is positive, only the components holding a piece
     of the target or of a cut node are scheduled: any other has the same
     mass on every cutset row, which cancels in the mixture and is
     positive, as every valid evidence is then possible."""
-    seeds = {target, *e.entries, *cut}
-    kept = _closure(seeds, net._parents)
+    seeds = {rel.target, *rel.bound, *cut}
+    kept = rel.opened | rel.above | _closure(set(cut) - rel.opened - rel.above, net._parents)
     below = {v: [c for c in net._children[v] if c in kept] for v in kept}
     swept = _closure(seeds | {v for v, cs in below.items() if len(cs) > 1}, below)
     preset = tuple(comp.edge_index[(v, below[v][0])] for v in kept - swept)
-    return _schedule(comp, {*e.hard_states(), *cut}, target,
+    return _schedule(comp, {*rel.hard, *cut}, rel.target,
                      frozenset(comp.index[v] for v in swept), preset,
                      cut if net._positive else None)
 

@@ -8,10 +8,13 @@ effect.  Evidence nodes that are d-separated from the target given the
 rest contribute nothing and are skipped; disagreeing directions make
 the query mixed.
 
-``infer`` answers by enumeration or through the one conditioning
-driver, ``cutset.run_cutset_conditioning``.  Message passing (``bp``)
-is conditioning on the empty cutset, which the driver picks on a
-polytree; ``infer`` first checks that the network is a valid polytree.
+``infer`` checks the query and binds its evidence once
+(``model._relevance``); the one conditioning driver,
+``cutset.run_cutset_conditioning``, and ``classify_query`` reuse that
+value.  ``infer`` answers by enumeration or through the driver.
+Message passing (``bp``) is conditioning on the empty cutset, which the
+driver picks on a polytree; under ``bp``, once the query is checked,
+``infer`` checks that the network is a polytree.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 from . import cutset as _cutset
 from . import enumeration as _enumeration
 from .errors import InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _require_valid
+from .model import BayesianNetwork, Belief, Evidence, _relevance
 from .propagation import _require_polytree
 from .structure import _reached, is_polytree
 
@@ -50,38 +53,24 @@ class QueryClassification:
 def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClassification:
     """Name the direction of reasoning a query performs.
 
-    The evidence is bound and checked once, and one Bayes-ball pass
-    from the target finds every evidence node that influences it.
+    The query is checked and bound once, by ``_relevance``, and one
+    Bayes-ball pass from the target finds each evidence node that influences it.
     """
-    net.var(target)
-    bound = _bind_evidence(net, e)
+    rel = _relevance(net, target, e)
     if e.is_empty():
         raise InvalidQueryError("classification needs at least one evidence entry")
-    if e.is_hard(target):
-        raise InvalidQueryError(f"target {target!r} carries hard evidence")
 
     # One ball from the target, given all of the evidence, reaches just
     # the evidence nodes d-connected to it given the other findings: a
     # node's own finding opens only colliders above it, and a trail
     # through such a collider can run down to the node instead.
-    reached = _reached(net, target, e.hard_states(), _closure(e.entries, net._parents))
-    anc = net.ancestors(target)
+    reached = _reached(net, target, rel.hard, rel.opened)
     desc = net.descendants(target)
-    subs: dict[str, QueryClass] = {}
-    for v in sorted(reached.intersection(bound).difference((target,)), key=net.index):
-        if v in anc:
-            subs[v] = QueryClass.FORWARD
-        elif v in desc:
-            subs[v] = QueryClass.BACKWARD
-        else:
-            subs[v] = QueryClass.INTERCAUSAL
-
+    subs = {v: (QueryClass.FORWARD if v in rel.above
+                else QueryClass.BACKWARD if v in desc else QueryClass.INTERCAUSAL)
+            for v in sorted(reached.intersection(rel.bound).difference((target,)), key=net.index)}
     kinds = set(subs.values())
-    if len(kinds) == 1:
-        kind = kinds.pop()
-    else:
-        kind = QueryClass.MIXED
-    return QueryClassification(kind, subs)
+    return QueryClassification(kinds.pop() if len(kinds) == 1 else QueryClass.MIXED, subs)
 
 
 class Method(Enum):
@@ -116,23 +105,20 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     is present.  With ``trace`` the result carries the run's message
     log; without it no message is formatted.  ``method`` may also be
     a method's value, such as ``"enum"``; any other raises ValueError.
+    The query is then checked in one order for every method: the
+    target, the network, the evidence, then hard evidence on the target.
     """
     resolved = Method(method)
-    net.var(target)
-    if e.is_hard(target):
-        raise InvalidQueryError(f"target {target!r} carries hard evidence")
+    _relevance(net, target, e)
     if resolved is Method.AUTO:
         resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
-    log: tuple[str, ...] = ()
+    elif resolved is Method.POLYTREE:
+        _require_polytree(net)
     if resolved is Method.ENUMERATION:
-        belief = _enumeration.posterior(net, target, e)
+        belief, log = _enumeration.posterior(net, target, e), ()
     else:
-        if resolved is Method.POLYTREE:
-            _require_valid(net)
-            _require_polytree(net)
         run = _cutset.run_cutset_conditioning(net, target, e)
         belief = run.belief
-        if trace:
-            log = tuple(line for sweep in run.traces.values() for line in sweep)
+        log = tuple(line for sweep in run.traces.values() for line in sweep) if trace else ()
     classification = None if e.is_empty() else classify_query(net, target, e)
     return InferResult(belief, resolved, classification, log)

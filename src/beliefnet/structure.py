@@ -101,8 +101,8 @@ def _reached(net: BayesianNetwork, x: str, hard, opened: set[str]) -> set[str]:
     passes the ball on no further.  The search runs over (node, arrived
     from a child) states, each visited at most once.  ``hard`` holds
     the nodes with hard evidence, and ``opened`` the converging nodes
-    evidence opens: the evidence nodes and their ancestors,
-    ``_closure(e.entries, net._parents)``.
+    evidence opens: the evidence nodes and their ancestors, a query's
+    ``model._Relevance.opened``.
     """
     parents, children = net._parents, net._children
     # The states reached: arrived from a child (up) or from a parent (down).

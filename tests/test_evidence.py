@@ -112,3 +112,23 @@ def test_a_network_is_validated_once(monkeypatch, fixture_dir):
     for method in (Method.AUTO, Method.ENUMERATION, Method.CUTSET):
         infer(net, "X1", e, method)
     assert calls == [net]
+
+
+def test_a_finding_set_cannot_change_once_made():
+    # A query's binding is kept by the identity of its ``Evidence``, so
+    # the findings behind that identity must not change.
+    weights = np.array([0.2, 0.7])
+    hard, soft = HardEvidence(1), SoftEvidence(weights)
+    given = {"X": hard, "Y": soft}
+    e = Evidence(given)
+    given["Z"] = HardEvidence(0)
+    weights[0] = -1.0
+    assert soft.likelihood.tolist() == [0.2, 0.7]
+    with pytest.raises(TypeError):
+        e.entries["X"] = HardEvidence(0)
+    with pytest.raises(TypeError):
+        del e.entries["X"]
+    assert dict(e.entries) == {"X": hard, "Y": soft}
+    assert len(e) == len(e.entries) == 2
+    assert list(e) == list(e.entries) == ["X", "Y"]
+    assert e.hard_states() == {"X": 1}

@@ -1,24 +1,31 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netgen
 from beliefnet import (
+    BayesianNetwork,
+    Cpt,
     Evidence,
     HardEvidence,
     InvalidQueryError,
+    MAX_JOINT_STATES,
     Method,
+    NetworkValidationError,
     NotAPolytreeError,
     QueryClass,
     SoftEvidence,
+    Variable,
     classify_query,
     infer,
     load_network,
     posterior,
     run_cutset_conditioning,
+    select_cutset,
 )
-from beliefnet import propagation, structure
+from beliefnet import model, propagation, structure
 
 
 def test_forward_serial(serial_net):
@@ -249,3 +256,156 @@ def test_bp_and_cutset_agree_bit_for_bit_on_polytrees(monkeypatch):
             queries += 1
     assert queries > 600
     assert counts["select_cutset"] == 0
+
+
+def _chain(n, drop=()):
+    """Binary chain V0 -> V1 -> ... with uniform tables, leaving out the
+    CPTs of the nodes numbered in ``drop``."""
+    vs = tuple(Variable(f"V{i}", ("a", "b")) for i in range(n))
+    cpts = tuple(Cpt(f"V{i}", (f"V{i - 1}",) if i else (), np.full((2 if i else 1, 2), 0.5))
+                 for i in range(n) if i not in drop)
+    return BayesianNetwork(vs, cpts)
+
+
+# Inputs with two faults at once.  Every query entry checks the target,
+# then the network, then the evidence, then hard evidence on the target.
+MULTI_FAULT = {
+    # The network fails ``validate`` before the target's finding is looked at.
+    "hard-target-on-an-invalid-network": (
+        lambda fixtures: _chain(3, drop=(2,)), "V1",
+        Evidence({"V1": HardEvidence(0), "V0": HardEvidence(0)}), NetworkValidationError),
+    # A malformed finding elsewhere is found while the evidence is bound.
+    "hard-target-and-a-malformed-finding": (
+        lambda fixtures: load_network(fixtures / "serial.bn"), "Z",
+        Evidence({"Z": HardEvidence(0), "X": HardEvidence(5)}), ValueError),
+    # Under ``bp`` the evidence is checked before the polytree test.
+    "malformed-evidence-on-a-loopy-network": (
+        lambda fixtures: load_network(fixtures / "sprinkler.bn"), "X1",
+        Evidence({"X5": HardEvidence(7)}), ValueError),
+    # Under ``enum`` the network is checked before the size guard.
+    "an-invalid-network-too-large-to-enumerate": (
+        lambda fixtures: _chain(23, drop=(22,)), "V0",
+        Evidence({"V1": HardEvidence(0)}), NetworkValidationError),
+}
+
+QUERY_ENTRIES = {
+    **{f"infer-{m.value}": (lambda net, t, e, m=m: infer(net, t, e, m)) for m in Method},
+    "run_cutset_conditioning": run_cutset_conditioning,
+    "classify_query": classify_query,
+}
+
+
+@pytest.mark.parametrize("entry", QUERY_ENTRIES)
+@pytest.mark.parametrize("case", MULTI_FAULT)
+def test_every_query_entry_reports_the_first_fault_in_one_order(fixture_dir, entry, case):
+    build, target, e, error = MULTI_FAULT[case]
+    net = build(fixture_dir)
+    with pytest.raises(Exception) as exc:
+        QUERY_ENTRIES[entry](net, target, e)
+    assert type(exc.value) is error
+
+
+def _bytes(result):
+    return result.belief.probabilities.tobytes(), result.classification, result.trace
+
+
+def test_a_query_is_checked_once_per_evidence_object_and_target(monkeypatch, fixture_dir):
+    net = load_network(fixture_dir / "sprinkler.bn")
+    e = Evidence({"X5": HardEvidence(0), "X2": SoftEvidence([0.3, 0.9])})
+    counts: dict[str, int] = {}
+    _spy(monkeypatch, model, "_bind_evidence", counts)
+    first = model._relevance(net, "X1", e)
+    assert model._relevance(net, "X1", e) is first
+    assert counts["_bind_evidence"] == 1
+    # Another target, or equal findings in another object, is checked anew.
+    other_target = model._relevance(net, "X3", e)
+    twin = Evidence(dict(e.entries))
+    other_object = model._relevance(net, "X3", twin)
+    assert counts["_bind_evidence"] == 3
+    assert (other_target.target, other_target.evidence) == ("X3", e)
+    assert other_object is not other_target and other_object.evidence is twin
+    assert other_object.opened == other_target.opened == first.opened
+    assert other_object.above == other_target.above != first.above
+    # A repeated query reads the kept value and answers with the same bits.
+    for method in (Method.AUTO, Method.ENUMERATION, Method.CUTSET):
+        for target in ("X1", "X4"):
+            once = infer(net, target, e, method, trace=True)
+            counts["_bind_evidence"] = 0
+            again = infer(net, target, e, method, trace=True)
+            assert counts["_bind_evidence"] == (1 if method is Method.ENUMERATION else 0)
+            assert _bytes(again) == _bytes(once)
+
+
+def test_networks_never_share_a_query_check(fixture_dir):
+    path = fixture_dir / "serial.bn"
+    first, second = load_network(path), load_network(path)
+    sprinkler = load_network(fixture_dir / "sprinkler.bn")
+    e = Evidence({"X": HardEvidence(1)})
+    for _ in range(2):
+        a = model._relevance(first, "Z", e)
+        b = model._relevance(second, "Z", e)
+        assert a is not b and a.bound["X"] is not b.bound["X"]
+        assert infer(first, "Z", e).belief.probabilities.tobytes() == \
+            infer(second, "Z", e).belief.probabilities.tobytes()
+        # The same findings name no variable of another network.
+        with pytest.raises(ValueError, match="unknown variable"):
+            infer(sprinkler, "X1", e)
+
+
+def _library_queries(seed):
+    """The benchmark's ``library_queries`` cases with evidence for ``seed``."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    cases = workloads.LibraryQueries(bench.parent, seed).setup()
+    return [(c.net, c.query.target, c.evidence) for c in cases if not c.evidence.is_empty()]
+
+
+def test_one_query_binds_its_evidence_once_and_walks_each_ancestry_once(monkeypatch):
+    # ``infer``, the conditioning driver and ``classify_query`` share one
+    # checked and bound query: one binding, and at most one upward walk
+    # each from the target, from the evidence and from the cut nodes that
+    # neither walk reached.  Each of the target and the evidence nodes
+    # seeds one walk, and none starts again from the target's parents.
+    queries = _library_queries(9)
+    assert len(queries) > 60
+    counts: dict[str, int] = {}
+    _spy(monkeypatch, model, "_bind_evidence", counts)
+    walks = []
+    real = model._closure
+
+    def record(seeds, step):
+        seeds = list(seeds)
+        walks.append((step, frozenset(seeds)))
+        return real(seeds, step)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("beliefnet") and \
+                getattr(module, "_closure", None) is real:
+            monkeypatch.setattr(module, "_closure", record)
+    checked = dict.fromkeys(Method, 0)
+    for net, target, e in queries:
+        loopy = not structure.is_polytree(net)
+        cut = frozenset(select_cutset(net).nodes) if loopy else frozenset()
+        for method in Method:
+            if method is Method.POLYTREE and loopy or \
+                    method is Method.ENUMERATION and net.joint_state_count > MAX_JOINT_STATES:
+                continue
+            counts["_bind_evidence"] = 0
+            walks.clear()
+            # A fresh evidence object, so that no earlier query's check is reused.
+            infer(net, target, Evidence(dict(e.entries)), method)
+            checked[method] += 1
+            if method is Method.ENUMERATION:
+                assert counts["_bind_evidence"] <= 2
+                continue
+            assert counts["_bind_evidence"] == 1
+            up = [s for step, s in walks if step is net._parents and s]
+            parents = set(net._parents[target])
+            assert len(up) <= 3
+            assert all(sum(v in s for s in up) == 1 for v in {target, *e})
+            assert not any(s == parents != set(e) for s in up)
+    assert min(checked.values()) > 20 and checked[Method.CUTSET] == len(queries)

@@ -102,3 +102,38 @@ def test_one_site_reads_whether_every_table_is_positive():
              for node in ast.walk(function)
              if isinstance(node, ast.Attribute) and node.attr == "_positive"]
     assert sites == [("propagation.py", "_toward")]
+
+
+def _functions(name):
+    """Every function definition named ``name`` in the library, by file."""
+    return [(path.name, node) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def _called(tree):
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_a_query_is_checked_and_bound_in_one_place():
+    # ``model._relevance`` checks the target, the network and the
+    # evidence and walks their ancestors once per query; the front door
+    # and the driver read its value instead of redoing any of it.
+    query = ast.parse((SOURCES[0].parent / "query.py").read_text())
+    assert _called(query) & {"_bind_evidence", "_closure", "ancestors", "_require_valid"} == set()
+    [(where, driver)] = _functions("run_cutset_conditioning")
+    assert where == "cutset.py"
+    assert "_relevance" in _called(driver) and "_bind_evidence" not in _called(driver)
+
+
+def test_one_check_rejects_hard_evidence_on_a_target():
+    # Only the joint over several targets checks its targets itself.
+    sites = sorted((path.name, function.name) for path in SOURCES
+                   for function in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(function, ast.FunctionDef)
+                   for node in ast.walk(function)
+                   if isinstance(node, ast.JoinedStr)
+                   and "carries hard evidence" in ast.unparse(node)
+                   and ast.unparse(node).startswith(("f'target", 'f"target')))
+    assert sites == [("enumeration.py", "marginal_joint"), ("model.py", "_relevance")]
