@@ -13,15 +13,16 @@ same nodes, so all of them share one message schedule and run as the
 rows of one batched sweep, in blocks of at most ``BLOCK`` rows to bound
 its memory; instantiations the evidence rules out are not swept.
 
-The sweep is the collect pass toward the target over the target, the
-evidence, the cutset and all their ancestors, less the in-trees whose
-pi messages are cached priors.  Every other node is barren, so each
-row's mass is still P(c, e) and the target's belief is read off the
-collect pass.  If every CPT entry is positive, the pass covers only
-the components of the split network that hold the target or a piece
-of a cutset node: any other has the same positive mass on every row,
-which cancels in the mixture, and is swept when ``weights`` is first
-read.  The rest of the sweep is sent only when the traces are read.
+The sweep is the collect pass toward the target, built by one walk out
+from it, over the target, the evidence, the cutset and all their
+ancestors, less the in-trees whose pi messages are cached priors.
+Every other node is barren, so each row's mass is still P(c, e) and
+the target's belief is read off the collect pass.  If every CPT entry
+is positive, the pass covers only the components of the split network
+that hold the target or a piece of a cutset node: any other has the
+same positive mass on every row, which cancels in the mixture, and is
+walked and swept when ``weights`` is first read.  The rest of the
+sweep is sent only when the traces are read.
 
 On a polytree ``run_cutset_conditioning`` skips the cutset search: the
 empty cutset leaves one row, whose belief is read unmixed (Suermondt &

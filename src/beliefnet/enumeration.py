@@ -42,7 +42,10 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
     ever held.
     """
     _check_size(net)
-    bound = _bind_evidence(net, e)
+    return _weighted_joint(net, _bind_evidence(net, e))
+
+
+def _weighted_joint(net: BayesianNetwork, bound) -> np.ndarray:
     dims = net.dims
     n = len(dims)
     arr = np.ones(dims, dtype=np.float64)
@@ -88,7 +91,14 @@ def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()
         net.var(t)
         if e.is_hard(t):
             raise InvalidQueryError(f"target {t!r} carries hard evidence")
-    arr = weighted_joint(net, e)
+    _check_size(net)
+    return _marginal(net, targets, _bind_evidence(net, e))
+
+
+def _marginal(net: BayesianNetwork, targets: list[str], bound) -> np.ndarray:
+    """``marginal_joint`` of checked targets, the evidence bound (``model._relevance``)."""
+    _check_size(net)
+    arr = _weighted_joint(net, bound)
     keep = [net.index(t) for t in targets]
     other = tuple(i for i in range(arr.ndim) if i not in keep)
     marg = arr.sum(axis=other) if other else arr

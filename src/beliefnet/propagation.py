@@ -49,17 +49,19 @@ traces formats nothing.
 
 ``propagate`` sweeps the whole network.  A query for one target runs
 the cutset-conditioning driver, on a polytree with the empty cutset,
-which reads the target's belief off a collect pass toward it
-(``_toward``).  Only the target, the evidence and their ancestors
-matter.  Every other node is barren: no evidence lies at or below it,
-so its lambda message is all ones (Shachter 1986; Baker & Boult 1990).
-An ancestral in-tree that no evidence reaches is not swept either: its
-pi messages are prior marginals, which the compiled network computes
-once with the sweep's own pi contraction and keeps (lazy propagation's
-reuse of evidence-free potentials; Madsen & Jensen 1999).  A component
-that hard findings cut off from the target and from every cut node
-cannot change the target's belief (the requisite set of Bayes-ball;
-Shachter 1998); if no CPT entry is zero, the schedule leaves it out.
+which reads the target's belief off a collect pass toward it.  One
+breadth-first walk out from the target builds that pass (``_toward``)
+and reaches only what the target's belief needs (the requisite nodes
+of Bayes-ball; Shachter 1998).  A child that is not the target, an
+evidence or a cut node, nor an ancestor of one, is barren: no evidence
+lies at or below it, so its lambda message is all ones (Shachter 1986;
+Baker & Boult 1990).  A parent whose ancestral in-tree no evidence
+reaches is prior-only: its pi message is its prior marginal, which the
+compiled network computes once with the sweep's own pi contraction and
+keeps (lazy propagation's reuse of evidence-free potentials; Madsen &
+Jensen 1999).  A component that hard findings cut off from the target
+and from every cut node cannot change the target's belief; if no CPT
+entry is zero, the walk reaches it only when the mass is read.
 Reading the log sends the missing messages in the whole network's
 order, so it lists what ``propagate``'s does.
 """
@@ -93,8 +95,9 @@ class _Compiled:
     ``pi_subs[x]`` contracts the pi messages from x's parents with its
     CPT; ``lambda_subs[e]`` contracts the CPT of the child of edge e
     with its lambda and the pi messages from its other parents
-    (``others[e]``).  ``priors`` keeps each prior marginal that
-    ``prior`` has computed.
+    (``others[e]``).  ``parents[x]`` lists x's parents, and ``rank[x]`` is
+    x's place in ``net.topological_order()``.  ``priors`` keeps each
+    prior marginal that ``prior`` has computed.
     """
 
     def __init__(self, net: BayesianNetwork):
@@ -107,6 +110,8 @@ class _Compiled:
         for e, (u, w) in enumerate(self.edges):
             self.in_edges[w].append(e)
             self.out_edges[u].append(e)
+        self.parents = [[self.edges[e][0] for e in ins] for ins in self.in_edges]
+        self.rank = {self.index[v]: r for r, v in enumerate(net.topological_order())}
         self.neighbors = [sorted([(self.edges[e][0], e, False) for e in ins]
                                  + [(self.edges[e][1], e, True) for e in outs])
                           for ins, outs in zip(self.in_edges, self.out_edges)]
@@ -145,12 +150,11 @@ class _Compiled:
         stack = [] if x in self.priors else [x]
         while stack:
             y = stack.pop()
-            parents = [self.edges[e][0] for e in self.in_edges[y]]
-            missing = [u for u in parents if u not in self.priors]
+            missing = [u for u in self.parents[y] if u not in self.priors]
             if missing:
                 stack += [y, *missing]
             elif y not in self.priors:
-                pi = self.contract_pi(y, [self.priors[u] for u in parents])
+                pi = self.contract_pi(y, [self.priors[u] for u in self.parents[y]])
                 self.priors[y] = pi / pi.sum(axis=-1)[:, None]
         return self.priors[x]
 
@@ -191,125 +195,168 @@ class _Schedule:
     (x, 0, -1) for node x, or its incoming piece when x is observed, and
     (x, 1, e) for the clone of observed x that carries its edge e.
     Edges leave a node in the order of their heads, so split nodes sort
-    by node, piece and head.  ``keep`` is the set of nodes swept, with
-    the edges between them; None when the schedule covers the whole
-    network.  ``preset`` lists the edges whose pi message is a cached
-    prior (``_Compiled.prior``), which is never sent.  ``seen`` holds
-    the split nodes scheduled when components may be left out, else None.
+    by node, piece and head.  ``walk`` built it.  ``preset`` lists the
+    edges whose pi message is a cached prior (``_Compiled.prior``),
+    which is never sent.
     """
 
-    hard: frozenset[int]
+    walk: _Walk
     components: tuple[tuple[tuple[int, int, int], tuple[tuple[bool, int], ...],
                             tuple[tuple[bool, int], ...]], ...]
-    keep: frozenset[int] | None = None
-    preset: tuple[int, ...] = ()
-    seen: set[tuple[int, int, int]] | None = None
+    preset: tuple[int, ...]
+
+    @cached_property
+    def rest(self) -> _Schedule:
+        """The components the walk has not reached, in order of their first split node."""
+        return self.walk.schedule(sorted(self.walk.seeds), ordered=True)
 
 
-def _tree(adj, root: tuple) -> tuple[list, dict]:
-    """Breadth-first spanning tree of root's component, by ``adj(node)``;
-    a second way into any split node means a loop survived instantiation."""
-    link: dict[tuple, tuple | None] = {root: None}
-    order = [root]
-    for nd in order:
-        back = link[nd][0] if link[nd] else None
-        for nb, e in adj(nd):
-            if nb == back:
-                continue
-            if nb in link:
-                raise NotAPolytreeError(
-                    "propagation schedule found a loop not cut by the instantiated nodes"
-                )
-            link[nb] = (nd, e)
-            order.append(nb)
-    return order, link
-
-
-def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None,
-              keep: frozenset[int] | None = None, preset: tuple[int, ...] = (),
-              only: Sequence[str] | None = None, seen=()) -> _Schedule:
-    """Schedule a sweep with ``hard_vars`` observed, over the nodes in
-    ``keep`` and the edges between them, or over the whole network.
-
-    Components are taken in order of their first split node; each is
-    rooted at that node, or at the pivot variable's node when the
-    component holds it.  Given ``only``, just the components holding a
-    piece of the pivot or of a node in ``only`` are built.  A component
-    holding a split node in ``seen`` is left out.  Every edge into
-    ``keep`` from outside it must be ``preset``.
+class _Walk:
+    """Breadth-first walks over the split skeleton with the nodes ``hard``
+    observed, which build every schedule.  With ``keep`` None every node
+    is kept and nothing is preset.  Toward a target, ``keep(x)`` says
+    whether x is in K, the ``seeds`` (target, evidence and cut nodes) and
+    their ancestors, and a node's neighbours are classified when the walk
+    first reaches it: a child outside K is barren and skipped; an observed
+    parent gives the clone that carries the edge; a prior-only parent's
+    edge is preset; any other neighbour is walked.
     """
-    hard = frozenset(comp.index[v] for v in hard_vars)
-    edges, neighbors = comp.edges, comp.neighbors
 
-    def kept(x: int) -> list:
-        return neighbors[x] if keep is None else [nb for nb in neighbors[x] if nb[0] in keep]
+    def __init__(self, comp: _Compiled, hard: frozenset[int], keep=None, seeds=frozenset()):
+        self.comp, self.hard, self.keep, self.seeds = comp, hard, keep, seeds
+        self.preset: list[int] = []
+        self.prior_edge: dict[int, int] = {}
+        # Each split node walked, with its neighbours; a walk takes whole components.
+        self._adj: dict[tuple[int, int, int], list] = {}
 
-    def pieces(x: int) -> list:
-        return [(x, 0, -1)] + ([(x, 1, e) for _, e, down in kept(x) if down] if x in hard else [])
+    def prior_only(self, y: int) -> bool:
+        """Whether y is prior-only: no seed, one child in K and only
+        prior-only parents.  ``prior_edge`` keeps, per node decided, its
+        edge to that child, or -1 when it is not prior-only.  Each node is
+        decided once per walk, parents first, without recursion."""
+        known, comp = self.prior_edge, self.comp
+        if y in known:
+            return known[y] >= 0
+        # Each node reached takes its own test once; one that passes holds
+        # its edge until its ancestors are known.
+        region, stack, failed = [], [y], False
+        while stack:
+            x = stack.pop()
+            if x in known:
+                failed = failed or known[x] < 0
+                continue
+            # Every node reached is in K, so its lone child is in K too.
+            out = comp.out_edges[x]
+            below = () if x in self.seeds else out if len(out) == 1 else \
+                [f for f in out if self.keep(comp.edges[f][1])]
+            if len(below) == 1:
+                known[x] = below[0]
+                region.append(x)
+                stack += comp.parents[x]
+            else:
+                known[x] = -1
+                failed = True
+        if failed:
+            for x in sorted(region, key=comp.rank.__getitem__):
+                if -1 in map(known.__getitem__, comp.parents[x]):
+                    known[x] = -1
+        return known[y] >= 0
 
-    def adj(nd: tuple[int, int, int]) -> list:
+    def adjacent(self, nd: tuple[int, int, int]) -> list:
+        """nd's walked neighbours, as (split node, edge), classified once."""
+        adj = self._adj.get(nd)
+        if adj is not None:
+            return adj
         x, clone, e = nd
         if clone:
-            return [((edges[e][1], 0, -1), e)]
-        if x in hard:
-            return [((y, 1, f) if y in hard else (y, 0, -1), f)
-                    for y, f, down in kept(x) if not down]
-        return [((y, 0, -1) if down or y not in hard else (y, 1, f), f)
-                for y, f, down in kept(x)]
-
-    nodes = keep if only is None else {comp.index[v] for v in (pivot, *only)}
-    starts = [nd for x in (range(len(comp.ids)) if nodes is None else sorted(nodes))
-              for nd in pieces(x)]
-    pivot_tree = None if pivot is None else _tree(adj, (comp.index[pivot], 0, -1))
-
-    components = []
-    seen = set(seen)
-    for start in starts:
-        if start in seen:
-            continue
-        if pivot_tree is not None and start in pivot_tree[1]:
-            order, link = pivot_tree
+            adj = [((self.comp.edges[e][1], 0, -1), e)]
         else:
-            order, link = _tree(adj, start)
-            # Rooted as a schedule of every component roots it, so the same
-            # messages precede ``complete`` and each keeps its bits.
-            if min(order) != start:
-                order, link = _tree(adj, min(order))
-        seen.update(order)
-        # Outward from the pivot; a message leaving the tail side of its edge is a pi message.
-        distribute = []
-        for nd in order[1:]:
-            up, e = link[nd]
-            distribute.append((up[0] == edges[e][0], e))
-        collect = tuple((not is_pi, e) for is_pi, e in reversed(distribute))
-        components.append((order[0], collect, tuple(distribute)))
-    return _Schedule(hard, tuple(components), keep, preset, None if only is None else seen)
+            adj, keep, hard = [], self.keep, self.hard
+            for y, f, down in self.comp.neighbors[x]:
+                if down:
+                    if x not in hard and (keep is None or keep(y)):
+                        adj.append(((y, 0, -1), f))
+                elif y in hard:
+                    adj.append(((y, 1, f), f))
+                elif keep is not None and self.prior_only(y):
+                    self.preset.append(f)
+                else:
+                    adj.append(((y, 0, -1), f))
+        self._adj[nd] = adj
+        return adj
+
+    def tree(self, root: tuple[int, int, int]) -> tuple[list, dict]:
+        """Breadth-first spanning tree of root's component; a second way
+        into any split node means a loop survived instantiation."""
+        link: dict[tuple, tuple | None] = {root: None}
+        order = [root]
+        for nd in order:
+            back = link[nd][0] if link[nd] else None
+            for nb, e in self.adjacent(nd):
+                if nb == back:
+                    continue
+                if nb in link:
+                    raise NotAPolytreeError(
+                        "propagation schedule found a loop not cut by the instantiated nodes")
+                link[nb] = (nd, e)
+                order.append(nb)
+        return order, link
+
+    def schedule(self, xs, pivot: tuple[int, int, int] | None = None,
+                 ordered: bool = False) -> _Schedule:
+        """Schedule the components not yet walked that hold a piece of a
+        node in ``xs``, in order of the first such piece, or of their first
+        split node if ``ordered``.  Each is rooted at ``pivot`` if it holds
+        it, else at its first split node, as in the schedule of every
+        component, so the same messages precede ``complete`` and keep their bits."""
+        preset, found, edges, keep = len(self.preset), [], self.comp.edges, self.keep
+        pivot_tree = self.tree(pivot) if pivot else None
+        for start in [nd for x in xs for nd in [(x, 0, -1)] + (
+                [(x, 1, f) for y, f, down in self.comp.neighbors[x]
+                 if down and (keep is None or keep(y))] if x in self.hard else [])]:
+            if pivot_tree and start in pivot_tree[1]:
+                (order, link), pivot_tree = pivot_tree, None
+                first = min(order) if ordered else start
+            elif start in self._adj:
+                continue
+            else:
+                order, link = self.tree(start)
+                first = min(order)
+                if first != start:
+                    order, link = self.tree(first)
+            # Outward from the root; a message leaving the tail side of its edge is a pi message.
+            distribute = [(up[0] == edges[e][0], e) for up, e in map(link.get, order[1:])]
+            collect = tuple([(not is_pi, e) for is_pi, e in reversed(distribute)])
+            found.append((first, order[0], collect, tuple(distribute)))
+        if ordered:
+            found.sort(key=lambda c: c[0])
+        return _Schedule(self, tuple([c[1:] for c in found]), tuple(self.preset[preset:]))
+
+
+def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule:
+    """The schedule of the whole network with ``hard_vars`` observed, each
+    component rooted at the pivot variable's node if it holds it."""
+    walk = _Walk(comp, frozenset(comp.index[v] for v in hard_vars))
+    return walk.schedule(range(len(comp.ids)),
+                         None if pivot is None else (comp.index[pivot], 0, -1))
 
 
 def _toward(net: BayesianNetwork, comp: _Compiled, rel: _Relevance,
             cut: Sequence[str] = ()) -> _Schedule:
-    """The schedule toward ``rel``'s target with its evidence and the
-    ``cut`` nodes observed.  K, the seeds (target, evidence and cut nodes)
-    and their ancestors, is ``rel.opened | rel.above`` and the ancestors
-    of any cut node outside it; every other node is barren, and changes
-    neither the target's belief nor the evidence mass.  A node of K that
-    is no seed, has one child in K and only such parents is prior-only:
-    its pi message to that child is its prior, preset.  The rest of K is
-    swept: the seeds, the nodes with two or more children in K, and all
-    of K below them.
-
-    If every CPT entry is positive, only the components holding a piece
-    of the target or of a cut node are scheduled: any other has the same
-    mass on every cutset row, which cancels in the mixture and is
-    positive, as every valid evidence is then possible."""
-    seeds = {rel.target, *rel.bound, *cut}
-    kept = rel.opened | rel.above | _closure(set(cut) - rel.opened - rel.above, net._parents)
-    below = {v: [c for c in net._children[v] if c in kept] for v in kept}
-    swept = _closure(seeds | {v for v, cs in below.items() if len(cs) > 1}, below)
-    preset = tuple(comp.edge_index[(v, below[v][0])] for v in kept - swept)
-    return _schedule(comp, {*rel.hard, *cut}, rel.target,
-                     frozenset(comp.index[v] for v in swept), preset,
-                     cut if net._positive else None)
+    """The schedule toward ``rel``'s target with its evidence and the ``cut``
+    nodes observed.  K is ``rel.opened | rel.above`` and the ancestors of
+    any cut node outside it.  If every CPT entry is positive, a component
+    holding no piece of the target or of a cut node has the same positive
+    mass on every cutset row, which cancels in the mixture: it is left to ``rest``."""
+    ids, index, opened, above = comp.ids, comp.index, rel.opened, rel.above
+    outside = _closure(set(cut) - opened - above, net._parents) if cut else ()
+    walk = _Walk(comp, frozenset(map(index.__getitem__, [*rel.hard, *cut])),
+                 lambda x: (v := ids[x]) in above or v in opened or v in outside,
+                 frozenset(map(index.__getitem__, [rel.target, *rel.bound, *cut])))
+    pivot = (index[rel.target], 0, -1)
+    if net._positive:
+        return walk.schedule(sorted({pivot[0], *(index[v] for v in cut)}), pivot)
+    return walk.schedule(sorted(walk.seeds), pivot, ordered=True)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -329,27 +376,18 @@ class _Sweep:
     whenever it is sent, because all it depends on was sent before it;
     node values are kept once computed.
 
-    A schedule that keeps only some nodes sweeps only them: a lambda
-    message from a child outside them counts as all ones and is not sent
-    until ``complete``.  The schedule's preset pi messages are set at
-    once and never sent.  Messages and node values computed before
-    ``complete`` keep their values.
+    A lambda message not yet sent counts as all ones: before
+    ``complete`` that is one from a child the walk left out as barren.
+    A schedule's preset pi messages are set before its collect pass and
+    never sent.  Messages and node values computed before ``complete``
+    keep their values.
     """
 
     def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
         self.comp, self.schedule, self.lam = comp, schedule, lam
-        self.hard = schedule.hard
-        # The lambda messages from x's children that its values multiply in.
-        self.out: Mapping[int, list[int]] | list[list[int]] = comp.out_edges
-        if schedule.keep is not None:
-            self.out = {x: [e for e in comp.out_edges[x] if comp.edges[e][1] in schedule.keep]
-                        for x in schedule.keep}
-        # lam >= 0, so its sign marks the instantiated state of a hard node.
-        self.indicator = {x: np.sign(lam[x]) for x in self.hard}
+        self.hard = schedule.walk.hard
         self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
         self.lambda_msg: list[np.ndarray | None] = [None] * len(comp.edges)
-        for e in schedule.preset:
-            self.pi_msg[e] = comp.prior(comp.edges[e][0])
         self.gathered: np.ndarray | None = None
         self._all_sent = False
         self._pi: dict[int, np.ndarray] = {}
@@ -358,18 +396,13 @@ class _Sweep:
     @cached_property
     def mass(self) -> np.ndarray:
         """Per row, the evidence mass: ``gathered`` times that of the components
-        left out, whose collect passes it sends; ``CutsetRun`` reads it before
-        any trace, so that ``complete`` sends none of them again."""
-        s = self.schedule
-        if s.seen is None:
-            return self.gathered
-        rest = _schedule(self.comp, [self.comp.ids[x] for x in s.hard], keep=s.keep, seen=s.seen)
-        return self.gathered * self.collect(rest.components)
+        left out (``_Schedule.rest``), whose collect passes it sends."""
+        return self.gathered * self.collect(self.schedule.rest)
 
     @cached_property
     def full(self) -> _Schedule:
         """The schedule of every message, which orders ``complete`` and the log."""
-        if self.schedule.keep is None:
+        if self.schedule.walk.keep is None:
             return self.schedule
         return _schedule(self.comp, [self.comp.ids[x] for x in self.hard])
 
@@ -386,8 +419,9 @@ class _Sweep:
         lv = self._lambda.get(x)
         if lv is None:
             lv = self.lam[x]
-            for e in self.out[x]:
-                lv = self.lambda_msg[e] if lv is None else lv * self.lambda_msg[e]
+            for m in map(self.lambda_msg.__getitem__, self.comp.out_edges[x]):
+                if m is not None:
+                    lv = m if lv is None else lv * m
             if lv is None:
                 lv = self.comp.ones[x]
             self._lambda[x] = lv
@@ -397,12 +431,13 @@ class _Sweep:
         """The pi message down edge e and the normalisation mass it absorbed."""
         u = self.comp.edges[e][0]
         if u in self.hard:
-            return self.indicator[u], 1.0
+            # lam >= 0, so its sign marks the instantiated state of a hard node.
+            return np.sign(self.lam[u]), 1.0
         vec = self.pi_value(u)
         if self.lam[u] is not None:
             vec = vec * self.lam[u]
-        for f in self.out[u]:
-            if f != e:
+        for f in self.comp.out_edges[u]:
+            if f != e and self.lambda_msg[f] is not None:
                 vec = vec * self.lambda_msg[f]
         gamma = vec.sum(axis=-1)
         if gamma.all():
@@ -426,10 +461,13 @@ class _Sweep:
         self.lambda_msg[e] = self.lambda_message(e)
         return 1.0
 
-    def collect(self, components) -> np.ndarray:
-        """Send the collect passes of ``components``; per row, the mass they gather."""
+    def collect(self, schedule: _Schedule) -> np.ndarray:
+        """Preset ``schedule``'s cached priors and send its collect passes;
+        per row, the mass they gather."""
+        for e in schedule.preset:
+            self.pi_msg[e] = self.comp.prior(self.comp.edges[e][0])
         mass = np.ones(1)
-        for pivot, collect, _ in components:
+        for pivot, collect, _ in schedule.components:
             scale = 1.0
             for is_pi, e in collect:
                 scale = scale * self.send(is_pi, e)
@@ -440,7 +478,12 @@ class _Sweep:
         """Send every message not yet sent, in the order of the full schedule."""
         if self._all_sent:
             return
-        self.out = self.comp.out_edges
+        # Reading the mass walks and sweeps the components left out, so every
+        # prior-only node is then decided and its pi message is its prior.
+        self.mass
+        for e in self.schedule.walk.prior_edge.values():
+            if e >= 0 and self.pi_msg[e] is None:
+                self.pi_msg[e] = self.comp.prior(self.comp.edges[e][0])
         for _, collect, distribute in self.full.components:
             for is_pi, e in collect + distribute:
                 if (self.pi_msg if is_pi else self.lambda_msg)[e] is None:
@@ -451,7 +494,7 @@ class _Sweep:
         """Per row, the evidence mass the collect pass gathered at the pivot."""
         x, clone, e = pivot
         if clone:
-            return (self.lambda_msg[e] * self.indicator[x]).sum(axis=-1)
+            return (self.lambda_msg[e] * np.sign(self.lam[x])).sum(axis=-1)
         lv = self.lam[x] if x in self.hard else self.lambda_value(x)
         return (self.pi_value(x) * lv).sum(axis=-1)
 
@@ -460,7 +503,7 @@ class _Sweep:
         instantiated state; zero in a row of zero mass.  x is a pivot,
         whose belief the collect pass yields, or the sweep is complete."""
         if x in self.hard:
-            return self.indicator[x]
+            return np.sign(self.lam[x])
         raw = self.pi_value(x) * self.lambda_value(x)
         total = raw.sum(axis=-1, keepdims=True)
         return raw / np.where(total > 0, total, 1.0)
@@ -485,7 +528,7 @@ def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]) -> 
     """Send the collect pass of the schedule; ``gathered`` holds each
     row's mass of the components swept."""
     sweep = _Sweep(comp, schedule, lam)
-    sweep.gathered = sweep.collect(schedule.components)
+    sweep.gathered = sweep.collect(schedule)
     return sweep
 
 

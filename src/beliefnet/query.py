@@ -10,8 +10,8 @@ the query mixed.
 
 ``infer`` checks the query and binds its evidence once
 (``model._relevance``); the one conditioning driver,
-``cutset.run_cutset_conditioning``, and ``classify_query`` reuse that
-value.  ``infer`` answers by enumeration or through the driver.
+``cutset.run_cutset_conditioning``, enumeration and ``classify_query``
+reuse that value.  ``infer`` answers by enumeration or through the driver.
 Message passing (``bp``) is conditioning on the empty cutset, which the
 driver picks on a polytree; under ``bp``, once the query is checked,
 ``infer`` checks that the network is a polytree.
@@ -109,13 +109,13 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     target, the network, the evidence, then hard evidence on the target.
     """
     resolved = Method(method)
-    _relevance(net, target, e)
+    rel = _relevance(net, target, e)
     if resolved is Method.AUTO:
         resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
     elif resolved is Method.POLYTREE:
         _require_polytree(net)
     if resolved is Method.ENUMERATION:
-        belief, log = _enumeration.posterior(net, target, e), ()
+        belief, log = Belief(target, _enumeration._marginal(net, [target], rel.bound)), ()
     else:
         run = _cutset.run_cutset_conditioning(net, target, e)
         belief = run.belief

@@ -9,6 +9,7 @@ from beliefnet import (
     HardEvidence,
     ImpossibleEvidenceError,
     InvalidQueryError,
+    NotAPolytreeError,
     SoftEvidence,
     Variable,
     conditioned_posterior,
@@ -115,6 +116,13 @@ def test_instantiation_weight_rejects_a_state_that_is_not_an_integer(serial_net,
 def test_instantiation_weight_takes_a_numpy_integer_state(serial_net):
     assert instantiation_weight(serial_net, {"X": np.int64(1)}) == \
         instantiation_weight(serial_net, {"X": 1})
+
+
+def test_instantiation_weight_rejects_instantiated_nodes_that_leave_a_loop(sprinkler_net):
+    # Nothing cuts the sprinkler's loop, so the sweep's walk reaches a
+    # split node a second way.
+    with pytest.raises(NotAPolytreeError, match="loop not cut by the instantiated nodes"):
+        instantiation_weight(sprinkler_net, {})
 
 
 def test_hard_target_rejected(sprinkler_net):

@@ -275,11 +275,14 @@ def test_a_target_run_sends_only_the_relevant_messages_until_more_is_read(
 
 
 def test_a_second_query_computes_no_prior_again(monkeypatch, polytree_corpus):
+    # A query computes the priors that feed the components it sweeps;
+    # reading the weights sweeps the rest and computes every other prior
+    # of the query, and a second query computes none of them again.
     contracted = []
     real = propagation._Compiled.contract_pi
     monkeypatch.setattr(propagation._Compiled, "contract_pi",
                         lambda comp, x, msgs: contracted.append(x) or real(comp, x, msgs))
-    cached = 0
+    cached = deferred = 0
     for shared, e in polytree_corpus[100:200]:
         # A copy, whose cache no other test has filled.
         net = BayesianNetwork(shared.variables, shared.cpts)
@@ -288,12 +291,20 @@ def test_a_second_query_computes_no_prior_again(monkeypatch, polytree_corpus):
             continue
         target = free[0]
         comp = propagation._compiled(net)
-        prior_only = {comp.index[v] for v in _prior_only(net, target, e)}
-        cached += bool(prior_only)
+        prior_only = _prior_only(net, target, e)
+        needed = set().union(*(nodes for nodes, _, need in _split_components(net, target, e, ())
+                               if need))
+        feeding = {u for v in needed for u in net.parents(v) if u in prior_only}
+        feeding = {comp.index[v] for v in feeding.union(*(net.ancestors(u) for u in feeding))}
+        prior_only = {comp.index[v] for v in prior_only}
+        cached += bool(feeding)
+        deferred += feeding < prior_only
 
         contracted.clear()
         first = infer(net, target, e).belief.probabilities
-        assert prior_only <= set(comp.priors) and prior_only <= set(contracted)
+        assert set(comp.priors) == feeding and feeding <= set(contracted)
+        run_cutset_conditioning(net, target, e).weights
+        assert set(comp.priors) == prior_only
         priors = dict(comp.priors)
 
         contracted.clear()
@@ -303,22 +314,46 @@ def test_a_second_query_computes_no_prior_again(monkeypatch, polytree_corpus):
         assert all(comp.priors[x] is vec for x, vec in priors.items())
         assert np.array_equal(first, second)
     assert cached > 10
+    assert deferred > 5
+
+
+class _CountedReads(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 def test_a_long_chain_answers_from_the_cached_priors_alone(monkeypatch):
-    # Every node above the bottom one is prior-only, so no message is
-    # sent, and the 4,999 priors are computed without recursion.  The
-    # chain is declared bottom first, so the first prior asked for is
-    # the deepest one.
+    # With no evidence every node above the bottom one is prior-only, so
+    # no message is sent, and the 4,999 priors are computed without
+    # recursion.  The chain is declared bottom first, so the first prior
+    # asked for is the deepest one.  A soft finding on the root leaves no
+    # node prior-only, so the collect pass sends one pi message per edge.
+    # Either way each node's prior-only test is decided once: the walk
+    # reads a node's neighbours once and its parents at most twice, and
+    # the cached priors read them twice more, not once per descendant.
     n = 5000
     net = netgen.assemble(np.random.default_rng(3), [[i + 1] for i in range(n - 1)] + [[]], [2] * n)
+    root = net.variables[-1].id
+    weights = np.array([0.3, 0.8])
+    comp = propagation._compiled(net)
     sent = _spy_sends(monkeypatch)
-    belief = infer(net, net.variables[0].id).belief.probabilities
-    assert sent == []
-    want = net.cpt(net.variables[-1].id).table.reshape(-1)
-    for v in reversed(net.variables[:-1]):
-        want = want @ net.cpt(v.id).table
-    assert np.max(np.abs(belief - want)) <= 1e-12
+    soft = Evidence({root: SoftEvidence(weights)})
+    for e, messages in ((Evidence.empty(), []), (soft, [(True, i) for i in range(n - 1)])):
+        comp.neighbors, comp.parents = _CountedReads(comp.neighbors), _CountedReads(comp.parents)
+        sent.clear()
+        belief = infer(net, net.variables[0].id, e).belief.probabilities
+        assert comp.neighbors.reads + comp.parents.reads <= 5 * n
+        assert sorted(sent) == messages
+        want = net.cpt(root).table.reshape(-1) * (weights if messages else 1.0)
+        want = want / want.sum()
+        for v in reversed(net.variables[:-1]):
+            want = want @ net.cpt(v.id).table
+        assert np.max(np.abs(belief - want)) <= 1e-12
 
 
 def test_propagate_sends_its_whole_sweep_before_it_returns(
@@ -352,9 +387,10 @@ def _cutset_queries(fixture_dir):
             yield net, v.id, netgen.random_evidence(rng, net, exclude=(v.id,))
 
 
-def _needed_components(net, target, e, cut):
-    """The swept edges of a query by the components of the split
-    skeleton, by their definition, as (edges needed, edges deferred).
+def _split_components(net, target, e, cut):
+    """The components of the split skeleton of a query's swept nodes, by
+    their definition, each as (the nodes whose first piece it holds, its
+    edges, whether it is needed).
 
     The swept nodes are the kept ones that are not prior-only.  Each
     swept node has one piece, and an observed or cut node one more piece
@@ -374,14 +410,17 @@ def _needed_components(net, target, e, cut):
             skeleton.add_edge((u, i if u in observed else None), (w, None))
             edges[i] = (w, None)
     positive = all((c.table > 0).all() for c in net.cpts)
-    needed, deferred = set(), set()
-    for part in nx.connected_components(skeleton):
-        inside = {i for i, nd in edges.items() if nd in part}
-        if not positive or any(v in cut or v == target for v, _ in part):
-            needed |= inside
-        else:
-            deferred |= inside
-    return sorted(needed), sorted(deferred)
+    return [({v for v, piece in part if piece is None},
+             {i for i, nd in edges.items() if nd in part},
+             not positive or any(v in cut or v == target for v, _ in part))
+            for part in nx.connected_components(skeleton)]
+
+
+def _needed_components(net, target, e, cut):
+    """The swept edges of a query, as (edges needed, edges deferred)."""
+    parts = _split_components(net, target, e, cut)
+    return (sorted(i for _, inside, needed in parts if needed for i in inside),
+            sorted(i for _, inside, needed in parts if not needed for i in inside))
 
 
 def test_a_cutset_run_sends_only_the_pruned_collect_pass_until_traces_are_read(

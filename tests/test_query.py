@@ -332,7 +332,7 @@ def test_a_query_is_checked_once_per_evidence_object_and_target(monkeypatch, fix
             once = infer(net, target, e, method, trace=True)
             counts["_bind_evidence"] = 0
             again = infer(net, target, e, method, trace=True)
-            assert counts["_bind_evidence"] == (1 if method is Method.ENUMERATION else 0)
+            assert counts["_bind_evidence"] == 0
             assert _bytes(again) == _bytes(once)
 
 
@@ -365,8 +365,8 @@ def _library_queries(seed):
 
 
 def test_one_query_binds_its_evidence_once_and_walks_each_ancestry_once(monkeypatch):
-    # ``infer``, the conditioning driver and ``classify_query`` share one
-    # checked and bound query: one binding, and at most one upward walk
+    # ``infer``, the conditioning driver, enumeration and ``classify_query``
+    # share one checked and bound query: one binding, and at most one upward walk
     # each from the target, from the evidence and from the cut nodes that
     # neither walk reached.  Each of the target and the evidence nodes
     # seeds one walk, and none starts again from the target's parents.
@@ -399,9 +399,6 @@ def test_one_query_binds_its_evidence_once_and_walks_each_ancestry_once(monkeypa
             # A fresh evidence object, so that no earlier query's check is reused.
             infer(net, target, Evidence(dict(e.entries)), method)
             checked[method] += 1
-            if method is Method.ENUMERATION:
-                assert counts["_bind_evidence"] <= 2
-                continue
             assert counts["_bind_evidence"] == 1
             up = [s for step, s in walks if step is net._parents and s]
             parents = set(net._parents[target])

@@ -137,3 +137,14 @@ def test_one_check_rejects_hard_evidence_on_a_target():
                    and "carries hard evidence" in ast.unparse(node)
                    and ast.unparse(node).startswith(("f'target", 'f"target')))
     assert sites == [("enumeration.py", "marginal_joint"), ("model.py", "_relevance")]
+
+
+def test_one_site_builds_a_schedule():
+    # Every schedule, of the whole network or toward a target, and the
+    # components a target's schedule leaves out, is built by one walk.
+    sites = [(path.name, function.name) for path in SOURCES
+             for function in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Schedule"]
+    assert sites == [("propagation.py", "schedule")]
