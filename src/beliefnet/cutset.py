@@ -24,6 +24,10 @@ same positive mass on every row, which cancels in the mixture, and is
 walked and swept when ``weights`` is first read.  The rest of the
 sweep is sent only when the traces are read.
 
+The cutset, its instantiations and their indicator rows are built once
+per network, the schedule once per target and evidence pattern (the
+query's plan, ``model._Plan``); a query adds only what values decide.
+
 On a polytree ``run_cutset_conditioning`` skips the cutset search: the
 empty cutset leaves one row, whose belief is read unmixed (Suermondt &
 Cooper 1990).  It is the one driver ``infer`` runs, so ``bp`` is this
@@ -40,7 +44,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ImpossibleEvidenceError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state, _relevance
+from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state, _once,
+                    _relevance)
 from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
@@ -109,7 +114,23 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
         return 0.0
     comp = _compiled(net)
     schedule = _schedule(comp, {*e.hard_states(), *cut})
-    return float(_run(comp, schedule, _lambdas(comp, bound, cut, states)).mass[0])
+    lam = _lambdas(comp, bound, cut, _indicators(net, cut, states))
+    return float(_run(comp, schedule, lam).mass[0])
+
+
+def _indicators(net: BayesianNetwork, cut, states: np.ndarray) -> list[np.ndarray]:
+    """Per cut node, the indicator of its state in each row of ``states``."""
+    return [np.eye(net.arity(v))[states[:, j]] for j, v in enumerate(cut)]
+
+
+def _instantiations(net: BayesianNetwork) -> tuple:
+    """The cutset the driver conditions on, every instantiation of it in
+    order, their states as an array and each cut node's indicator rows
+    (``_indicators``).  They depend on the network alone, so ``_once`` keeps them."""
+    cut = LoopCutset() if is_polytree(net) else select_cutset(net)
+    combos = tuple(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
+    states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
+    return cut, combos, states, _indicators(net, cut.nodes, states)
 
 
 def run_cutset_conditioning(net: BayesianNetwork, target: str,
@@ -121,7 +142,7 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     ``select_cutset``'s cutset.
     """
     rel = _relevance(net, target, e)
-    cut = LoopCutset() if is_polytree(net) else select_cutset(net)
+    cut, combos, states, indicators = _once(net, _instantiations)
     comp = _compiled(net)
     schedule = _toward(net, comp, rel, cut.nodes)
     x = comp.index[target]
@@ -130,15 +151,14 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
         if sweep.gathered[0] <= 0:
             raise ImpossibleEvidenceError("evidence has probability zero")
         return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, 1, ((),), ((sweep, ((),)),))
-    combos = tuple(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
-    states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
     rows = np.flatnonzero(_allowed(rel.bound, cut.nodes, states))
     sweeps = []
     mixed = np.zeros(net.arity(target))
     total = 0.0
     for start in range(0, len(rows), BLOCK):
         block = rows[start:start + BLOCK]
-        sweep = _run(comp, schedule, _lambdas(comp, rel.bound, cut.nodes, states[block]))
+        sweep = _run(comp, schedule, _lambdas(comp, rel.bound, cut.nodes,
+                                              [ind[block] for ind in indicators]))
         block_combos = tuple(combos[r] for r in block.tolist())
         sweeps.append((sweep, block_combos))
         w = sweep.gathered

@@ -402,7 +402,8 @@ class BayesianNetwork:
 
     @cached_property
     def _memo(self) -> dict:
-        """``_once``'s results, by the function that derived them, and the last ``_relevance``."""
+        """``_once``'s results, by the function that derived them, the last
+        ``_relevance`` and its store of query plans (``_Plan``)."""
         return {}
 
 
@@ -626,33 +627,62 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     return bound
 
 
+# Query plans a network keeps; past this many, the first one built is dropped.
+_PLANS = 64
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a query derives from its target and evidence pattern (which nodes
+    carry hard findings, which any), never from values: ``opened``, the evidence
+    and its ancestors (the colliders it opens), ``above``, the target and its
+    ancestors, and in ``memo`` what its readers build from them."""
+
+    opened: frozenset[str]
+    above: frozenset[str]
+    memo: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True, eq=False)
 class _Relevance:
-    """A checked query and its bound evidence; ``opened`` is the evidence and
-    its ancestors (the colliders it opens), ``above`` the target and its ancestors."""
+    """A checked query, its bound evidence and the ``plan`` of its pattern."""
 
     evidence: Evidence
     target: str
     bound: Mapping[str, np.ndarray]
     hard: Mapping[str, int]
-    opened: frozenset[str]
-    above: frozenset[str]
+    plan: _Plan
+
+
+def _kept(store: dict, key, build):
+    """``store[key]``, set to ``build()`` if missing; a ``store`` that
+    already holds ``_PLANS`` first drops the first key it kept."""
+    if key not in store:
+        if len(store) >= _PLANS:
+            del store[next(iter(store))]
+        store[key] = build()
+    return store[key]
 
 
 def _relevance(net: BayesianNetwork, target: str, e: Evidence) -> _Relevance:
     """Check the target, then the network and the evidence (``_bind_evidence``),
     then that the target has no hard finding.  The network keeps the last value,
-    found again by the target and by ``e``'s identity, which holding ``e`` keeps unique."""
-    rel = net._memo.get(_relevance)
+    found again by the target and by ``e``'s identity, which holding ``e`` keeps
+    unique, and the last ``_PLANS`` plans, found again by the target and the
+    evidence pattern."""
+    memo = net._memo
+    rel = memo.get(_relevance)
     if rel is None or rel.evidence is not e or rel.target != target:
         net.var(target)
         bound = _bind_evidence(net, e)
         if e.is_hard(target):
             raise InvalidQueryError(f"target {target!r} carries hard evidence")
-        rel = net._memo[_relevance] = _Relevance(
-            e, target, MappingProxyType(bound), MappingProxyType(e.hard_states()),
-            frozenset(_closure(e.entries, net._parents)),
-            frozenset(_closure((target,), net._parents)))
+        hard = e.hard_states()
+        plan = _kept(memo.setdefault(_Plan, {}), (target, frozenset(hard), frozenset(bound)),
+                     lambda: _Plan(frozenset(_closure(e.entries, net._parents)),
+                                   frozenset(_closure((target,), net._parents))))
+        rel = memo[_relevance] = _Relevance(e, target, MappingProxyType(bound),
+                                            MappingProxyType(hard), plan)
     return rel
 
 

@@ -64,6 +64,12 @@ and from every cut node cannot change the target's belief; if no CPT
 entry is zero, the walk reaches it only when the mass is read.
 Reading the log sends the missing messages in the whole network's
 order, so it lists what ``propagate``'s does.
+
+A schedule depends on which nodes are observed, not on their values.  A
+query's plan (``model._Plan``) keeps the schedule toward its target, with
+its preset edges and its ``rest``, for every later query observing the
+same nodes; the compiled network keeps the last ``model._PLANS``
+whole-network schedules.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
-from .model import BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _once, _Relevance
+from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _kept, _once,
+                    _Relevance)
 from .structure import is_polytree
 
 
@@ -97,7 +104,8 @@ class _Compiled:
     with its lambda and the pi messages from its other parents
     (``others[e]``).  ``parents[x]`` lists x's parents, and ``rank[x]`` is
     x's place in ``net.topological_order()``.  ``priors`` keeps each
-    prior marginal that ``prior`` has computed.
+    prior marginal that ``prior`` has computed, and ``schedules`` the
+    whole-network schedules that ``_schedule`` has built.
     """
 
     def __init__(self, net: BayesianNetwork):
@@ -134,6 +142,7 @@ class _Compiled:
                 self.lambda_subs[e] = f"{letters}{child},...{child}{rest}->...{letters[i]}"
                 self.others[e] = [f for f in ins if f != e]
         self.priors: dict[int, np.ndarray] = {}
+        self.schedules: dict[tuple, _Schedule] = {}
 
     def contract_pi(self, x: int, msgs: Sequence[np.ndarray]) -> np.ndarray:
         """pi(x): x's CPT contracted with ``msgs``, the pi messages from its parents."""
@@ -164,21 +173,19 @@ def _compiled(net: BayesianNetwork) -> _Compiled:
 
 
 def _lambdas(comp: _Compiled, bound: Mapping[str, np.ndarray], cut: Sequence[str] = (),
-             states: np.ndarray | None = None) -> list[np.ndarray | None]:
-    """Every variable's evidence lambda, by index, for a batch of
-    instantiations of the ``cut`` nodes; None stands for all ones.
+             rows: Sequence[np.ndarray] = ()) -> dict[int, np.ndarray]:
+    """The evidence lambda of each evidence and cut node, by index, for a
+    batch of instantiations of the ``cut`` nodes; any other node's is all ones.
 
-    Row k of a cut node's lambda keeps only its state ``states[k]``, at
-    the evidence weight of that state; every other lambda is one row,
-    shared by the whole batch.  ``bound`` is ``_bind_evidence``'s output.
+    ``rows[j]`` holds, per instantiation, the indicator of cut node j's
+    state, which its lambda weighs by the evidence; every other lambda is
+    one row, shared by the whole batch.  ``bound`` is ``_bind_evidence``'s
+    output.
     """
-    lam: list[np.ndarray | None] = [None] * len(comp.ids)
-    for var, vec in bound.items():
-        lam[comp.index[var]] = vec[None]
-    for j, var in enumerate(cut):
+    lam = {comp.index[var]: vec[None] for var, vec in bound.items()}
+    for var, ind in zip(cut, rows):
         i = comp.index[var]
-        rows = np.eye(comp.cpt[i].shape[-1])[states[:, j]]
-        lam[i] = rows if lam[i] is None else rows * lam[i]
+        lam[i] = ind * lam[i] if i in lam else ind
     return lam
 
 
@@ -335,28 +342,33 @@ class _Walk:
 
 def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule:
     """The schedule of the whole network with ``hard_vars`` observed, each
-    component rooted at the pivot variable's node if it holds it."""
-    walk = _Walk(comp, frozenset(comp.index[v] for v in hard_vars))
-    return walk.schedule(range(len(comp.ids)),
-                         None if pivot is None else (comp.index[pivot], 0, -1))
+    component rooted at the pivot variable's node if it holds it.  The
+    compiled network keeps the last ``_PLANS`` built, by observed set and pivot."""
+    hard = frozenset(hard_vars)
+    root = None if pivot is None else (comp.index[pivot], 0, -1)
+    return _kept(comp.schedules, (hard, pivot), lambda: _Walk(
+        comp, frozenset(comp.index[v] for v in hard)).schedule(range(len(comp.ids)), root))
 
 
 def _toward(net: BayesianNetwork, comp: _Compiled, rel: _Relevance,
             cut: Sequence[str] = ()) -> _Schedule:
     """The schedule toward ``rel``'s target with its evidence and the ``cut``
-    nodes observed.  K is ``rel.opened | rel.above`` and the ancestors of
+    nodes observed.  K is ``opened | above`` of ``rel``'s plan and the ancestors of
     any cut node outside it.  If every CPT entry is positive, a component
     holding no piece of the target or of a cut node has the same positive
-    mass on every cutset row, which cancels in the mixture: it is left to ``rest``."""
-    ids, index, opened, above = comp.ids, comp.index, rel.opened, rel.above
-    outside = _closure(set(cut) - opened - above, net._parents) if cut else ()
-    walk = _Walk(comp, frozenset(map(index.__getitem__, [*rel.hard, *cut])),
-                 lambda x: (v := ids[x]) in above or v in opened or v in outside,
-                 frozenset(map(index.__getitem__, [rel.target, *rel.bound, *cut])))
-    pivot = (index[rel.target], 0, -1)
-    if net._positive:
-        return walk.schedule(sorted({pivot[0], *(index[v] for v in cut)}), pivot)
-    return walk.schedule(sorted(walk.seeds), pivot, ordered=True)
+    mass on every cutset row, which cancels in the mixture: it is left to ``rest``.
+    The schedule depends on ``rel``'s plan and the cut alone, so the plan keeps it."""
+    key, memo = (_Schedule, tuple(cut)), rel.plan.memo
+    if key not in memo:
+        ids, index, opened, above = comp.ids, comp.index, rel.plan.opened, rel.plan.above
+        outside = _closure(set(cut) - opened - above, net._parents) if cut else ()
+        walk = _Walk(comp, frozenset(map(index.__getitem__, [*rel.hard, *cut])),
+                     lambda x: (v := ids[x]) in above or v in opened or v in outside,
+                     frozenset(map(index.__getitem__, [rel.target, *rel.bound, *cut])))
+        pivot = (index[rel.target], 0, -1)
+        memo[key] = walk.schedule(sorted({pivot[0], *(index[v] for v in cut)}), pivot) \
+            if net._positive else walk.schedule(sorted(walk.seeds), pivot, ordered=True)
+    return memo[key]
 
 
 # -- sweep -----------------------------------------------------------------
@@ -383,7 +395,7 @@ class _Sweep:
     keep their values.
     """
 
-    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]):
+    def __init__(self, comp: _Compiled, schedule: _Schedule, lam: dict[int, np.ndarray]):
         self.comp, self.schedule, self.lam = comp, schedule, lam
         self.hard = schedule.walk.hard
         self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
@@ -418,7 +430,7 @@ class _Sweep:
         """lambda(x): x's evidence lambda times the lambda messages from its children."""
         lv = self._lambda.get(x)
         if lv is None:
-            lv = self.lam[x]
+            lv = self.lam.get(x)
             for m in map(self.lambda_msg.__getitem__, self.comp.out_edges[x]):
                 if m is not None:
                     lv = m if lv is None else lv * m
@@ -434,7 +446,7 @@ class _Sweep:
             # lam >= 0, so its sign marks the instantiated state of a hard node.
             return np.sign(self.lam[u]), 1.0
         vec = self.pi_value(u)
-        if self.lam[u] is not None:
+        if u in self.lam:
             vec = vec * self.lam[u]
         for f in self.comp.out_edges[u]:
             if f != e and self.lambda_msg[f] is not None:
@@ -524,7 +536,7 @@ class _Sweep:
         return tuple(lines)
 
 
-def _run(comp: _Compiled, schedule: _Schedule, lam: list[np.ndarray | None]) -> _Sweep:
+def _run(comp: _Compiled, schedule: _Schedule, lam: dict[int, np.ndarray]) -> _Sweep:
     """Send the collect pass of the schedule; ``gathered`` holds each
     row's mass of the components swept."""
     sweep = _Sweep(comp, schedule, lam)

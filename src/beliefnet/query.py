@@ -12,6 +12,10 @@ the query mixed.
 (``model._relevance``); the one conditioning driver,
 ``cutset.run_cutset_conditioning``, enumeration and ``classify_query``
 reuse that value.  ``infer`` answers by enumeration or through the driver.
+Its plan (``model._Plan``), kept per target and evidence pattern for
+every later query observing the same nodes with any values, holds the
+ancestor sets, the driver's schedule and the read-only classification;
+the network keeps the last ``model._PLANS`` plans.
 Message passing (``bp``) is conditioning on the empty cutset, which the
 driver picks on a polytree; under ``bp``, once the query is checked,
 ``infer`` checks that the network is a polytree.
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 from . import cutset as _cutset
 from . import enumeration as _enumeration
@@ -43,11 +49,12 @@ class QueryClassification:
 
     Sub-verdicts only list evidence nodes that actually influence the
     target; an influencing node is Forward when it is an ancestor of
-    the target, Backward when a descendant, Intercausal otherwise.
+    the target, Backward when a descendant, Intercausal otherwise.  They
+    form a read-only mapping, which compares equal to a dict.
     """
 
     kind: QueryClass
-    sub_verdicts: dict[str, QueryClass]
+    sub_verdicts: Mapping[str, QueryClass]
 
 
 def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClassification:
@@ -55,22 +62,28 @@ def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClass
 
     The query is checked and bound once, by ``_relevance``, and one
     Bayes-ball pass from the target finds each evidence node that influences it.
+    Which nodes it finds depends on the evidence pattern alone (Shachter 1998),
+    so the query's plan keeps the classification for later queries.
     """
     rel = _relevance(net, target, e)
     if e.is_empty():
         raise InvalidQueryError("classification needs at least one evidence entry")
+    if QueryClassification in rel.plan.memo:
+        return rel.plan.memo[QueryClassification]
 
     # One ball from the target, given all of the evidence, reaches just
     # the evidence nodes d-connected to it given the other findings: a
     # node's own finding opens only colliders above it, and a trail
     # through such a collider can run down to the node instead.
-    reached = _reached(net, target, rel.hard, rel.opened)
+    reached = _reached(net, target, rel.hard, rel.plan.opened)
     desc = net.descendants(target)
-    subs = {v: (QueryClass.FORWARD if v in rel.above
+    subs = {v: (QueryClass.FORWARD if v in rel.plan.above
                 else QueryClass.BACKWARD if v in desc else QueryClass.INTERCAUSAL)
             for v in sorted(reached.intersection(rel.bound).difference((target,)), key=net.index)}
     kinds = set(subs.values())
-    return QueryClassification(kinds.pop() if len(kinds) == 1 else QueryClass.MIXED, subs)
+    classification = rel.plan.memo[QueryClassification] = QueryClassification(
+        kinds.pop() if len(kinds) == 1 else QueryClass.MIXED, MappingProxyType(subs))
+    return classification
 
 
 class Method(Enum):

@@ -102,7 +102,7 @@ def _reached(net: BayesianNetwork, x: str, hard, opened: set[str]) -> set[str]:
     from a child) states, each visited at most once.  ``hard`` holds
     the nodes with hard evidence, and ``opened`` the converging nodes
     evidence opens: the evidence nodes and their ancestors, a query's
-    ``model._Relevance.opened``.
+    ``model._Plan.opened``.
     """
     parents, children = net._parents, net._children
     # The states reached: arrived from a child (up) or from a parent (down).

@@ -122,3 +122,21 @@ def random_evidence(rng, net, p_node=0.4, soft_ratio=0.3, exclude=()):
         else:
             entries[v.id] = HardEvidence(int(rng.integers(v.arity)))
     return Evidence(entries)
+
+
+def revalued(rng, net, e):
+    """New findings on the nodes of ``e``, listed in reverse order: each
+    hard one at another state, each soft one with new weights."""
+    entries = {}
+    for v, f in reversed(list(e.entries.items())):
+        arity = net.arity(v)
+        if isinstance(f, HardEvidence):
+            entries[v] = HardEvidence((f.state + int(rng.integers(1, arity))) % arity)
+        else:
+            entries[v] = SoftEvidence(rng.uniform(0.1, 1.0, arity))
+    return Evidence(entries)
+
+
+def twin(net):
+    """The same network as a new object, which keeps nothing that queries on ``net`` built."""
+    return BayesianNetwork(net.variables, net.cpts, net.name)

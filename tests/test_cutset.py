@@ -189,7 +189,8 @@ def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name,
     for combo, lines in run.traces.items():
         if run.weights[combo] == 0 and lines == ():
             continue
-        lam = propagation._lambdas(comp, bound, run.cutset.nodes, np.array([combo]))
+        rows = cutset._indicators(net, run.cutset.nodes, np.array([combo]))
+        lam = propagation._lambdas(comp, bound, run.cutset.nodes, rows)
         _same_lines(lines, propagation._run(comp, schedule, lam).trace(0))
 
 

@@ -254,6 +254,53 @@ def test_one_pass_classification_matches_one_separation_test_per_evidence_node(q
     assert list(classify_query(net, target, e).sub_verdicts.items()) == list(want.items())
 
 
+@st.composite
+def repeated_patterns(draw):
+    """A netgen polytree, loopy DAG or small grid, a target, two sets of
+    hard and soft findings on the same nodes with independent values, and
+    a third on those nodes with each finding's kind swapped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["polytree", "loopy", "grid"]))
+    if shape == "grid":
+        net = netgen.grid(rng, draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    elif shape == "loopy":
+        net = netgen.random_loopy(rng, draw(st.integers(4, 10)))
+    else:
+        net = netgen.random_polytree(rng, draw(st.integers(2, 20)))
+    target = draw(st.sampled_from([v.id for v in net.variables]))
+    p_node = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    first = netgen.random_evidence(rng, net, p_node, exclude=(target,))
+    swapped = Evidence({v: SoftEvidence(rng.uniform(0.1, 1.0, net.arity(v))) if first.is_hard(v)
+                        else HardEvidence(int(rng.integers(net.arity(v)))) for v in first})
+    return net, target, first, [netgen.revalued(rng, net, first), swapped]
+
+
+def _answer(result):
+    return result.belief.probabilities.tobytes(), result.classification, result.trace
+
+
+@given(repeated_patterns())
+def test_a_plan_carries_no_evidence_value(query):
+    # A query's plan depends on which nodes are observed, and which of
+    # them hard, not on the values: the same nodes observed again answer
+    # as on a network that has answered nothing, bit for bit.
+    net, target, first, later = query
+    methods = [Method.AUTO, Method.CUTSET] + [Method.POLYTREE] * bool(is_polytree(net))
+    runs = [(method, trace) for method in methods for trace in (False, True)]
+    for method, trace in runs:
+        infer(net, target, first, method, trace=trace)
+    run_cutset_conditioning(net, target, first).weights
+    for e in later:
+        # Only ever asked about these values.
+        cold = netgen.twin(net)
+        for method, trace in runs:
+            assert _answer(infer(net, target, e, method, trace=trace)) == \
+                _answer(infer(cold, target, e, method, trace=trace))
+        again = run_cutset_conditioning(net, target, e).weights
+        fresh = run_cutset_conditioning(cold, target, e).weights
+        assert [w.hex() for w in again.values()] == [w.hex() for w in fresh.values()]
+
+
 DEFECTS = ("missing-cpt", "cycle", "row-sum", "probability-range", "unknown-parent",
            "duplicate-cpt")
 

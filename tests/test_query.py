@@ -22,6 +22,7 @@ from beliefnet import (
     infer,
     load_network,
     posterior,
+    propagate,
     run_cutset_conditioning,
     select_cutset,
 )
@@ -77,6 +78,22 @@ def test_all_evidence_separated_is_mixed(converging_net):
     c = classify_query(converging_net, "X", Evidence({"Z": HardEvidence(0)}))
     assert c.kind is QueryClass.MIXED
     assert c.sub_verdicts == {}
+
+
+def test_a_shared_classification_is_read_only(sprinkler_net):
+    # Every query observing the same nodes gets the classification its
+    # plan keeps, so no caller may change it for the others.
+    net = netgen.twin(sprinkler_net)
+    want = {"X2": QueryClass.INTERCAUSAL, "X5": QueryClass.BACKWARD}
+    c = classify_query(net, "X3", Evidence({"X2": HardEvidence(0), "X5": HardEvidence(0)}))
+    with pytest.raises(TypeError):
+        c.sub_verdicts["X2"] = QueryClass.FORWARD
+    with pytest.raises(TypeError):
+        del c.sub_verdicts["X5"]
+    again = infer(net, "X3", Evidence({"X5": HardEvidence(1), "X2": HardEvidence(1)}))
+    assert again.classification is c
+    assert c.kind is QueryClass.MIXED
+    assert c.sub_verdicts == want and list(c.sub_verdicts) == list(want)
 
 
 def test_soft_evidence_participates(serial_net):
@@ -194,7 +211,9 @@ def _spy(monkeypatch, owner, name, counts):
 def test_classification_is_one_walk_from_the_target(monkeypatch):
     # A ball from the target, given all of the evidence, reaches every
     # influencing evidence node at once: no d-separation test and no
-    # evidence copy per node.
+    # evidence copy per node.  The classification depends on which nodes
+    # are observed, not on their values, so a later query observing the
+    # same nodes makes no walk at all, though it still binds its evidence.
     rng = np.random.default_rng(300)
     tree = netgen.random_polytree(rng, 300)
     e_tree = netgen.random_evidence(rng, tree, p_node=0.1, soft_ratio=0.3)
@@ -212,12 +231,19 @@ def test_classification_is_one_walk_from_the_target(monkeypatch):
     _spy(monkeypatch, structure, "d_separated", counts)
     _spy(monkeypatch, Evidence, "without", counts)
     _spy(monkeypatch, structure, "_reached", counts)
+    _spy(monkeypatch, model, "_closure", counts)
+    _spy(monkeypatch, model, "_bind_evidence", counts)
     for (net, t, e), w in zip(cases, want):
-        for classify in (lambda: classify_query(net, t, e),
-                         lambda: infer(net, t, e, trace=False).classification):
+        for classify in (classify_query, lambda *query: infer(*query, trace=False).classification):
+            fresh = netgen.twin(net)
             counts.update(dict.fromkeys(counts, 0))
-            assert classify() == w
-            assert counts == {"d_separated": 0, "without": 0, "_reached": 1}
+            assert classify(fresh, t, e) == w
+            assert counts["d_separated"] == counts["without"] == 0
+            assert counts["_reached"] == counts["_bind_evidence"] == 1
+            counts.update(dict.fromkeys(counts, 0))
+            assert classify(fresh, t, netgen.revalued(rng, fresh, e)) == w
+            assert counts == {"d_separated": 0, "without": 0, "_reached": 0, "_closure": 0,
+                              "_bind_evidence": 1}
 
 
 def _forest(rng, n):
@@ -324,8 +350,9 @@ def test_a_query_is_checked_once_per_evidence_object_and_target(monkeypatch, fix
     assert counts["_bind_evidence"] == 3
     assert (other_target.target, other_target.evidence) == ("X3", e)
     assert other_object is not other_target and other_object.evidence is twin
-    assert other_object.opened == other_target.opened == first.opened
-    assert other_object.above == other_target.above != first.above
+    assert other_object.plan is other_target.plan
+    assert other_object.plan.opened == other_target.plan.opened == first.plan.opened
+    assert other_object.plan.above == other_target.plan.above != first.plan.above
     # A repeated query reads the kept value and answers with the same bits.
     for method in (Method.AUTO, Method.ENUMERATION, Method.CUTSET):
         for target in ("X1", "X4"):
@@ -334,6 +361,36 @@ def test_a_query_is_checked_once_per_evidence_object_and_target(monkeypatch, fix
             again = infer(net, target, e, method, trace=True)
             assert counts["_bind_evidence"] == 0
             assert _bytes(again) == _bytes(once)
+
+
+def test_a_network_keeps_a_bounded_number_of_query_plans():
+    # Each evidence pattern a network is asked about gets one plan; past
+    # the bound the first one kept is dropped, and asking about its pattern
+    # again builds it anew, with the same answer bits.
+    rng = np.random.default_rng(19)
+    net = netgen.random_polytree(rng, 9)
+    target, *others = [v.id for v in net.variables]
+    patterns = [Evidence({v: HardEvidence(int(rng.integers(net.arity(v))))
+                          for j, v in enumerate(others) if i >> j & 1})
+                for i in range(1, model._PLANS + 17)]
+    plans = []
+    for e in patterns:
+        first = infer(net, target, e, trace=True)
+        plans.append(model._relevance(net, target, e).plan)
+        assert len(net._memo[model._Plan]) <= model._PLANS
+    assert len(net._memo[model._Plan]) == model._PLANS
+    store = propagation._compiled(net).schedules
+    for e in patterns:
+        propagate(net, e)
+        assert len(store) <= model._PLANS
+    assert len(store) == model._PLANS
+    cold = netgen.twin(net)
+    for e, plan in zip(patterns[:2], plans):
+        again = infer(net, target, Evidence(dict(e.entries)), trace=True)
+        assert model._relevance(net, target, e).plan is not plan
+        assert _bytes(again) == _bytes(infer(cold, target, e, trace=True))
+    assert _bytes(infer(net, target, patterns[-1], trace=True)) == _bytes(first)
+    assert model._relevance(net, target, patterns[-1]).plan is plans[-1]
 
 
 def test_networks_never_share_a_query_check(fixture_dir):
@@ -366,14 +423,18 @@ def _library_queries(seed):
 
 def test_one_query_binds_its_evidence_once_and_walks_each_ancestry_once(monkeypatch):
     # ``infer``, the conditioning driver, enumeration and ``classify_query``
-    # share one checked and bound query: one binding, and at most one upward walk
+    # share one checked and bound query.  The first query of an evidence
+    # pattern makes one binding, one Bayes ball and at most one upward walk
     # each from the target, from the evidence and from the cut nodes that
     # neither walk reached.  Each of the target and the evidence nodes
-    # seeds one walk, and none starts again from the target's parents.
+    # seeds one walk, and none starts again from the target's parents.  A
+    # repeat of the pattern with new values binds once and walks nothing.
     queries = _library_queries(9)
     assert len(queries) > 60
+    rng = np.random.default_rng(367)
     counts: dict[str, int] = {}
     _spy(monkeypatch, model, "_bind_evidence", counts)
+    _spy(monkeypatch, structure, "_reached", counts)
     walks = []
     real = model._closure
 
@@ -389,20 +450,24 @@ def test_one_query_binds_its_evidence_once_and_walks_each_ancestry_once(monkeypa
     checked = dict.fromkeys(Method, 0)
     for net, target, e in queries:
         loopy = not structure.is_polytree(net)
-        cut = frozenset(select_cutset(net).nodes) if loopy else frozenset()
         for method in Method:
             if method is Method.POLYTREE and loopy or \
                     method is Method.ENUMERATION and net.joint_state_count > MAX_JOINT_STATES:
                 continue
-            counts["_bind_evidence"] = 0
+            # A network that has answered nothing, so no earlier query's check is reused.
+            fresh = netgen.twin(net)
+            counts.update(dict.fromkeys(counts, 0))
             walks.clear()
-            # A fresh evidence object, so that no earlier query's check is reused.
-            infer(net, target, Evidence(dict(e.entries)), method)
+            infer(fresh, target, Evidence(dict(e.entries)), method)
             checked[method] += 1
-            assert counts["_bind_evidence"] == 1
-            up = [s for step, s in walks if step is net._parents and s]
-            parents = set(net._parents[target])
+            assert counts == {"_bind_evidence": 1, "_reached": 1}
+            up = [s for step, s in walks if step is fresh._parents and s]
+            parents = set(fresh._parents[target])
             assert len(up) <= 3
             assert all(sum(v in s for s in up) == 1 for v in {target, *e})
             assert not any(s == parents != set(e) for s in up)
+            counts.update(dict.fromkeys(counts, 0))
+            walks.clear()
+            infer(fresh, target, netgen.revalued(rng, fresh, e), method)
+            assert counts == {"_bind_evidence": 1, "_reached": 0} and walks == []
     assert min(checked.values()) > 20 and checked[Method.CUTSET] == len(queries)

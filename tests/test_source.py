@@ -148,3 +148,21 @@ def test_one_site_builds_a_schedule():
              for node in ast.walk(function)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Schedule"]
     assert sites == [("propagation.py", "schedule")]
+
+
+def test_plans_are_made_and_the_network_memo_kept_in_one_place():
+    # A query plan is made only where a query is checked, so every plan is
+    # keyed by its pattern and bounded; nothing but ``_once`` and
+    # ``_relevance`` touches the network's memo, so nothing else stores
+    # on the network.
+    made = sorted((path.name, function.name) for path in SOURCES
+                  for function in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(function, ast.FunctionDef)
+                  and "_Plan" in _called(function))
+    assert made == [("model.py", "_relevance")]
+    touched = sorted({(path.name, function.name) for path in SOURCES
+                      for function in ast.walk(ast.parse(path.read_text(), str(path)))
+                      if isinstance(function, ast.FunctionDef)
+                      for node in ast.walk(function)
+                      if isinstance(node, ast.Attribute) and node.attr == "_memo"})
+    assert touched == [("model.py", "_once"), ("model.py", "_relevance")]
