@@ -126,11 +126,15 @@ def _indicators(net: BayesianNetwork, cut, states: np.ndarray) -> list[np.ndarra
 def _instantiations(net: BayesianNetwork) -> tuple:
     """The cutset the driver conditions on, every instantiation of it in
     order, their states as an array and each cut node's indicator rows
-    (``_indicators``).  They depend on the network alone, so ``_once`` keeps them."""
+    (``_indicators``).  They depend on the network alone, so ``_once`` keeps
+    them; a query that sweeps every row at once reads the rows as they are."""
     cut = LoopCutset() if is_polytree(net) else select_cutset(net)
     combos = tuple(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
     states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
-    return cut, combos, states, _indicators(net, cut.nodes, states)
+    indicators = _indicators(net, cut.nodes, states)
+    for ind in indicators:
+        ind.setflags(write=False)
+    return cut, combos, states, indicators
 
 
 def run_cutset_conditioning(net: BayesianNetwork, target: str,
@@ -152,14 +156,16 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
             raise ImpossibleEvidenceError("evidence has probability zero")
         return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, 1, ((),), ((sweep, ((),)),))
     rows = np.flatnonzero(_allowed(rel.bound, cut.nodes, states))
+    # One block of every row sweeps the kept arrays as they are.
+    whole = len(rows) == len(combos) <= BLOCK
     sweeps = []
     mixed = np.zeros(net.arity(target))
     total = 0.0
     for start in range(0, len(rows), BLOCK):
         block = rows[start:start + BLOCK]
-        sweep = _run(comp, schedule, _lambdas(comp, rel.bound, cut.nodes,
-                                              [ind[block] for ind in indicators]))
-        block_combos = tuple(combos[r] for r in block.tolist())
+        block_rows = indicators if whole else [ind[block] for ind in indicators]
+        block_combos = combos if whole else tuple(combos[r] for r in block.tolist())
+        sweep = _run(comp, schedule, _lambdas(comp, rel.bound, cut.nodes, block_rows))
         sweeps.append((sweep, block_combos))
         w = sweep.gathered
         # A row of zero mass has a zero (not undefined) belief, so it adds nothing.

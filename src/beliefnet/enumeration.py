@@ -1,13 +1,17 @@
-"""Enumeration over the full joint distribution.
+"""Enumeration over the joint distribution.
 
 This is the reference engine: slow but unconditionally exact on any
 acyclic network, used to cross-check the message-passing code.  The
 joint is materialised as an n-dimensional tensor (one axis per variable
-in declaration order) built by broadcasting each CPT into place, so the
-summation order is fixed by the variable declaration order and results
-are bit-for-bit reproducible.
+in declaration order) built by broadcasting each CPT, then each evidence
+weight, into place, so results are bit-for-bit reproducible.  As in
+ENUMERATION-ASK (Russell & Norvig), the evidence fixes the variables it
+observes: an axis keeps only the states of positive evidence weight, one
+for a hard finding, except a target's, which keeps every state.  The
+states left out have zero mass, and each kept entry is the same product
+in the same order as in the full joint.
 
-A size guard refuses joints beyond 2**22 states.
+A size guard refuses networks whose full joint exceeds 2**22 states.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .model import (
     Belief,
     Evidence,
     _bind_evidence,
+    _once,
     joint_probability,
 )
 
@@ -33,42 +38,61 @@ def _check_size(net: BayesianNetwork) -> None:
         )
 
 
+def _factors(net: BayesianNetwork) -> tuple:
+    """Each CPT as a tensor over its variables' axes in declaration order,
+    with those axes.  They depend on the network alone, so ``_once`` keeps them."""
+    out = []
+    for v in net.variables:
+        axes = [net.index(p) for p in net.cpt(v.id).parents] + [net.index(v.id)]
+        out.append((np.transpose(net.cpt_tensor(v.id), np.argsort(axes)), sorted(axes)))
+    return tuple(out)
+
+
+def _joint(net: BayesianNetwork, bound, targets=()) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The weighted joint, unnormalised, and the states kept on each axis
+    it narrowed: that of a variable outside ``targets`` whose evidence in
+    ``bound`` (``_bind_evidence``) weighs a state zero.  Each CPT, then each
+    weight, is multiplied in place, so only one joint-sized tensor is held."""
+    kept = {net.index(var): np.flatnonzero(w) for var, w in bound.items()
+            if var not in targets and not w.all()}
+    dims = tuple(len(kept[a]) if a in kept else d for a, d in enumerate(net.dims))
+    arr = np.ones(dims, dtype=np.float64)
+    weights = tuple((w, [net.index(var)]) for var, w in bound.items())
+    for tensor, axes in _once(net, _factors) + weights:
+        shape = [1] * len(dims)
+        for j, a in enumerate(axes):
+            shape[a] = dims[a]
+            if a in kept:
+                tensor = tensor.take(kept[a], axis=j)
+        arr *= tensor.reshape(shape)
+    return arr, kept
+
+
+def _checked_joint(net: BayesianNetwork, e: Evidence, targets=()):
+    """``_joint`` of ``e``, the network's size checked before the evidence is bound."""
+    _check_size(net)
+    return _joint(net, _bind_evidence(net, e), targets)
+
+
 def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.ndarray:
     """The joint tensor with evidence weights multiplied in, unnormalised.
 
-    Axis i ranges over the states of the i-th declared variable.  With
-    empty evidence the tensor is the joint itself and sums to one.  The
-    factors are multiplied in place, so only one joint-sized tensor is
-    ever held.
+    Axis i ranges over every state of the i-th declared variable.  With
+    empty evidence the tensor is the joint itself and sums to one.  Only
+    the states of positive evidence weight are enumerated; every other
+    entry is zero.
     """
-    _check_size(net)
-    return _weighted_joint(net, _bind_evidence(net, e))
-
-
-def _weighted_joint(net: BayesianNetwork, bound) -> np.ndarray:
-    dims = net.dims
-    n = len(dims)
-    arr = np.ones(dims, dtype=np.float64)
-    for v in net.variables:
-        c = net.cpt(v.id)
-        axes = [net.index(p) for p in c.parents] + [net.index(v.id)]
-        tensor = net.cpt_tensor(v.id)
-        perm = np.argsort(axes)
-        shape = [1] * n
-        for a in axes:
-            shape[a] = dims[a]
-        arr *= np.transpose(tensor, perm).reshape(shape)
-    for var, w in bound.items():
-        ax = net.index(var)
-        shape = [1] * n
-        shape[ax] = dims[ax]
-        arr *= w.reshape(shape)
-    return arr
+    arr, kept = _checked_joint(net, e)
+    if not kept:
+        return arr
+    full = np.zeros(net.dims)
+    full[np.ix_(*(kept.get(a, np.arange(d)) for a, d in enumerate(net.dims)))] = arr
+    return full
 
 
 def evidence_probability(net: BayesianNetwork, e: Evidence) -> float:
     """Total mass of the evidence: sum of the weighted joint."""
-    return float(weighted_joint(net, e).sum())
+    return float(_checked_joint(net, e)[0].sum())
 
 
 def posterior(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty()) -> Belief:
@@ -91,14 +115,17 @@ def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()
         net.var(t)
         if e.is_hard(t):
             raise InvalidQueryError(f"target {t!r} carries hard evidence")
-    _check_size(net)
-    return _marginal(net, targets, _bind_evidence(net, e))
+    return _normalised(net, targets, _checked_joint(net, e, targets)[0])
 
 
 def _marginal(net: BayesianNetwork, targets: list[str], bound) -> np.ndarray:
     """``marginal_joint`` of checked targets, the evidence bound (``model._relevance``)."""
     _check_size(net)
-    arr = _weighted_joint(net, bound)
+    return _normalised(net, targets, _joint(net, bound, targets)[0])
+
+
+def _normalised(net: BayesianNetwork, targets: list[str], arr: np.ndarray) -> np.ndarray:
+    """The joint ``arr`` summed onto ``targets``, in their order, and normalised."""
     keep = [net.index(t) for t in targets]
     other = tuple(i for i in range(arr.ndim) if i not in keep)
     marg = arr.sum(axis=other) if other else arr
@@ -119,10 +146,11 @@ def most_probable_assignment(net: BayesianNetwork, e: Evidence = Evidence.empty(
     Returns (assignment dict, joint probability of that assignment).
     Ties resolve to the first assignment in row-major declaration order.
     """
-    arr = weighted_joint(net, e)
+    arr, kept = _checked_joint(net, e)
     flat = int(np.argmax(arr))
     if float(arr.flat[flat]) <= 0.0:
         raise ImpossibleEvidenceError("no assignment is consistent with the evidence")
     states = np.unravel_index(flat, arr.shape)
-    assignment = {v.id: int(s) for v, s in zip(net.variables, states)}
+    assignment = {v.id: int(kept[a][s] if a in kept else s)
+                  for a, (v, s) in enumerate(zip(net.variables, states))}
     return assignment, joint_probability(net, assignment)

@@ -21,7 +21,7 @@ from beliefnet import (
     run_cutset_conditioning,
 )
 from beliefnet import cutset, propagation
-from beliefnet.model import _bind_evidence
+from beliefnet.model import _bind_evidence, _once
 
 
 def test_sprinkler_conditioning(sprinkler_net):
@@ -210,3 +210,21 @@ def test_a_run_split_into_blocks_equals_one_block(monkeypatch, fixture_dir, name
     for combo, w in whole.weights.items():
         assert split.weights[combo] == pytest.approx(w, abs=1e-15)
         _same_lines(split.traces[combo], whole.traces[combo])
+
+
+def test_a_run_of_every_row_in_one_block_sweeps_the_networks_own_rows(monkeypatch, loopy8_net):
+    # No instantiation ruled out and one block: the sweep reads the kept
+    # indicator rows and instantiations, with no copy made per query.
+    passed = []
+    monkeypatch.setattr(cutset, "_lambdas",
+                        lambda *a: passed.append(a[3]) or propagation._lambdas(*a))
+    run = run_cutset_conditioning(loopy8_net, "D", Evidence({"H": HardEvidence(0)}))
+    _, combos, _, indicators = _once(loopy8_net, cutset._instantiations)
+    assert len(combos) == 4 and [c for _, c in run._sweeps] == [combos]
+    assert run._sweeps[0][1] is combos and passed[0] is indicators
+    assert not any(ind.flags.writeable for ind in indicators)
+    # A finding that rules out rows sweeps only the others.
+    passed.clear()
+    ruled = run_cutset_conditioning(loopy8_net, "D", Evidence({"A": HardEvidence(1)}))
+    assert [c for _, c in ruled._sweeps] == [((1, 0), (1, 1))]
+    assert [ind.tolist() for ind in passed[0]] == [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import netgen
 from beliefnet import (
     BayesianNetwork,
     Cpt,
@@ -15,12 +16,14 @@ from beliefnet import (
     Variable,
     evidence_probability,
     evidence_weight,
+    infer,
     joint_probability,
     marginal_joint,
     most_probable_assignment,
     posterior,
     weighted_joint,
 )
+from beliefnet import enumeration
 
 
 def test_weighted_joint_sums_to_one_without_evidence(serial_net, converging_net, loopy8_net):
@@ -160,3 +163,47 @@ def test_size_guard():
         weighted_joint(net)
     with pytest.raises(NetworkTooLargeError):
         posterior(net, "V0")
+
+
+def test_zero_weight_soft_evidence_on_the_target_keeps_every_state(loopy8_net):
+    # A target's axis is never narrowed: its zero-weight state stays in
+    # the answer as an exact zero.
+    polytree = netgen.random_polytree(np.random.default_rng(5), 7, min_states=3, max_states=3)
+    target, hard, soft = (v.id for v in polytree.variables[:3])
+    queries = [(polytree, target, Evidence({target: SoftEvidence([0, 1, 2]), hard: HardEvidence(2),
+                                            soft: SoftEvidence([1, 0, 0.5])}), ("bp", "cutset")),
+               (loopy8_net, "C", Evidence({"C": SoftEvidence([0, 1, 2]), "H": HardEvidence(1),
+                                           "A": SoftEvidence([0, 1])}), ("cutset",))]
+    for net, target, e, methods in queries:
+        answers = [posterior(net, target, e).probabilities, marginal_joint(net, [target], e),
+                   infer(net, target, e, "enum").belief.probabilities]
+        for got in answers:
+            assert got.shape == (3,) and got[0] == 0.0 and got[1:].min() > 0
+            for method in methods:
+                want = infer(net, target, e, method).belief.probabilities
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_hard_findings_fix_their_axes(monkeypatch):
+    # Ten hard findings on a 20-node chain leave 2**10 states to sum, not 2**20.
+    n = 20
+    vs = tuple(Variable(f"V{i}", ("a", "b")) for i in range(n))
+    cpts = (Cpt("V0", (), [0.4, 0.6]),) + tuple(
+        Cpt(f"V{i}", (f"V{i - 1}",), [[0.7, 0.3], [0.2, 0.8]]) for i in range(1, n))
+    net = BayesianNetwork(vs, cpts)
+    e = Evidence({f"V{i}": HardEvidence(i % 3 % 2) for i in range(1, n, 2)})
+    sizes = []
+    real = enumeration._joint
+
+    def spy(*args):
+        arr, kept = real(*args)
+        sizes.append(arr.size)
+        return arr, kept
+
+    monkeypatch.setattr(enumeration, "_joint", spy)
+    posterior(net, "V0", e)
+    infer(net, "V4", e, "enum")
+    evidence_probability(net, e)
+    most_probable_assignment(net, e)
+    assert weighted_joint(net, e).shape == (2,) * n
+    assert sizes == [2 ** 10] * 5

@@ -166,3 +166,23 @@ def test_plans_are_made_and_the_network_memo_kept_in_one_place():
                       for node in ast.walk(function)
                       if isinstance(node, ast.Attribute) and node.attr == "_memo"})
     assert touched == [("model.py", "_once"), ("model.py", "_relevance")]
+
+
+def test_enumeration_multiplies_tables_into_a_joint_at_one_site():
+    # Every enumeration answer reads one joint builder, so the full joint
+    # and the one narrowed by the evidence cannot drift apart: the CPT
+    # factors are derived in one function and read in one other, which
+    # multiplies them and the evidence weights in at one statement.
+    tree = ast.parse((SOURCES[0].parent / "enumeration.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def sites(match):
+        return [f.name for f in functions for node in ast.walk(f) if match(node)]
+
+    assert sites(lambda node: isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "cpt_tensor") == ["_factors"]
+    assert sites(lambda node: isinstance(node, ast.Name) and node.id == "_factors") == ["_joint"]
+    assert sites(lambda node: isinstance(node, ast.AugAssign)
+                 and isinstance(node.op, ast.Mult)) == ["_joint"]
+    assert set(sites(lambda node: isinstance(node, ast.BinOp)
+                     and isinstance(node.op, ast.Mult))) <= {"_joint"}
