@@ -75,7 +75,7 @@ whole-network schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from string import ascii_letters
 from collections.abc import Mapping, Sequence
 
@@ -98,14 +98,16 @@ class _Compiled:
     ``out_edges[x]`` those to its children, and ``neighbors[x]`` holds
     (neighbour, edge, the edge leaves x) for each, by neighbour.
     ``cpt[x]`` is the CPT tensor over (parents..., x), a root's prior
-    kept as one row; ``ones[x]`` is x's lambda without evidence.
-    ``pi_subs[x]`` contracts the pi messages from x's parents with its
-    CPT; ``lambda_subs[e]`` contracts the CPT of the child of edge e
-    with its lambda and the pi messages from its other parents
-    (``others[e]``).  ``parents[x]`` lists x's parents, and ``rank[x]`` is
-    x's place in ``net.topological_order()``.  ``priors`` keeps each
-    prior marginal that ``prior`` has computed, and ``schedules`` the
-    whole-network schedules that ``_schedule`` has built.
+    kept as one row; ``ones[x]`` is x's lambda without evidence, one
+    read-only row shared by the nodes of x's arity.  ``pi_subs[x]``
+    contracts the pi messages from x's parents with its CPT;
+    ``lambda_subs[e]`` contracts the CPT of the child of edge e with its
+    lambda and the pi messages from its other parents (``others[e]``).
+    Both come from ``_subscripts`` by parent count and position.
+    ``parents[x]`` lists x's parents, and ``rank[x]`` is x's place in
+    ``net.topological_order()``.  ``priors`` keeps each prior marginal
+    that ``prior`` has computed, and ``schedules`` the whole-network
+    schedules that ``_schedule`` has built.
     """
 
     def __init__(self, net: BayesianNetwork):
@@ -123,23 +125,21 @@ class _Compiled:
         self.neighbors = [sorted([(self.edges[e][0], e, False) for e in ins]
                                  + [(self.edges[e][1], e, True) for e in outs])
                           for ins, outs in zip(self.in_edges, self.out_edges)]
-        self.ones = [np.broadcast_to(1.0, (1, v.arity)) for v in net.variables]
+        ones = {a: np.broadcast_to(1.0, (1, a)) for a in {v.arity for v in net.variables}}
+        self.ones = [ones[v.arity] for v in net.variables]
         self.cpt: list[np.ndarray] = []
         self.pi_subs: list[str] = []
         self.lambda_subs = [""] * len(self.edges)
         self.others: list[list[int]] = [[] for _ in self.edges]
         for x, v in enumerate(net.variables):
             ins = self.in_edges[x]
-            # One letter per parent, then the child's; "..." is the batch axis.
-            letters, child = ascii_letters[:len(ins)], ascii_letters[len(ins)]
             table = net.cpt(v.id).table
             self.cpt.append(table.reshape(*(net.arity(p) for p in net.parents(v.id)), v.arity)
                             if ins else table)
-            self.pi_subs.append(",".join([f"...{a}" for a in letters] + [letters + child])
-                                + f"->...{child}")
-            for i, e in enumerate(ins):
-                rest = "".join(f",...{a}" for j, a in enumerate(letters) if j != i)
-                self.lambda_subs[e] = f"{letters}{child},...{child}{rest}->...{letters[i]}"
+            pi_sub, lambda_subs = _subscripts(len(ins))
+            self.pi_subs.append(pi_sub)
+            for e, sub in zip(ins, lambda_subs):
+                self.lambda_subs[e] = sub
                 self.others[e] = [f for f in ins if f != e]
         self.priors: dict[int, np.ndarray] = {}
         self.schedules: dict[tuple, _Schedule] = {}
@@ -166,6 +166,19 @@ class _Compiled:
                 pi = self.contract_pi(y, [self.priors[u] for u in self.parents[y]])
                 self.priors[y] = pi / pi.sum(axis=-1)[:, None]
         return self.priors[x]
+
+
+@cache
+def _subscripts(k: int) -> tuple[str, tuple[str, ...]]:
+    """The einsum subscripts of a node with k parents: its pi contraction,
+    and its lambda message to the parent at each position."""
+    # One letter per parent, then the child's; "..." is the batch axis.
+    letters, child = ascii_letters[:k], ascii_letters[k]
+    pi = ",".join([f"...{a}" for a in letters] + [letters + child]) + f"->...{child}"
+    return pi, tuple(
+        f"{letters}{child},...{child}"
+        + "".join(f",...{a}" for j, a in enumerate(letters) if j != i) + f"->...{letters[i]}"
+        for i in range(k))
 
 
 def _compiled(net: BayesianNetwork) -> _Compiled:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from beliefnet import cutset, is_polytree, load_network, propagation
+import netgen
+from beliefnet import cutset, is_polytree, load_network, propagation, serialize_network
 from beliefnet.cli import run
 
 BAD_SUM = "network t\nvariable A : a, b\ncpt A\n: 0.9, 0.6\n"
@@ -368,3 +370,13 @@ def test_every_engine_prints_the_same_digits(fixture_dir, capsys, name):
                 printed.add((code, tuple(line for line in out.splitlines()
                                          if line.startswith("P("))))
             assert len(printed) == 1, (target.id, finding, printed)
+
+
+def test_a_query_whose_cutset_is_too_large_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "grid8x8.bn"
+    path.write_text(serialize_network(netgen.grid(np.random.default_rng(8), 8, 8)))
+    code = run(["query", str(path), "--target", "G63"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("error: loop cutset of 27 nodes has 134217728 instantiations, "
+                   "conditioning handles at most 131072\n")

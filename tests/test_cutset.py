@@ -1,6 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import netgen
 from beliefnet import (
     BayesianNetwork,
     Cpt,
@@ -9,11 +13,14 @@ from beliefnet import (
     HardEvidence,
     ImpossibleEvidenceError,
     InvalidQueryError,
+    Method,
+    NetworkTooLargeError,
     NotAPolytreeError,
     SoftEvidence,
     Variable,
     conditioned_posterior,
     evidence_probability,
+    infer,
     instantiation_weight,
     load_network,
     posterior,
@@ -228,3 +235,42 @@ def test_a_run_of_every_row_in_one_block_sweeps_the_networks_own_rows(monkeypatc
     ruled = run_cutset_conditioning(loopy8_net, "D", Evidence({"A": HardEvidence(1)}))
     assert [c for _, c in ruled._sweeps] == [((1, 0), (1, 1))]
     assert [ind.tolist() for ind in passed[0]] == [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]
+
+
+@pytest.mark.parametrize("method", [Method.AUTO, Method.CUTSET])
+def test_a_cutset_with_too_many_instantiations_is_refused_before_any_is_built(method):
+    # An 8x8 grid's greedy cutset has 27 nodes, 2**27 instantiations.
+    net = netgen.grid(np.random.default_rng(8), 8, 8)
+    start = time.perf_counter()
+    with pytest.raises(NetworkTooLargeError, match="27 nodes has 134217728 instantiations"):
+        infer(net, "G63", Evidence.empty(), method)
+    assert time.perf_counter() - start < 0.25
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetworkTooLargeError):
+            infer(netgen.twin(net), "G63", Evidence.empty(), method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def _grid_oracle(net, target):
+    """The target's prior marginal by variable elimination in declaration
+    order: a node is summed out once no later table reads it."""
+    axis = {v.id: i for i, v in enumerate(net.variables)}
+    factor, axes = np.ones(()), []
+    for k, v in enumerate(net.variables):
+        table = [axis[p] for p in (*net.parents(v.id), v.id)]
+        keep = [a for a in dict.fromkeys(axes + table)
+                if a == axis[target] or any(a in map(axis.get, net.parents(w.id))
+                                            for w in net.variables[k + 1:])]
+        factor, axes = np.einsum(factor, axes, net.cpt_tensor(v.id), table, keep), keep
+    return factor
+
+
+def test_a_six_by_six_grid_still_answers_by_conditioning():
+    net = netgen.grid(np.random.default_rng(6), 6, 6)
+    run = run_cutset_conditioning(net, "G35")
+    assert run.instantiation_count == 2 ** 14 <= cutset._MAX_INSTANTIATIONS
+    assert np.max(np.abs(run.belief.probabilities - _grid_oracle(net, "G35"))) <= 1e-12

@@ -1,7 +1,10 @@
+import itertools
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import netgen
 from beliefnet import (
@@ -12,7 +15,9 @@ from beliefnet import (
     load_network,
     parse_network,
     Variable,
+    Violation,
     serialize_network,
+    validate,
 )
 
 GOOD = """\
@@ -320,3 +325,251 @@ def test_a_malformed_header_keeps_its_header_error(line, message, before):
     text = f"network t\nvariable A : a, b\nvariable B : x, y\n{before}{line}\n"
     err = _syntax_error(text)
     assert str(err) == f"line {text.count(chr(10))}: {message}"
+
+
+_NAME = re.compile(r"[^\s,:|#]+")
+
+
+def _reference_parse(text):
+    """The file grammar, one line at a time, written apart from the library.
+
+    Returns the network's name, its variables as (id, states, line) and
+    its tables as (child, parents, table, line, row lines by state
+    indices), or raises NetfileSyntaxError as the library's parser must.
+    """
+    def fail(message, line=None):
+        raise NetfileSyntaxError(message, line)
+
+    def token(s, n, what):
+        s = s.strip()
+        if not _NAME.fullmatch(s):
+            fail(f"bad {what} {s!r}", n)
+        return s
+
+    name, states, variables, tables, table = None, {}, [], {}, None
+    for n, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if name is None:
+            words = line.split()
+            if len(words) != 2 or words[0] != "network":
+                fail("missing network header", n)
+            name = token(words[1], n, "network name")
+            continue
+        word = line.split()[0]
+        # Inside a table whose first parent has a state named like the
+        # keyword, the keyword followed by ':' or ',' starts a row.
+        is_row = (table is not None and table["parents"]
+                  and word in states[table["parents"][0]]
+                  and line[len(word):].lstrip()[:1] in (":", ","))
+        if word == "network" and not is_row:
+            fail("duplicate network header", n)
+        elif word == "variable" and not is_row:
+            table = None
+            if ":" not in line:
+                fail("expected ':' after the variable name", n)
+            head, _, rest = line.partition(":")
+            words = head.split()
+            if len(words) != 2:
+                fail("expected 'variable <name> : <states>'", n)
+            vid = token(words[1], n, "variable name")
+            if vid in states:
+                fail(f"variable {vid!r} declared twice", n)
+            states[vid] = tuple(token(s, n, "state label") for s in rest.split(","))
+            variables.append((vid, states[vid], n))
+        elif word == "cpt" and not is_row:
+            head, bar, rest = line.partition("|")
+            words = head.split()
+            if len(words) != 2:
+                fail("expected 'cpt <child> [| <parents>]'", n)
+            child = token(words[1], n, "variable name")
+            if child not in states:
+                fail(f"cpt for undeclared variable {child!r}", n)
+            if child in tables:
+                fail(f"second table for variable {child!r}", n)
+            parents = tuple(token(p, n, "parent name") for p in rest.split(",")) if bar else ()
+            for p in parents:
+                if p not in states:
+                    fail(f"undeclared parent {p!r}", n)
+            table = tables[child] = {"child": child, "parents": parents, "line": n, "rows": {}}
+        else:
+            if table is None:
+                fail(f"unexpected line outside a cpt block: {line!r}", n)
+            if ":" not in line:
+                fail("expected ':' between parent states and probabilities", n)
+            lhs, _, rhs = line.partition(":")
+            parents = table["parents"]
+            labels = [s.strip() for s in lhs.split(",")] if lhs.strip() else []
+            if len(labels) != len(parents):
+                fail(f"row names {len(labels)} parent states, table has {len(parents)} parents", n)
+            key = []
+            for p, label in zip(parents, labels):
+                if label not in states[p]:
+                    fail(f"variable {p!r} has no state {label!r}", n)
+                key.append(states[p].index(label))
+            if tuple(key) in table["rows"]:
+                fail("duplicate row", n)
+            probs = []
+            for tok in rhs.split(","):
+                try:
+                    probs.append(float(tok))
+                except ValueError:
+                    fail(f"bad probability {tok.strip()!r}", n)
+            child = table["child"]
+            if len(probs) != len(states[child]):
+                fail(f"row has {len(probs)} probabilities, {child!r} has "
+                     f"{len(states[child])} states", n)
+            table["rows"][tuple(key)] = (probs, n)
+    if name is None:
+        fail("missing network header")
+    out = []
+    for child, t in tables.items():
+        keys = list(itertools.product(*(range(len(states[p])) for p in t["parents"])))
+        for key in keys:
+            if key not in t["rows"]:
+                label = ",".join(states[p][s] for p, s in zip(t["parents"], key))
+                fail(f"cpt {child} is missing the row for ({label})", t["line"])
+        array = np.array([t["rows"][k][0] for k in keys], dtype=np.float64)
+        out.append((child, t["parents"], array, t["line"],
+                    {k: line for k, (_, line) in t["rows"].items()}))
+    return name, variables, out
+
+
+def _reference_outcome(text):
+    """What parse_network must do with ``text``: the network's parts, or the error."""
+    try:
+        name, variables, tables = _reference_parse(text)
+    except NetfileSyntaxError as exc:
+        return exc
+    net = BayesianNetwork(tuple(Variable(v, s) for v, s, _ in variables),
+                          tuple(Cpt(c, p, t) for c, p, t, _, _ in tables), name=name)
+    var_line = {v: n for v, _, n in variables}
+    table_line = {c: n for c, _, _, n, _ in tables}
+    row_line = {c: rows for c, _, _, _, rows in tables}
+    located = []
+    for v in validate(net):
+        if v.row is not None:
+            line = row_line[v.subject][v.row]
+        elif v.kind in ("state-count", "duplicate-state", "missing-cpt"):
+            line = var_line[v.subject]
+        else:
+            line = table_line.get(v.subject)
+        located.append(v if line is None else
+                       Violation(v.kind, f"line {line}, {v.where}", v.detail, v.subject, v.row))
+    return NetworkValidationError(located) if located else net
+
+
+def _keyworded(net, keyword):
+    """``net`` with each variable's first state renamed to ``keyword``."""
+    variables = tuple(Variable(v.id, (keyword, *v.states[1:])) for v in net.variables)
+    return BayesianNetwork(variables, net.cpts, name=net.name)
+
+
+def _base_texts():
+    rng = np.random.default_rng(21)
+    nets = [netgen.random_polytree(rng, n) for n in (2, 4, 7)]
+    nets += [netgen.grid(rng, 2, 3), netgen.random_loopy(rng, 6)]
+    nets += [_keyworded(nets[1], k) for k in ("cpt", "variable", "network")]
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    return ([serialize_network(net) for net in nets]
+            + [p.read_text() for p in sorted(fixtures.glob("*.bn"))])
+
+
+BASE_TEXTS = _base_texts()
+
+
+def _is_row(line):
+    return ":" in line and not line.startswith(("network", "variable", "cpt", "#"))
+
+
+def _mutate(lines, kind, rnd):
+    """Apply one edit of ``kind`` to the file's lines, at places ``rnd`` picks."""
+    rows = [i for i, line in enumerate(lines) if _is_row(line)]
+    i = rnd.choice(rows) if rows else rnd.randrange(len(lines))
+    line = lines[i]
+    lhs, sep, rhs = line.partition(":")
+    labels, probs = lhs.split(","), rhs.split(",")
+    if kind == "shuffle":
+        j = i
+        while j + 1 < len(lines) and _is_row(lines[j + 1]):
+            j += 1
+        while i > 0 and _is_row(lines[i - 1]):
+            i -= 1
+        block = lines[i:j + 1]
+        rnd.shuffle(block)
+        lines[i:j + 1] = block
+    elif kind == "space":
+        def pad():
+            return rnd.choice(["", " ", "\t", "  \t "])
+        lines[i] = (",".join(pad() + s.strip() + pad() for s in labels) + sep
+                    + ",".join(pad() + s + pad() for s in probs))
+    elif kind == "comment":
+        blank = rnd.choice(["", "# note", "   ", "\t# a, b : c"])
+        lines.insert(rnd.randrange(len(lines) + 1), blank)
+        lines[i] += rnd.choice(["  # cpt X | Y", "#", " #: 1"])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(rnd.randrange(i, len(lines) + 1), line)
+    elif kind == "label":
+        k = rnd.randrange(len(labels))
+        labels[k] = rnd.choice(["zz", "", " ", "s0", "s1", "cpt", "a b"])
+        lines[i] = ",".join(labels) + sep + rhs
+    elif kind == "probability":
+        k = rnd.randrange(len(probs))
+        probs[k] = rnd.choice(["oops", "", " 0.9", "1_0", "nan", "-inf", "1e400", "0x1"])
+        lines[i] = lhs + sep + ",".join(probs)
+    elif kind == "count":
+        parts = rnd.choice([labels, probs])
+        if rnd.random() < 0.5 and len(parts) > 1:
+            del parts[rnd.randrange(len(parts))]
+        else:
+            parts.insert(rnd.randrange(len(parts) + 1), rnd.choice([" s0", "0.5", ""]))
+        lines[i] = ",".join(labels) + sep + ",".join(probs)
+    elif kind == "header":
+        # A header inside a table: one of the file's or a malformed one.
+        header = rnd.choice([h for h in lines if h.startswith(("variable", "cpt", "network"))]
+                            + ["variable Q : a, b", "cpt Q", "cpt : x", "cpt , x"])
+        if header.startswith("variable") and rnd.random() < 0.5:
+            header = header.replace(" ", " Q", 1)     # a new name, so its labels are read
+        lines.insert(i, header)
+    elif kind == "names":
+        # A header of the file's gains a bad or an undeclared name.
+        i = rnd.choice([k for k, h in enumerate(lines) if h.startswith(("variable", "cpt"))])
+        if lines[i].startswith("cpt") and "|" not in lines[i]:
+            lines[i] += " | X"
+        lines[i] += rnd.choice([", Ghost, a|b", ", Ghost", ", a|b", ","])
+    elif kind == "keyword":
+        word = rnd.choice(["cpt", "variable", "network"])
+        lines[i] = word + rnd.choice([" ", "", ",", " , "]) + line
+    return lines
+
+
+MUTATIONS = ("shuffle", "space", "comment", "drop", "duplicate", "label", "probability",
+             "count", "header", "names", "keyword")
+
+
+@given(st.sampled_from(BASE_TEXTS), st.lists(st.sampled_from(MUTATIONS), max_size=3),
+       st.randoms(use_true_random=False))
+def test_parse_network_matches_the_reference_grammar_on_mutated_files(text, kinds, rnd):
+    # Both give byte-equal tables, or the same error type, message, line
+    # and violations.
+    lines = text.splitlines()
+    for kind in kinds:
+        lines = _mutate(lines, kind, rnd)
+    text = "\n".join(lines) + "\n"
+    expected = _reference_outcome(text)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            parse_network(text)
+        assert str(exc.value) == str(expected)
+        assert getattr(exc.value, "line", None) == getattr(expected, "line", None)
+        assert getattr(exc.value, "violations", None) == getattr(expected, "violations", None)
+    else:
+        net = parse_network(text)
+        assert net.name == expected.name
+        assert [(v.id, v.states) for v in net.variables] == [
+            (v.id, v.states) for v in expected.variables]
+        assert [(c.child, c.parents, c.table.tobytes()) for c in net.cpts] == [
+            (c.child, c.parents, c.table.tobytes()) for c in expected.cpts]

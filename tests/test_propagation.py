@@ -317,6 +317,28 @@ def test_a_second_query_computes_no_prior_again(monkeypatch, polytree_corpus):
     assert deferred > 5
 
 
+def test_compiling_shares_one_ones_row_per_arity_and_one_subscript_set_per_parent_count():
+    # The subscripts are those a per-node and per-edge formula gives.
+    nets = [netgen.random_polytree(np.random.default_rng(5), 60),
+            netgen.random_loopy(np.random.default_rng(6), 12),
+            netgen.grid(np.random.default_rng(7), 3, 3)]
+    for net in nets:
+        comp = propagation._Compiled(net)
+        by_arity = {}
+        for x, v in enumerate(net.variables):
+            ones = by_arity.setdefault(v.arity, comp.ones[x])
+            assert comp.ones[x] is ones
+            assert np.array_equal(ones, np.ones((1, v.arity))) and not ones.flags.writeable
+            ins = comp.in_edges[x]
+            letters, child = "abcdefghij"[:len(ins)], "abcdefghij"[len(ins)]
+            assert comp.pi_subs[x] == (",".join([f"...{a}" for a in letters] + [letters + child])
+                                       + f"->...{child}")
+            for i, e in enumerate(ins):
+                rest = "".join(f",...{a}" for j, a in enumerate(letters) if j != i)
+                assert comp.lambda_subs[e] == f"{letters}{child},...{child}{rest}->...{letters[i]}"
+        assert len(set(map(id, comp.ones))) == len({v.arity for v in net.variables})
+
+
 class _CountedReads(list):
     """A list that counts the items read from it."""
 

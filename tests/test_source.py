@@ -186,3 +186,18 @@ def test_enumeration_multiplies_tables_into_a_joint_at_one_site():
                  and isinstance(node.op, ast.Mult)) == ["_joint"]
     assert set(sites(lambda node: isinstance(node, ast.BinOp)
                      and isinstance(node.op, ast.Mult))) <= {"_joint"}
+
+
+def test_the_parser_keys_each_row_by_its_tables_label_index_at_one_site():
+    # A row's labels are looked up whole in its table's index, built once
+    # per distinct tuple of parent states; no label is searched for state
+    # by state and no parent assignment is enumerated to find a row.
+    assert "netfile.py" not in _callers("state_index") | _callers("ndindex")
+    tree = ast.parse((SOURCES[0].parent / "netfile.py").read_text())
+    stored = [node.value.id for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name)]
+    assert stored.count("rows") == 1
+    built = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "setdefault"]
+    assert [node.func.value.id for node in built] == ["index"]
