@@ -13,16 +13,11 @@ same nodes, so all of them share one message schedule and run as the
 rows of one batched sweep, in blocks of at most ``BLOCK`` rows to bound
 its memory; instantiations the evidence rules out are not swept.
 
-The sweep is the collect pass toward the target, built by one walk out
-from it, over the target, the evidence, the cutset and all their
-ancestors, less the in-trees whose pi messages are cached priors.
-Every other node is barren, so each row's mass is still P(c, e) and
-the target's belief is read off the collect pass.  If every CPT entry
-is positive, the pass covers only the components of the split network
-that hold the target or a piece of a cutset node: any other has the
-same positive mass on every row, which cancels in the mixture, and is
-walked and swept when ``weights`` is first read.  The rest of the
-sweep is sent only when the traces are read.
+Each row's sweep is the collect pass toward the target
+(``propagation._toward``).  It yields the target's belief and the row's
+mass P(c, e), up to a factor that every row shares and that cancels in
+the mixture.  ``weights`` holds the whole masses, computed when first
+read; the rest of the sweep is sent only when the traces are read.
 
 The cutset, its instantiations and their indicator rows are built once
 per network, the schedule once per target and evidence pattern (the
@@ -30,10 +25,9 @@ query's plan, ``model._Plan``); a query adds only what values decide.
 A cutset of more than ``_MAX_INSTANTIATIONS`` instantiations raises
 NetworkTooLargeError before any of them is built.
 
-On a polytree ``run_cutset_conditioning`` skips the cutset search: the
-empty cutset leaves one row, whose belief is read unmixed (Suermondt &
-Cooper 1990).  It is the one driver ``infer`` runs, so ``bp`` is this
-case.
+On a polytree the driver skips the cutset search: the empty cutset
+leaves one row, whose belief is read unmixed (Suermondt & Cooper 1990).
+``infer`` runs this one driver (``_condition``), so ``bp`` is this case.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ import numpy as np
 
 from .errors import ImpossibleEvidenceError, NetworkTooLargeError
 from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state, _once,
-                    _relevance)
+                    _Plan, _relevance)
 from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
@@ -160,17 +154,23 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
     one row's belief is read unmixed; any other network is conditioned on
     ``select_cutset``'s cutset.
     """
-    rel = _relevance(net, target, e)
+    return _condition(net, *_relevance(net, target, e))
+
+
+def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray]) -> CutsetRun:
+    """``run_cutset_conditioning`` of a checked query: ``model._relevance``'s
+    plan and bound evidence."""
     cut, combos, states, indicators = _once(net, _instantiations)
     comp = _compiled(net)
-    schedule = _toward(net, comp, rel, cut.nodes)
+    schedule = _toward(net, comp, plan, cut.nodes)
+    target = plan.target
     x = comp.index[target]
     if not cut.nodes:
-        sweep = _run(comp, schedule, _lambdas(comp, rel.bound))
+        sweep = _run(comp, schedule, _lambdas(comp, bound))
         if sweep.gathered[0] <= 0:
             raise ImpossibleEvidenceError("evidence has probability zero")
         return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, 1, ((),), ((sweep, ((),)),))
-    rows = np.flatnonzero(_allowed(rel.bound, cut.nodes, states))
+    rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
     # One block of every row sweeps the kept arrays as they are.
     whole = len(rows) == len(combos) <= BLOCK
     sweeps = []
@@ -180,7 +180,7 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
         block = rows[start:start + BLOCK]
         block_rows = indicators if whole else [ind[block] for ind in indicators]
         block_combos = combos if whole else tuple(combos[r] for r in block.tolist())
-        sweep = _run(comp, schedule, _lambdas(comp, rel.bound, cut.nodes, block_rows))
+        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, block_rows))
         sweeps.append((sweep, block_combos))
         w = sweep.gathered
         # A row of zero mass has a zero (not undefined) belief, so it adds nothing.

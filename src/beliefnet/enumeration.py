@@ -69,9 +69,10 @@ def _joint(net: BayesianNetwork, bound, targets=()) -> tuple[np.ndarray, dict[in
 
 
 def _checked_joint(net: BayesianNetwork, e: Evidence, targets=()):
-    """``_joint`` of ``e``, the network's size checked before the evidence is bound."""
+    """``_joint`` of ``e``, the evidence bound before the network's size is checked."""
+    bound = _bind_evidence(net, e)
     _check_size(net)
-    return _joint(net, _bind_evidence(net, e), targets)
+    return _joint(net, bound, targets)
 
 
 def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.ndarray:
@@ -104,7 +105,9 @@ def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()
     """Normalised joint over several targets given the evidence.
 
     The result's axes follow the order of ``targets``.  Targets must be
-    distinct, non-empty and free of hard evidence.
+    distinct, non-empty and free of hard evidence.  The query is checked
+    in ``infer``'s order: the targets, the network, the evidence, then hard
+    evidence on a target; the size guard comes last.
     """
     targets = list(targets)
     if not targets:
@@ -113,13 +116,15 @@ def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()
         raise InvalidQueryError("marginal_joint targets must be distinct")
     for t in targets:
         net.var(t)
+    bound = _bind_evidence(net, e)
+    for t in targets:
         if e.is_hard(t):
             raise InvalidQueryError(f"target {t!r} carries hard evidence")
-    return _normalised(net, targets, _checked_joint(net, e, targets)[0])
+    return _marginal(net, targets, bound)
 
 
 def _marginal(net: BayesianNetwork, targets: list[str], bound) -> np.ndarray:
-    """``marginal_joint`` of checked targets, the evidence bound (``model._relevance``)."""
+    """``marginal_joint`` of checked targets and bound evidence (``_bind_evidence``)."""
     _check_size(net)
     return _normalised(net, targets, _joint(net, bound, targets)[0])
 

@@ -402,8 +402,8 @@ class BayesianNetwork:
 
     @cached_property
     def _memo(self) -> dict:
-        """``_once``'s results, by the function that derived them, the last
-        ``_relevance`` and its store of query plans (``_Plan``)."""
+        """``_once``'s results, by the function that derived them, and
+        ``_relevance``'s store of query plans, under ``_Plan``."""
         return {}
 
 
@@ -633,25 +633,18 @@ _PLANS = 64
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """What a query derives from its target and evidence pattern (which nodes
-    carry hard findings, which any), never from values: ``opened``, the evidence
-    and its ancestors (the colliders it opens), ``above``, the target and its
-    ancestors, and in ``memo`` what its readers build from them."""
+    """A checked query's target and evidence pattern (``hard``, the nodes with
+    hard findings, and ``observed``, those with any), and what the query derives
+    from them, never from values: ``opened``, the evidence and its ancestors (the
+    colliders it opens), ``above``, the target and its ancestors, and in ``memo``
+    what its readers build from them."""
 
+    target: str
+    hard: frozenset[str]
+    observed: frozenset[str]
     opened: frozenset[str]
     above: frozenset[str]
     memo: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True, eq=False)
-class _Relevance:
-    """A checked query, its bound evidence and the ``plan`` of its pattern."""
-
-    evidence: Evidence
-    target: str
-    bound: Mapping[str, np.ndarray]
-    hard: Mapping[str, int]
-    plan: _Plan
 
 
 def _kept(store: dict, key, build):
@@ -664,26 +657,21 @@ def _kept(store: dict, key, build):
     return store[key]
 
 
-def _relevance(net: BayesianNetwork, target: str, e: Evidence) -> _Relevance:
+def _relevance(net: BayesianNetwork, target: str,
+               e: Evidence) -> tuple[_Plan, dict[str, np.ndarray]]:
     """Check the target, then the network and the evidence (``_bind_evidence``),
-    then that the target has no hard finding.  The network keeps the last value,
-    found again by the target and by ``e``'s identity, which holding ``e`` keeps
-    unique, and the last ``_PLANS`` plans, found again by the target and the
-    evidence pattern."""
-    memo = net._memo
-    rel = memo.get(_relevance)
-    if rel is None or rel.evidence is not e or rel.target != target:
-        net.var(target)
-        bound = _bind_evidence(net, e)
-        if e.is_hard(target):
-            raise InvalidQueryError(f"target {target!r} carries hard evidence")
-        hard = e.hard_states()
-        plan = _kept(memo.setdefault(_Plan, {}), (target, frozenset(hard), frozenset(bound)),
-                     lambda: _Plan(frozenset(_closure(e.entries, net._parents)),
-                                   frozenset(_closure((target,), net._parents))))
-        rel = memo[_relevance] = _Relevance(e, target, MappingProxyType(bound),
-                                            MappingProxyType(hard), plan)
-    return rel
+    then that the target has no hard finding.  Returns the plan of the query's
+    pattern and the bound evidence.  The network keeps the last ``_PLANS``
+    plans, found again by the target and the evidence pattern."""
+    net.var(target)
+    bound = _bind_evidence(net, e)
+    if e.is_hard(target):
+        raise InvalidQueryError(f"target {target!r} carries hard evidence")
+    hard, observed = frozenset(e.hard_states()), frozenset(bound)
+    plan = _kept(net._memo.setdefault(_Plan, {}), (target, hard, observed),
+                 lambda: _Plan(target, hard, observed, frozenset(_closure(observed, net._parents)),
+                               frozenset(_closure((target,), net._parents))))
+    return plan, bound
 
 
 def evidence_weight(net: BayesianNetwork, e: Evidence, assignment: Assignment) -> float:

@@ -59,7 +59,10 @@ Baker & Boult 1990).  A parent whose ancestral in-tree no evidence
 reaches is prior-only: its pi message is its prior marginal, which the
 compiled network computes once with the sweep's own pi contraction and
 keeps (lazy propagation's reuse of evidence-free potentials; Madsen &
-Jensen 1999).  A component that hard findings cut off from the target
+Jensen 1999).  Which nodes are barren and which prior-only depends on
+the evidence pattern and the cut alone, so a schedule toward a target
+decides them all before it walks, the prior-only ones in one
+parents-first pass.  A component that hard findings cut off from the target
 and from every cut node cannot change the target's belief; if no CPT
 entry is zero, the walk reaches it only when the mass is read.
 Reading the log sends the missing messages in the whole network's
@@ -83,7 +86,7 @@ import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
 from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _kept, _once,
-                    _Relevance)
+                    _Plan)
 from .structure import is_polytree
 
 
@@ -104,7 +107,7 @@ class _Compiled:
     ``lambda_subs[e]`` contracts the CPT of the child of edge e with its
     lambda and the pi messages from its other parents (``others[e]``).
     Both come from ``_subscripts`` by parent count and position.
-    ``parents[x]`` lists x's parents, and ``rank[x]`` is x's place in
+    ``parents[x]`` lists x's parents, and ``order`` every node in
     ``net.topological_order()``.  ``priors`` keeps each prior marginal
     that ``prior`` has computed, and ``schedules`` the whole-network
     schedules that ``_schedule`` has built.
@@ -121,7 +124,7 @@ class _Compiled:
             self.in_edges[w].append(e)
             self.out_edges[u].append(e)
         self.parents = [[self.edges[e][0] for e in ins] for ins in self.in_edges]
-        self.rank = {self.index[v]: r for r, v in enumerate(net.topological_order())}
+        self.order = [self.index[v] for v in net.topological_order()]
         self.neighbors = [sorted([(self.edges[e][0], e, False) for e in ins]
                                  + [(self.edges[e][1], e, True) for e in outs])
                           for ins, outs in zip(self.in_edges, self.out_edges)]
@@ -234,9 +237,11 @@ class _Schedule:
 class _Walk:
     """Breadth-first walks over the split skeleton with the nodes ``hard``
     observed, which build every schedule.  With ``keep`` None every node
-    is kept and nothing is preset.  Toward a target, ``keep(x)`` says
-    whether x is in K, the ``seeds`` (target, evidence and cut nodes) and
-    their ancestors, and a node's neighbours are classified when the walk
+    is kept and nothing is preset.  Toward a target, ``keep`` is K, the
+    ``seeds`` (target, evidence and cut nodes) and their ancestors, and
+    ``prior_edge`` maps each prior-only node of K (no seed, one child in K
+    and only prior-only parents) to its edge to that child, all decided at
+    once, parents first.  A node's neighbours are classified when the walk
     first reaches it: a child outside K is barren and skipped; an observed
     parent gives the clone that carries the edge; a prior-only parent's
     edge is preset; any other neighbour is walked.
@@ -246,41 +251,14 @@ class _Walk:
         self.comp, self.hard, self.keep, self.seeds = comp, hard, keep, seeds
         self.preset: list[int] = []
         self.prior_edge: dict[int, int] = {}
+        for x in comp.order if keep is not None else ():
+            if x in keep and x not in seeds and all(u in self.prior_edge for u in comp.parents[x]):
+                # x is an ancestor of a seed, so it has at least one child in K.
+                below = [f for f in comp.out_edges[x] if comp.edges[f][1] in keep]
+                if len(below) == 1:
+                    self.prior_edge[x] = below[0]
         # Each split node walked, with its neighbours; a walk takes whole components.
         self._adj: dict[tuple[int, int, int], list] = {}
-
-    def prior_only(self, y: int) -> bool:
-        """Whether y is prior-only: no seed, one child in K and only
-        prior-only parents.  ``prior_edge`` keeps, per node decided, its
-        edge to that child, or -1 when it is not prior-only.  Each node is
-        decided once per walk, parents first, without recursion."""
-        known, comp = self.prior_edge, self.comp
-        if y in known:
-            return known[y] >= 0
-        # Each node reached takes its own test once; one that passes holds
-        # its edge until its ancestors are known.
-        region, stack, failed = [], [y], False
-        while stack:
-            x = stack.pop()
-            if x in known:
-                failed = failed or known[x] < 0
-                continue
-            # Every node reached is in K, so its lone child is in K too.
-            out = comp.out_edges[x]
-            below = () if x in self.seeds else out if len(out) == 1 else \
-                [f for f in out if self.keep(comp.edges[f][1])]
-            if len(below) == 1:
-                known[x] = below[0]
-                region.append(x)
-                stack += comp.parents[x]
-            else:
-                known[x] = -1
-                failed = True
-        if failed:
-            for x in sorted(region, key=comp.rank.__getitem__):
-                if -1 in map(known.__getitem__, comp.parents[x]):
-                    known[x] = -1
-        return known[y] >= 0
 
     def adjacent(self, nd: tuple[int, int, int]) -> list:
         """nd's walked neighbours, as (split node, edge), classified once."""
@@ -294,11 +272,11 @@ class _Walk:
             adj, keep, hard = [], self.keep, self.hard
             for y, f, down in self.comp.neighbors[x]:
                 if down:
-                    if x not in hard and (keep is None or keep(y)):
+                    if x not in hard and (keep is None or y in keep):
                         adj.append(((y, 0, -1), f))
                 elif y in hard:
                     adj.append(((y, 1, f), f))
-                elif keep is not None and self.prior_only(y):
+                elif y in self.prior_edge:
                     self.preset.append(f)
                 else:
                     adj.append(((y, 0, -1), f))
@@ -333,7 +311,7 @@ class _Walk:
         pivot_tree = self.tree(pivot) if pivot else None
         for start in [nd for x in xs for nd in [(x, 0, -1)] + (
                 [(x, 1, f) for y, f, down in self.comp.neighbors[x]
-                 if down and (keep is None or keep(y))] if x in self.hard else [])]:
+                 if down and (keep is None or y in keep)] if x in self.hard else [])]:
             if pivot_tree and start in pivot_tree[1]:
                 (order, link), pivot_tree = pivot_tree, None
                 first = min(order) if ordered else start
@@ -363,22 +341,22 @@ def _schedule(comp: _Compiled, hard_vars, pivot: str | None = None) -> _Schedule
         comp, frozenset(comp.index[v] for v in hard)).schedule(range(len(comp.ids)), root))
 
 
-def _toward(net: BayesianNetwork, comp: _Compiled, rel: _Relevance,
+def _toward(net: BayesianNetwork, comp: _Compiled, plan: _Plan,
             cut: Sequence[str] = ()) -> _Schedule:
-    """The schedule toward ``rel``'s target with its evidence and the ``cut``
-    nodes observed.  K is ``opened | above`` of ``rel``'s plan and the ancestors of
+    """The schedule toward ``plan``'s target with its evidence and the ``cut``
+    nodes observed.  K is ``opened | above`` of the plan and the ancestors of
     any cut node outside it.  If every CPT entry is positive, a component
     holding no piece of the target or of a cut node has the same positive
     mass on every cutset row, which cancels in the mixture: it is left to ``rest``.
-    The schedule depends on ``rel``'s plan and the cut alone, so the plan keeps it."""
-    key, memo = (_Schedule, tuple(cut)), rel.plan.memo
+    The schedule depends on the plan and the cut alone, so the plan keeps it."""
+    key, memo = (_Schedule, tuple(cut)), plan.memo
     if key not in memo:
-        ids, index, opened, above = comp.ids, comp.index, rel.plan.opened, rel.plan.above
-        outside = _closure(set(cut) - opened - above, net._parents) if cut else ()
-        walk = _Walk(comp, frozenset(map(index.__getitem__, [*rel.hard, *cut])),
-                     lambda x: (v := ids[x]) in above or v in opened or v in outside,
-                     frozenset(map(index.__getitem__, [rel.target, *rel.bound, *cut])))
-        pivot = (index[rel.target], 0, -1)
+        index, inside = comp.index, plan.opened | plan.above
+        outside = _closure(set(cut) - inside, net._parents) if cut else ()
+        walk = _Walk(comp, frozenset(map(index.__getitem__, [*plan.hard, *cut])),
+                     frozenset(map(index.__getitem__, [*inside, *outside])),
+                     frozenset(map(index.__getitem__, [plan.target, *plan.observed, *cut])))
+        pivot = (index[plan.target], 0, -1)
         memo[key] = walk.schedule(sorted({pivot[0], *(index[v] for v in cut)}), pivot) \
             if net._positive else walk.schedule(sorted(walk.seeds), pivot, ordered=True)
     return memo[key]
@@ -503,12 +481,12 @@ class _Sweep:
         """Send every message not yet sent, in the order of the full schedule."""
         if self._all_sent:
             return
-        # Reading the mass walks and sweeps the components left out, so every
-        # prior-only node is then decided and its pi message is its prior.
+        # Reading the mass sweeps the components left out; then every
+        # prior-only node's pi message is its prior.
         self.mass
-        for e in self.schedule.walk.prior_edge.values():
-            if e >= 0 and self.pi_msg[e] is None:
-                self.pi_msg[e] = self.comp.prior(self.comp.edges[e][0])
+        for x, e in self.schedule.walk.prior_edge.items():
+            if self.pi_msg[e] is None:
+                self.pi_msg[e] = self.comp.prior(x)
         for _, collect, distribute in self.full.components:
             for is_pi, e in collect + distribute:
                 if (self.pi_msg if is_pi else self.lambda_msg)[e] is None:

@@ -9,13 +9,12 @@ rest contribute nothing and are skipped; disagreeing directions make
 the query mixed.
 
 ``infer`` checks the query and binds its evidence once
-(``model._relevance``); the one conditioning driver,
-``cutset.run_cutset_conditioning``, enumeration and ``classify_query``
-reuse that value.  ``infer`` answers by enumeration or through the driver.
-Its plan (``model._Plan``), kept per target and evidence pattern for
-every later query observing the same nodes with any values, holds the
-ancestor sets, the driver's schedule and the read-only classification;
-the network keeps the last ``model._PLANS`` plans.
+(``model._relevance``) and hands the plan and the bound evidence to the
+conditioning driver (``cutset._condition``), to enumeration and to the
+classifier (``_classify``).  The plan (``model._Plan``), kept per target
+and evidence pattern for every later query observing the same nodes with
+any values, holds the ancestor sets, the driver's schedule and the
+read-only classification; the network keeps the last ``model._PLANS`` plans.
 Message passing (``bp``) is conditioning on the empty cutset, which the
 driver picks on a polytree; under ``bp``, once the query is checked,
 ``infer`` checks that the network is a polytree.
@@ -31,7 +30,7 @@ from typing import Mapping
 from . import cutset as _cutset
 from . import enumeration as _enumeration
 from .errors import InvalidQueryError
-from .model import BayesianNetwork, Belief, Evidence, _relevance
+from .model import BayesianNetwork, Belief, Evidence, _Plan, _relevance
 from .propagation import _require_polytree
 from .structure import _reached, is_polytree
 
@@ -60,28 +59,33 @@ class QueryClassification:
 def classify_query(net: BayesianNetwork, target: str, e: Evidence) -> QueryClassification:
     """Name the direction of reasoning a query performs.
 
-    The query is checked and bound once, by ``_relevance``, and one
-    Bayes-ball pass from the target finds each evidence node that influences it.
+    The query is checked and bound by ``_relevance``, and one Bayes-ball
+    pass from the target finds each evidence node that influences it.
     Which nodes it finds depends on the evidence pattern alone (Shachter 1998),
     so the query's plan keeps the classification for later queries.
     """
-    rel = _relevance(net, target, e)
-    if e.is_empty():
+    return _classify(net, *_relevance(net, target, e))
+
+
+def _classify(net: BayesianNetwork, plan: _Plan, bound: Mapping) -> QueryClassification:
+    """``classify_query`` of a checked query: ``model._relevance``'s plan and bound evidence."""
+    if not bound:
         raise InvalidQueryError("classification needs at least one evidence entry")
-    if QueryClassification in rel.plan.memo:
-        return rel.plan.memo[QueryClassification]
+    if QueryClassification in plan.memo:
+        return plan.memo[QueryClassification]
 
     # One ball from the target, given all of the evidence, reaches just
     # the evidence nodes d-connected to it given the other findings: a
     # node's own finding opens only colliders above it, and a trail
     # through such a collider can run down to the node instead.
-    reached = _reached(net, target, rel.hard, rel.plan.opened)
-    desc = net.descendants(target)
-    subs = {v: (QueryClass.FORWARD if v in rel.plan.above
+    reached = _reached(net, plan.target, plan.hard, plan.opened)
+    desc = net.descendants(plan.target)
+    subs = {v: (QueryClass.FORWARD if v in plan.above
                 else QueryClass.BACKWARD if v in desc else QueryClass.INTERCAUSAL)
-            for v in sorted(reached.intersection(rel.bound).difference((target,)), key=net.index)}
+            for v in sorted(reached.intersection(plan.observed).difference((plan.target,)),
+                            key=net.index)}
     kinds = set(subs.values())
-    classification = rel.plan.memo[QueryClassification] = QueryClassification(
+    classification = plan.memo[QueryClassification] = QueryClassification(
         kinds.pop() if len(kinds) == 1 else QueryClass.MIXED, MappingProxyType(subs))
     return classification
 
@@ -122,16 +126,16 @@ def infer(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty(),
     target, the network, the evidence, then hard evidence on the target.
     """
     resolved = Method(method)
-    rel = _relevance(net, target, e)
+    plan, bound = _relevance(net, target, e)
     if resolved is Method.AUTO:
         resolved = Method.POLYTREE if is_polytree(net) else Method.CUTSET
     elif resolved is Method.POLYTREE:
         _require_polytree(net)
     if resolved is Method.ENUMERATION:
-        belief, log = Belief(target, _enumeration._marginal(net, [target], rel.bound)), ()
+        belief, log = Belief(target, _enumeration._marginal(net, [target], bound)), ()
     else:
-        run = _cutset.run_cutset_conditioning(net, target, e)
+        run = _cutset._condition(net, plan, bound)
         belief = run.belief
         log = tuple(line for sweep in run.traces.values() for line in sweep) if trace else ()
-    classification = None if e.is_empty() else classify_query(net, target, e)
+    classification = _classify(net, plan, bound) if bound else None
     return InferResult(belief, resolved, classification, log)

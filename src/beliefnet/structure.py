@@ -74,8 +74,9 @@ class SeparationVerdict:
     """Outcome of a d-separation test.
 
     ``blocks`` is always empty: a separated verdict comes from a search
-    that walks no paths.  It stays because the benchmark counts it
-    (``bench/workloads.py``).
+    that walks no paths.  Only the benchmark's ``_count_dsep`` reads it
+    (``bench/workloads.py``), and that counter is never reached: it probes
+    ``query.d_separated``, a name ``query`` does not have.
     """
 
     separated: bool

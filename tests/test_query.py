@@ -21,6 +21,7 @@ from beliefnet import (
     classify_query,
     infer,
     load_network,
+    marginal_joint,
     posterior,
     propagate,
     run_cutset_conditioning,
@@ -318,6 +319,8 @@ QUERY_ENTRIES = {
     **{f"infer-{m.value}": (lambda net, t, e, m=m: infer(net, t, e, m)) for m in Method},
     "run_cutset_conditioning": run_cutset_conditioning,
     "classify_query": classify_query,
+    "posterior": posterior,
+    "marginal_joint": lambda net, t, e: marginal_joint(net, [t], e),
 }
 
 
@@ -335,48 +338,71 @@ def _bytes(result):
     return result.belief.probabilities.tobytes(), result.classification, result.trace
 
 
-def test_a_query_is_checked_once_per_evidence_object_and_target(monkeypatch, fixture_dir):
+def test_a_query_is_checked_once_per_call_and_planned_once_per_pattern(monkeypatch, fixture_dir):
+    # Nothing of a query is kept between calls but its plan: every call of
+    # a query entry checks and binds its evidence once, a repeat with the
+    # same ``Evidence`` object too.  Equal findings in another object, and
+    # new values on the same nodes, share the plan of their target and pattern.
     net = load_network(fixture_dir / "sprinkler.bn")
     e = Evidence({"X5": HardEvidence(0), "X2": SoftEvidence([0.3, 0.9])})
     counts: dict[str, int] = {}
     _spy(monkeypatch, model, "_bind_evidence", counts)
-    first = model._relevance(net, "X1", e)
-    assert model._relevance(net, "X1", e) is first
+    first, bound = model._relevance(net, "X1", e)
     assert counts["_bind_evidence"] == 1
-    # Another target, or equal findings in another object, is checked anew.
-    other_target = model._relevance(net, "X3", e)
+    assert (first.target, first.hard, first.observed) == ("X1", {"X5"}, {"X5", "X2"})
+    assert bound.keys() == {"X5", "X2"} and bound["X2"] is e.entries["X2"].likelihood
     twin = Evidence(dict(e.entries))
-    other_object = model._relevance(net, "X3", twin)
-    assert counts["_bind_evidence"] == 3
-    assert (other_target.target, other_target.evidence) == ("X3", e)
-    assert other_object is not other_target and other_object.evidence is twin
-    assert other_object.plan is other_target.plan
-    assert other_object.plan.opened == other_target.plan.opened == first.plan.opened
-    assert other_object.plan.above == other_target.plan.above != first.plan.above
-    # A repeated query reads the kept value and answers with the same bits.
-    for method in (Method.AUTO, Method.ENUMERATION, Method.CUTSET):
+    revalued = Evidence({"X5": HardEvidence(1), "X2": SoftEvidence([0.8, 0.1])})
+    for again in (e, twin, revalued):
+        assert model._relevance(net, "X1", again)[0] is first
+    other = model._relevance(net, "X3", e)[0]
+    assert model._relevance(net, "X3", twin)[0] is other
+    assert counts["_bind_evidence"] == 6
+    assert other is not first and other.target == "X3"
+    assert other.opened == first.opened and other.above != first.above
+
+    def run(t):
+        r = run_cutset_conditioning(net, t, e)
+        return r.belief.probabilities.tobytes(), r.weights, r.traces
+
+    entries = {
+        **{m.value: (lambda t, m=m: _bytes(infer(net, t, e, m, trace=True)))
+           for m in (Method.AUTO, Method.ENUMERATION, Method.CUTSET)},
+        "run_cutset_conditioning": run,
+        "classify_query": lambda t: classify_query(net, t, e),
+        "posterior": lambda t: posterior(net, t, e).probabilities.tobytes(),
+        "marginal_joint": lambda t: marginal_joint(net, [t], e).tobytes(),
+    }
+    for name, entry in entries.items():
         for target in ("X1", "X4"):
-            once = infer(net, target, e, method, trace=True)
-            counts["_bind_evidence"] = 0
-            again = infer(net, target, e, method, trace=True)
-            assert counts["_bind_evidence"] == 0
-            assert _bytes(again) == _bytes(once)
+            answers = []
+            for _ in range(2):
+                counts["_bind_evidence"] = 0
+                answers.append(entry(target))
+                assert counts["_bind_evidence"] == 1, name
+            assert answers[1] == answers[0], name
 
 
-def test_a_network_keeps_a_bounded_number_of_query_plans():
-    # Each evidence pattern a network is asked about gets one plan; past
-    # the bound the first one kept is dropped, and asking about its pattern
-    # again builds it anew, with the same answer bits.
+def test_a_network_keeps_a_bounded_number_of_query_plans(monkeypatch):
+    # Each evidence pattern a network is asked about gets one plan, which
+    # every evidence object of that pattern shares; past the bound the first
+    # one kept is dropped, and asking about its pattern again builds it anew,
+    # with the same answer bits.  Every query binds its evidence once.
     rng = np.random.default_rng(19)
     net = netgen.random_polytree(rng, 9)
     target, *others = [v.id for v in net.variables]
     patterns = [Evidence({v: HardEvidence(int(rng.integers(net.arity(v))))
                           for j, v in enumerate(others) if i >> j & 1})
                 for i in range(1, model._PLANS + 17)]
+    counts: dict[str, int] = {}
+    _spy(monkeypatch, model, "_bind_evidence", counts)
     plans = []
     for e in patterns:
+        counts["_bind_evidence"] = 0
         first = infer(net, target, e, trace=True)
-        plans.append(model._relevance(net, target, e).plan)
+        assert counts["_bind_evidence"] == 1
+        plans.append(model._relevance(net, target, Evidence(dict(e.entries)))[0])
+        assert model._relevance(net, target, e)[0] is plans[-1]
         assert len(net._memo[model._Plan]) <= model._PLANS
     assert len(net._memo[model._Plan]) == model._PLANS
     store = propagation._compiled(net).schedules
@@ -386,27 +412,35 @@ def test_a_network_keeps_a_bounded_number_of_query_plans():
     assert len(store) == model._PLANS
     cold = netgen.twin(net)
     for e, plan in zip(patterns[:2], plans):
+        counts["_bind_evidence"] = 0
         again = infer(net, target, Evidence(dict(e.entries)), trace=True)
-        assert model._relevance(net, target, e).plan is not plan
+        assert counts["_bind_evidence"] == 1
+        assert model._relevance(net, target, e)[0] is not plan
         assert _bytes(again) == _bytes(infer(cold, target, e, trace=True))
     assert _bytes(infer(net, target, patterns[-1], trace=True)) == _bytes(first)
-    assert model._relevance(net, target, patterns[-1]).plan is plans[-1]
+    assert model._relevance(net, target, patterns[-1])[0] is plans[-1]
 
 
-def test_networks_never_share_a_query_check(fixture_dir):
+def test_networks_never_share_a_query_check(monkeypatch, fixture_dir):
     path = fixture_dir / "serial.bn"
     first, second = load_network(path), load_network(path)
     sprinkler = load_network(fixture_dir / "sprinkler.bn")
     e = Evidence({"X": HardEvidence(1)})
+    counts: dict[str, int] = {}
+    _spy(monkeypatch, model, "_bind_evidence", counts)
     for _ in range(2):
-        a = model._relevance(first, "Z", e)
-        b = model._relevance(second, "Z", e)
-        assert a is not b and a.bound["X"] is not b.bound["X"]
+        counts["_bind_evidence"] = 0
+        (plan_a, a), (plan_b, b) = model._relevance(first, "Z", e), model._relevance(second, "Z", e)
+        assert counts["_bind_evidence"] == 2
+        assert plan_a is not plan_b and a["X"] is not b["X"]
+        assert first._memo[model._Plan] is not second._memo[model._Plan]
         assert infer(first, "Z", e).belief.probabilities.tobytes() == \
             infer(second, "Z", e).belief.probabilities.tobytes()
+        assert counts["_bind_evidence"] == 4
         # The same findings name no variable of another network.
         with pytest.raises(ValueError, match="unknown variable"):
             infer(sprinkler, "X1", e)
+    assert sprinkler._memo.get(model._Plan, {}) == {}
 
 
 def _library_queries(seed):

@@ -66,8 +66,8 @@ def test_every_private_helper_is_used():
 
 
 def test_queries_enter_the_cutset_module_only_through_its_driver():
-    # ``infer`` runs the one driver: it builds no cutset of its own and
-    # reads no other name of ``cutset``.
+    # ``infer`` runs the one driver, on the query it has checked: it builds
+    # no cutset of its own and reads no other name of ``cutset``.
     tree = ast.parse((SOURCES[0].parent / "query.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert not any(node.module == "cutset" for node in imports)
@@ -75,7 +75,7 @@ def test_queries_enter_the_cutset_module_only_through_its_driver():
                for alias in node.names if alias.name == "cutset"}
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases}
-    assert read == {"run_cutset_conditioning"}
+    assert read == {"_condition"}
     assert "LoopCutset" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
@@ -118,13 +118,24 @@ def _called(tree):
 
 def test_a_query_is_checked_and_bound_in_one_place():
     # ``model._relevance`` checks the target, the network and the
-    # evidence and walks their ancestors once per query; the front door
-    # and the driver read its value instead of redoing any of it.
+    # evidence and walks their ancestors once per plan.  The front door
+    # calls it once and hands its value to the driver and the classifier,
+    # whose public wrappers check the query themselves; none of them
+    # redoes any of the check.
     query = ast.parse((SOURCES[0].parent / "query.py").read_text())
     assert _called(query) & {"_bind_evidence", "_closure", "ancestors", "_require_valid"} == set()
-    [(where, driver)] = _functions("run_cutset_conditioning")
-    assert where == "cutset.py"
-    assert "_relevance" in _called(driver) and "_bind_evidence" not in _called(driver)
+    [(_, front)] = _functions("infer")
+    calls = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(front) if isinstance(node, ast.Call)]
+    assert calls.count("_relevance") == 1
+    assert {"_condition", "_classify"} <= set(calls)
+    assert {"run_cutset_conditioning", "classify_query"}.isdisjoint(calls)
+    for wrapper, where, inner in (("run_cutset_conditioning", "cutset.py", "_condition"),
+                                  ("classify_query", "query.py", "_classify")):
+        [(found, outer)] = _functions(wrapper)
+        assert found == where and {"_relevance", inner} <= _called(outer)
+        [(_, checked)] = _functions(inner)
+        assert _called(checked) & {"_relevance", "_bind_evidence"} == set()
 
 
 def test_one_check_rejects_hard_evidence_on_a_target():
