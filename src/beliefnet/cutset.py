@@ -10,8 +10,9 @@ and mixes the conditioned beliefs with weights
 which is exactly the evidence mass the sweep reports.  The mixture
 posterior matches full enumeration.  Every instantiation observes the
 same nodes, so all of them share one message schedule and run as the
-rows of one batched sweep, in blocks of at most ``BLOCK`` rows to bound
-its memory; instantiations the evidence rules out are not swept.
+rows of one batched sweep; instantiations the evidence rules out are not
+swept.  The mixture sums each state's column pairwise (NumPy's ``sum``),
+which keeps it within a few ulps of the exactly summed mixture.
 
 Each row's sweep is the collect pass toward the target
 (``propagation._toward``).  It yields the target's belief and the row's
@@ -43,15 +44,13 @@ import numpy as np
 from .errors import ImpossibleEvidenceError, NetworkTooLargeError
 from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state, _once,
                     _Plan, _relevance)
-from .propagation import _compiled, _lambdas, _run, _schedule, _Sweep, _toward
+from .propagation import _Compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
-# Instantiations swept together; the sweep's arrays hold this many rows.
-BLOCK = 1024
 # The most instantiations conditioning takes on.  Every one is kept with
-# its sweep: a 6x7 grid's 2**17 took 1.3 s and 340 MB on its first query
-# (6x6, 2**14: 0.12 s and 70 MB), and a 7x7 grid's 2**20 would take
-# about eight times that.
+# its sweep: a 6x7 grid's 2**17 took 0.65 s and 313 MB max RSS on its
+# first query in a fresh process (6x6, 2**14: 70 ms and 66 MB), and a
+# 7x7 grid's 2**20 would take about eight times that.
 _MAX_INSTANTIATIONS = 1 << 17
 
 
@@ -73,31 +72,32 @@ class CutsetRun:
     cutset: LoopCutset
     instantiation_count: int
     _combos: tuple[tuple[int, ...], ...] = field(repr=False)
-    _sweeps: tuple[tuple[_Sweep, tuple[tuple[int, ...], ...]], ...] = field(repr=False)
+    _sweep: _Sweep = field(repr=False)
+    _swept: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @cached_property
     def weights(self) -> dict[tuple[int, ...], float]:
         out = dict.fromkeys(self._combos, 0.0)
-        for sweep, combos in self._sweeps:
-            out.update(zip(combos, sweep.mass.tolist()))
+        out.update(zip(self._swept, self._sweep.mass.tolist()))
         return out
 
     @cached_property
     def traces(self) -> dict[tuple[int, ...], tuple[str, ...]]:
         out = dict.fromkeys(self.weights, ())
-        for sweep, combos in self._sweeps:
-            for k, combo in enumerate(combos):
-                out[combo] = sweep.trace(k)
+        out.update((combo, self._sweep.trace(k)) for k, combo in enumerate(self._swept))
         return out
 
 
-def _allowed(bound: Mapping[str, np.ndarray], cut, states: np.ndarray) -> np.ndarray:
+def _allowed(bound: Mapping[str, np.ndarray], cut, states: np.ndarray) -> np.ndarray | None:
     """Which rows of ``states`` give every cutset node a state of positive
-    evidence weight; the others have mass zero and are not swept."""
-    ok = np.ones(len(states), dtype=bool)
+    evidence weight, or None when no finding weighs a cut node's state
+    zero; the other rows have mass zero and are not swept."""
+    ok = None
     for j, var in enumerate(cut):
-        if var in bound:
-            ok &= bound[var][states[:, j]] > 0
+        w = bound.get(var)
+        if w is not None and not w.all():
+            hit = w[states[:, j]] > 0
+            ok = hit if ok is None else ok & hit
     return ok
 
 
@@ -112,9 +112,10 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
     cut = tuple(c)
     states = np.array([[_checked_state(v, c[v], net.arity(v)) for v in cut]],
                       dtype=np.intp).reshape(1, len(cut))
-    if not _allowed(bound, cut, states)[0]:
+    ok = _allowed(bound, cut, states)
+    if ok is not None and not ok[0]:
         return 0.0
-    comp = _compiled(net)
+    comp = _once(net, _Compiled)
     schedule = _schedule(comp, {*e.hard_states(), *cut})
     lam = _lambdas(comp, bound, cut, _indicators(net, cut, states))
     return float(_run(comp, schedule, lam).mass[0])
@@ -129,7 +130,7 @@ def _instantiations(net: BayesianNetwork) -> tuple:
     """The cutset the driver conditions on, every instantiation of it in
     order, their states as an array and each cut node's indicator rows
     (``_indicators``).  They depend on the network alone, so ``_once`` keeps
-    them; a query that sweeps every row at once reads the rows as they are.
+    them; a query that rules no row out sweeps the rows as they are.
     A cutset of more than ``_MAX_INSTANTIATIONS`` instantiations raises
     NetworkTooLargeError before any of them is built."""
     cut = LoopCutset() if is_polytree(net) else select_cutset(net)
@@ -161,34 +162,21 @@ def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray
     """``run_cutset_conditioning`` of a checked query: ``model._relevance``'s
     plan and bound evidence."""
     cut, combos, states, indicators = _once(net, _instantiations)
-    comp = _compiled(net)
-    schedule = _toward(net, comp, plan, cut.nodes)
-    target = plan.target
-    x = comp.index[target]
-    if not cut.nodes:
-        sweep = _run(comp, schedule, _lambdas(comp, bound))
-        if sweep.gathered[0] <= 0:
-            raise ImpossibleEvidenceError("evidence has probability zero")
-        return CutsetRun(Belief(target, sweep.belief(x)[0]), cut, 1, ((),), ((sweep, ((),)),))
-    rows = np.flatnonzero(_allowed(bound, cut.nodes, states))
-    # One block of every row sweeps the kept arrays as they are.
-    whole = len(rows) == len(combos) <= BLOCK
-    sweeps = []
-    mixed = np.zeros(net.arity(target))
-    total = 0.0
-    for start in range(0, len(rows), BLOCK):
-        block = rows[start:start + BLOCK]
-        block_rows = indicators if whole else [ind[block] for ind in indicators]
-        block_combos = combos if whole else tuple(combos[r] for r in block.tolist())
-        sweep = _run(comp, schedule, _lambdas(comp, bound, cut.nodes, block_rows))
-        sweeps.append((sweep, block_combos))
-        w = sweep.gathered
-        # A row of zero mass has a zero (not undefined) belief, so it adds nothing.
-        mixed = mixed + (w[:, None] * sweep.belief(x)).sum(axis=0)
-        total += float(w.sum())
+    comp = _once(net, _Compiled)
+    ok = _allowed(bound, cut.nodes, states)
+    rows, swept = (indicators, combos) if ok is None else (
+        [ind[ok] for ind in indicators], tuple(itertools.compress(combos, ok)))
+    sweep = _run(comp, _toward(net, comp, plan, cut.nodes),
+                 _lambdas(comp, bound, cut.nodes, rows))
+    w, b = sweep.gathered, sweep.belief(comp.index[plan.target])
+    # A polytree's one row is read unmixed.  Each state's column is made
+    # contiguous so that NumPy sums it pairwise, not row after row; a row
+    # of zero mass has a zero (not undefined) belief, so it adds nothing.
+    total = float(w.sum()) if cut.nodes else w[0]
     if total <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
-    return CutsetRun(Belief(target, mixed / total), cut, len(combos), combos, tuple(sweeps))
+    mixed = np.ascontiguousarray((w[:, None] * b).T).sum(axis=1) / total if cut.nodes else b[0]
+    return CutsetRun(Belief(plan.target, mixed), cut, len(combos), combos, sweep, swept)
 
 
 def conditioned_posterior(net: BayesianNetwork, target: str,

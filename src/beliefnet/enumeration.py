@@ -31,13 +31,6 @@ from .model import (
 MAX_JOINT_STATES = 1 << 22
 
 
-def _check_size(net: BayesianNetwork) -> None:
-    if net.joint_state_count > MAX_JOINT_STATES:
-        raise NetworkTooLargeError(
-            f"joint has {net.joint_state_count} states, enumeration handles at most {MAX_JOINT_STATES}"
-        )
-
-
 def _factors(net: BayesianNetwork) -> tuple:
     """Each CPT as a tensor over its variables' axes in declaration order,
     with those axes.  They depend on the network alone, so ``_once`` keeps them."""
@@ -52,7 +45,13 @@ def _joint(net: BayesianNetwork, bound, targets=()) -> tuple[np.ndarray, dict[in
     """The weighted joint, unnormalised, and the states kept on each axis
     it narrowed: that of a variable outside ``targets`` whose evidence in
     ``bound`` (``_bind_evidence``) weighs a state zero.  Each CPT, then each
-    weight, is multiplied in place, so only one joint-sized tensor is held."""
+    weight, is multiplied in place, so only one joint-sized tensor is held.
+    A network whose full joint exceeds the size guard raises
+    NetworkTooLargeError."""
+    if net.joint_state_count > MAX_JOINT_STATES:
+        raise NetworkTooLargeError(
+            f"joint has {net.joint_state_count} states, enumeration handles at most {MAX_JOINT_STATES}"
+        )
     kept = {net.index(var): np.flatnonzero(w) for var, w in bound.items()
             if var not in targets and not w.all()}
     dims = tuple(len(kept[a]) if a in kept else d for a, d in enumerate(net.dims))
@@ -68,13 +67,6 @@ def _joint(net: BayesianNetwork, bound, targets=()) -> tuple[np.ndarray, dict[in
     return arr, kept
 
 
-def _checked_joint(net: BayesianNetwork, e: Evidence, targets=()):
-    """``_joint`` of ``e``, the evidence bound before the network's size is checked."""
-    bound = _bind_evidence(net, e)
-    _check_size(net)
-    return _joint(net, bound, targets)
-
-
 def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.ndarray:
     """The joint tensor with evidence weights multiplied in, unnormalised.
 
@@ -83,7 +75,7 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
     the states of positive evidence weight are enumerated; every other
     entry is zero.
     """
-    arr, kept = _checked_joint(net, e)
+    arr, kept = _joint(net, _bind_evidence(net, e))
     if not kept:
         return arr
     full = np.zeros(net.dims)
@@ -93,7 +85,7 @@ def weighted_joint(net: BayesianNetwork, e: Evidence = Evidence.empty()) -> np.n
 
 def evidence_probability(net: BayesianNetwork, e: Evidence) -> float:
     """Total mass of the evidence: sum of the weighted joint."""
-    return float(_checked_joint(net, e)[0].sum())
+    return float(_joint(net, _bind_evidence(net, e))[0].sum())
 
 
 def posterior(net: BayesianNetwork, target: str, e: Evidence = Evidence.empty()) -> Belief:
@@ -124,13 +116,10 @@ def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()
 
 
 def _marginal(net: BayesianNetwork, targets: list[str], bound) -> np.ndarray:
-    """``marginal_joint`` of checked targets and bound evidence (``_bind_evidence``)."""
-    _check_size(net)
-    return _normalised(net, targets, _joint(net, bound, targets)[0])
-
-
-def _normalised(net: BayesianNetwork, targets: list[str], arr: np.ndarray) -> np.ndarray:
-    """The joint ``arr`` summed onto ``targets``, in their order, and normalised."""
+    """``marginal_joint`` of checked targets and bound evidence
+    (``_bind_evidence``): the joint summed onto ``targets``, in their order,
+    and normalised."""
+    arr = _joint(net, bound, targets)[0]
     keep = [net.index(t) for t in targets]
     other = tuple(i for i in range(arr.ndim) if i not in keep)
     marg = arr.sum(axis=other) if other else arr
@@ -151,7 +140,7 @@ def most_probable_assignment(net: BayesianNetwork, e: Evidence = Evidence.empty(
     Returns (assignment dict, joint probability of that assignment).
     Ties resolve to the first assignment in row-major declaration order.
     """
-    arr, kept = _checked_joint(net, e)
+    arr, kept = _joint(net, _bind_evidence(net, e))
     flat = int(np.argmax(arr))
     if float(arr.flat[flat]) <= 0.0:
         raise ImpossibleEvidenceError("no assignment is consistent with the evidence")

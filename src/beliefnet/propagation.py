@@ -184,10 +184,6 @@ def _subscripts(k: int) -> tuple[str, tuple[str, ...]]:
         for i in range(k))
 
 
-def _compiled(net: BayesianNetwork) -> _Compiled:
-    return _once(net, _Compiled)
-
-
 def _lambdas(comp: _Compiled, bound: Mapping[str, np.ndarray], cut: Sequence[str] = (),
              rows: Sequence[np.ndarray] = ()) -> dict[int, np.ndarray]:
     """The evidence lambda of each evidence and cut node, by index, for a
@@ -611,7 +607,7 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
     _require_polytree(net)
     if pivot is not None:
         net.var(pivot)
-    comp = _compiled(net)
+    comp = _once(net, _Compiled)
     sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), _lambdas(comp, bound))
     mass = float(sweep.mass[0])
     if mass <= 0:
@@ -634,7 +630,7 @@ def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) ->
     the delta is numerically zero.
     """
     bound = _bind_evidence(net, e)
-    comp = _compiled(net)
+    comp = _once(net, _Compiled)
     probe = _Sweep(comp, _schedule(comp, e.hard_states()), _lambdas(comp, bound))
     probe.pi_msg = [store.pi_messages[edge][None] for edge in comp.edge_index]
     probe.lambda_msg = [store.lambda_messages[edge][None] for edge in comp.edge_index]

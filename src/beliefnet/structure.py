@@ -71,16 +71,9 @@ def classify_connection(net: BayesianNetwork, a: str, v: str, b: str) -> Connect
 
 @dataclass(frozen=True)
 class SeparationVerdict:
-    """Outcome of a d-separation test.
-
-    ``blocks`` is always empty: a separated verdict comes from a search
-    that walks no paths.  Only the benchmark's ``_count_dsep`` reads it
-    (``bench/workloads.py``), and that counter is never reached: it probes
-    ``query.d_separated``, a name ``query`` does not have.
-    """
+    """Outcome of a d-separation test."""
 
     separated: bool
-    blocks: tuple[()] = ()
     _find_path: Callable[[], tuple[str, ...]] | None = field(default=None, repr=False,
                                                              compare=False)
 

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -190,7 +191,7 @@ BATCHED = [
 def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name, target, e):
     net = load_network(fixture_dir / f"{name}.bn")
     run = run_cutset_conditioning(net, target, e)
-    comp = propagation._compiled(net)
+    comp = _once(net, propagation._Compiled)
     schedule = propagation._schedule(comp, {*e.hard_states(), *run.cutset.nodes})
     bound = _bind_evidence(net, e)
     for combo, lines in run.traces.items():
@@ -201,40 +202,53 @@ def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name,
         _same_lines(lines, propagation._run(comp, schedule, lam).trace(0))
 
 
-@pytest.mark.parametrize("block", [1, 3])
-@pytest.mark.parametrize("name, target, e", BATCHED, ids=[f"{n}-{t}" for n, t, _ in BATCHED])
-def test_a_run_split_into_blocks_equals_one_block(monkeypatch, fixture_dir, name, target, e, block):
-    net = load_network(fixture_dir / f"{name}.bn")
-    whole = run_cutset_conditioning(net, target, e)
-    sweeps = []
-    monkeypatch.setattr(cutset, "BLOCK", block)
-    monkeypatch.setattr(cutset, "_run", lambda *a: sweeps.append(a) or propagation._run(*a))
-    split = run_cutset_conditioning(net, target, e)
-    swept = sum(lines != () for lines in whole.traces.values())
-    assert swept > 1 and len(sweeps) == -(-swept // block)
-    assert np.max(np.abs(split.belief.probabilities - whole.belief.probabilities)) <= 1e-12
-    assert split.weights.keys() == whole.weights.keys()
-    for combo, w in whole.weights.items():
-        assert split.weights[combo] == pytest.approx(w, abs=1e-15)
-        _same_lines(split.traces[combo], whole.traces[combo])
-
-
-def test_a_run_of_every_row_in_one_block_sweeps_the_networks_own_rows(monkeypatch, loopy8_net):
-    # No instantiation ruled out and one block: the sweep reads the kept
-    # indicator rows and instantiations, with no copy made per query.
+def test_a_run_of_every_row_sweeps_the_networks_own_rows(monkeypatch, loopy8_net):
+    # No instantiation ruled out: the sweep reads the kept indicator rows
+    # and instantiations, with no copy made per query.
     passed = []
     monkeypatch.setattr(cutset, "_lambdas",
                         lambda *a: passed.append(a[3]) or propagation._lambdas(*a))
-    run = run_cutset_conditioning(loopy8_net, "D", Evidence({"H": HardEvidence(0)}))
-    _, combos, _, indicators = _once(loopy8_net, cutset._instantiations)
-    assert len(combos) == 4 and [c for _, c in run._sweeps] == [combos]
-    assert run._sweeps[0][1] is combos and passed[0] is indicators
+    e = Evidence({"H": HardEvidence(0)})
+    run = run_cutset_conditioning(loopy8_net, "D", e)
+    _, combos, states, indicators = _once(loopy8_net, cutset._instantiations)
+    assert len(combos) == 4 and run._swept is combos and passed[0] is indicators
+    assert cutset._allowed(_bind_evidence(loopy8_net, e), run.cutset.nodes, states) is None
     assert not any(ind.flags.writeable for ind in indicators)
     # A finding that rules out rows sweeps only the others.
     passed.clear()
     ruled = run_cutset_conditioning(loopy8_net, "D", Evidence({"A": HardEvidence(1)}))
-    assert [c for _, c in ruled._sweeps] == [((1, 0), (1, 1))]
+    assert ruled._swept == ((1, 0), (1, 1)) and len(ruled._sweep.gathered) == 2
     assert [ind.tolist() for ind in passed[0]] == [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]
+
+
+def test_every_instantiation_goes_through_one_sweep(monkeypatch):
+    net = netgen.grid(np.random.default_rng(6), 6, 6)
+    calls = []
+    monkeypatch.setattr(cutset, "_run", lambda *a: calls.append(a) or propagation._run(*a))
+    run = run_cutset_conditioning(net, "G35")
+    assert run.instantiation_count == 2 ** 14 and len(calls) == 1
+    assert len(run._swept) == len(run._sweep.gathered) == 2 ** 14
+
+
+def _ulps(a, b) -> int:
+    """How many doubles lie between non-negative a and b, elementwise, at most."""
+    return int(np.max(np.abs(np.asarray(a, float).view(np.int64)
+                              - np.asarray(b, float).view(np.int64))))
+
+
+@pytest.mark.parametrize("seed, rows, cols", [(10, 4, 7), (1, 4, 6), (3, 5, 5), (7, 5, 6),
+                                              (6, 6, 6)])
+def test_the_mixture_is_within_two_ulps_of_its_exact_sum(seed, rows, cols):
+    # Each state's column is summed pairwise, not row after row.
+    net = netgen.grid(np.random.default_rng(seed), rows, cols)
+    target = net.variables[-1].id
+    run = run_cutset_conditioning(net, target)
+    assert 2 ** 8 <= run.instantiation_count <= 2 ** 14
+    w = run._sweep.gathered
+    b = np.broadcast_to(run._sweep.belief(net.index(target)), (len(w), net.arity(target)))
+    total = math.fsum(w.tolist())
+    exact = [math.fsum((w * b[:, j]).tolist()) / total for j in range(b.shape[1])]
+    assert _ulps(run.belief.probabilities, exact) <= 2
 
 
 @pytest.mark.parametrize("method", [Method.AUTO, Method.CUTSET])

@@ -25,6 +25,7 @@ from beliefnet import (
     select_cutset,
 )
 from beliefnet import propagation
+from beliefnet.model import _once
 
 TRACE_LINE = re.compile(r"^MSG \S+ \S+ (pi|lambda) [0-9.e+-]+(,[0-9.e+-]+)*$")
 
@@ -290,7 +291,7 @@ def test_a_second_query_computes_no_prior_again(monkeypatch, polytree_corpus):
         if not free:
             continue
         target = free[0]
-        comp = propagation._compiled(net)
+        comp = _once(net, propagation._Compiled)
         prior_only = _prior_only(net, target, e)
         needed = set().union(*(nodes for nodes, _, need in _split_components(net, target, e, ())
                                if need))
@@ -362,7 +363,7 @@ def test_a_long_chain_answers_from_the_cached_priors_alone(monkeypatch):
     net = netgen.assemble(np.random.default_rng(3), [[i + 1] for i in range(n - 1)] + [[]], [2] * n)
     root = net.variables[-1].id
     weights = np.array([0.3, 0.8])
-    comp = propagation._compiled(net)
+    comp = _once(net, propagation._Compiled)
     sent = _spy_sends(monkeypatch)
     soft = Evidence({root: SoftEvidence(weights)})
     for e, messages in ((Evidence.empty(), []), (soft, [(True, i) for i in range(n - 1)])):

@@ -41,7 +41,7 @@ from beliefnet import (
     weighted_joint,
 )
 from beliefnet import propagation
-from beliefnet.model import ROW_SUM_TOL, Violation
+from beliefnet.model import ROW_SUM_TOL, Violation, _once
 
 
 @st.composite
@@ -157,7 +157,7 @@ def test_each_cached_prior_is_the_marginal_and_the_sweeps_message(net):
     # A node's prior is exact where its ancestors form an in-tree, each
     # with one child among them; only such nodes can be prior-only, so
     # queries on every target cache no other.
-    comp = propagation._compiled(net)
+    comp = _once(net, propagation._Compiled)
     for v in net.variables:
         infer(net, v.id)
     cached = set(comp.priors)

@@ -405,7 +405,7 @@ def test_a_network_keeps_a_bounded_number_of_query_plans(monkeypatch):
         assert model._relevance(net, target, e)[0] is plans[-1]
         assert len(net._memo[model._Plan]) <= model._PLANS
     assert len(net._memo[model._Plan]) == model._PLANS
-    store = propagation._compiled(net).schedules
+    store = model._once(net, propagation._Compiled).schedules
     for e in patterns:
         propagate(net, e)
         assert len(store) <= model._PLANS

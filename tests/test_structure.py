@@ -78,7 +78,6 @@ def test_serial_open_without_evidence(serial_net):
     v = d_separated(serial_net, "X", "Z", Evidence.empty())
     assert not v.separated
     assert v.active_path == ("X", "Y", "Z")
-    assert v.blocks == ()
 
 
 def test_serial_soft_middle_does_not_block(serial_net):
@@ -127,7 +126,7 @@ def test_dsep_on_loop_fixture(sprinkler_net):
 def test_dsep_disconnected_pair_has_no_paths():
     net = _uniform_net([[], []])
     v = d_separated(net, "n0", "n1", Evidence.empty())
-    assert v.separated and v.blocks == () and v.active_path is None
+    assert v.separated and v.active_path is None
 
 
 def test_dsep_endpoint_rules(serial_net):
