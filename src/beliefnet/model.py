@@ -62,7 +62,8 @@ class Cpt:
     ``table`` has one row per full parent assignment (row-major, last
     parent fastest) and one column per child state.  A root variable has
     a single row holding its prior, which may be given 1-D; a table of
-    any other dimension raises ValueError.
+    any other dimension raises ValueError.  The table kept is a
+    read-only copy of the one given.
     """
 
     child: str
@@ -70,12 +71,12 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
+        # A copy, so that the caller's array cannot change the checked table.
+        t = np.array(self.table, dtype=np.float64, order="C")
         if t.ndim not in (1, 2):
             raise ValueError(f"CPT table for {self.child!r} must be 1-D or 2-D, got {t.ndim}-D")
         if t.ndim == 1:
             t = t.reshape(1, -1)
-        t = np.ascontiguousarray(t)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -292,16 +293,18 @@ class BayesianNetwork:
     @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
         """Each variable's parents that are declared variables."""
-        return {v.id: tuple(p for p in self.parents(v.id) if p in self._by_id)
-                for v in self.variables}
+        declared, by_child = self._by_id, self._cpt_by_child
+        return {u: tuple(filter(declared.__contains__,
+                                by_child[u].parents if u in by_child else ()))
+                for u in declared}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, list[str]] = {v.id: [] for v in self.variables}
-        for v in self.variables:
-            for p in self._parents[v.id]:
-                acc[p].append(v.id)
-        return {k: tuple(vs) for k, vs in acc.items()}
+        acc: dict[str, list[str]] = {u: [] for u in self._parents}
+        for u, ps in self._parents.items():
+            for p in ps:
+                acc[p].append(u)
+        return {u: tuple(cs) for u, cs in acc.items()}
 
     def children(self, var_id: str) -> tuple[str, ...]:
         self.var(var_id)
@@ -440,11 +443,13 @@ def validate(net: BayesianNetwork) -> list[Violation]:
     least two states per variable, exactly one CPT per variable with
     declared distinct parents, rows of the right length summing to one,
     probabilities in [0, 1] (a NaN entry counts as outside it), and an
-    acyclic directed graph.  Table violations follow the order of
-    ``net.cpts``, a table's rows in row-major order, though the rows of
-    all tables of one width are checked in one array pass.  The check
-    runs once per network; later calls, and the engines' own check,
-    reuse its result.
+    acyclic directed graph.  The check walks the tables once, then
+    checks the rows of all tables of one width in one array pass, and
+    builds a violation only where a check fails.  Table violations
+    follow the order of ``net.cpts``, a table's rows in row-major order.
+    The check runs once per network; later calls, and the engines' own
+    check, reuse its result.  Each ``Cpt`` holds its own copy of its
+    table, so the result cannot go stale.
     """
     return list(net._violations)
 
@@ -464,100 +469,110 @@ def _require_acyclic(net: BayesianNetwork) -> None:
 
 def _find_violations(net: BayesianNetwork) -> tuple[list[Violation], bool]:
     out: list[Violation] = []
-    arity = {v.id: v.arity for v in net.variables}
-
+    arity: dict[str, int] = {}
     for v in net.variables:
-        if v.arity < 2:
+        arity[v.id] = n = len(v.states)
+        if n < 2:
             out.append(Violation("state-count", f"variable {v.id}",
-                                 f"needs at least 2 states, has {v.arity}", v.id))
-        if len(set(v.states)) != len(v.states):
+                                 f"needs at least 2 states, has {n}", v.id))
+        if len(set(v.states)) != n:
             out.append(Violation("duplicate-state", f"variable {v.id}",
                                  "state labels are not unique", v.id))
 
-    by_child: dict[str, list[Cpt]] = {}
-    for c in net.cpts:
-        by_child.setdefault(c.child, []).append(c)
+    # One pass over the tables counts them by child, files those of
+    # declared children by width for the row checks, and makes every
+    # structural check with local lookups.  Only a failing table gets its
+    # violations built, into ``flagged`` with its index.
+    counts: dict[str, int] = {}     # tables by child, in the order first given
+    by_width: dict[int, list[int]] = {}
+    flagged: list[tuple[int, Violation]] = []
+    for i, c in enumerate(net.cpts):
+        child, parents = c.child, c.parents
+        counts[child] = counts.get(child, 0) + 1
+        width = arity.get(child)
+        if width is None:
+            continue
+        n_rows, n_cols = c.table.shape
+        by_width.setdefault(n_cols, []).append(i)
+        expect = 1
+        for p in parents:
+            expect *= arity.get(p, math.nan)     # NaN: an unknown parent
+        unknown = expect != expect
+        looped = child in parents
+        repeated = len(parents) > 1 and len(set(parents)) != len(parents)
+        wrong_width = n_cols != width
+        # The row count is judged only for known, distinct parents.
+        wrong_count = not (unknown or looped or repeated) and expect != n_rows
+        if not (unknown or looped or repeated or wrong_width or wrong_count):
+            continue
+        where = f"cpt {child}"
+        if unknown:
+            flagged += [(i, Violation("unknown-parent", where,
+                                      f"parent {p!r} is not declared", child))
+                        for p in parents if p not in arity]
+        if looped:
+            flagged.append((i, Violation("self-loop", where,
+                                         "variable listed as its own parent", child)))
+        if repeated:
+            flagged.append((i, Violation("duplicate-parent", where,
+                                         "parent list has repeats", child)))
+        if wrong_width:
+            flagged.append((i, Violation("row-length", where, f"rows have {n_cols} entries, "
+                                         f"child has {width} states", child)))
+        elif wrong_count:
+            flagged.append((i, Violation("row-count", where, f"has {n_rows} rows, "
+                                         f"parent states require {expect}", child)))
 
-    for child, cs in by_child.items():
+    for child, n in counts.items():
         if child not in arity:
             out.append(Violation("unknown-child", f"cpt {child}",
                                  "table given for an undeclared variable", child))
-        if len(cs) > 1:
+        if n > 1:
             out.append(Violation("duplicate-cpt", f"cpt {child}",
-                                 f"{len(cs)} tables given for one variable", child))
-    for v in net.variables:
-        if v.id not in by_child:
-            out.append(Violation("missing-cpt", f"variable {v.id}",
-                                 "no table given", v.id))
+                                 f"{n} tables given for one variable", child))
+    out += [Violation("missing-cpt", f"variable {v.id}", "no table given", v.id)
+            for v in net.variables if v.id not in counts]
 
-    # Range, row-sum and positivity flags, one array pass over the tables
+    # Range, row-sum and positivity checks, one array pass over the tables
     # of each width.  Each row is still summed alone, so its sum is the
-    # per-row one bit for bit.  failing[i] holds table i's failing rows:
-    # (row, out of range, off sum, sum); only these get keys and labels.
-    by_width: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(net.cpts):
-        if c.child in arity:
-            by_width.setdefault(c.table.shape[1:], []).append(i)
-    failing: list[list[tuple[int, bool, bool, float]]] = [[] for _ in net.cpts]
+    # per-row one bit for bit.  Rows are flagged one by one only where a
+    # width holds a failing row, and only the failing rows of a table that
+    # passed the checks above get keys and labels.  A NaN entry makes
+    # ``low`` and ``high`` NaN, so it counts as outside [0, 1]; a row
+    # holding both inf and -inf sums to NaN, and is out of range anyway.
+    skip = {i for i, _ in flagged}
     positive = True
-    for ix in by_width.values():
-        tables = [net.cpts[i].table for i in ix]
-        t = np.concatenate(tables) if len(tables) > 1 else tables[0]
-        positive = positive and bool((t > 0).all())
-        # NaN fails the range test, so it counts as outside [0, 1].
-        out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
-        # A row holding both inf and -inf sums to NaN; it is already out of range.
-        with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):
+        for ix in by_width.values():
+            tables = [net.cpts[i].table for i in ix]
+            t = np.concatenate(tables) if len(tables) > 1 else tables[0]
+            low, high = t.min(initial=np.inf), t.max(initial=-np.inf)
+            positive = positive and bool(low > 0)
             sums = t.sum(axis=1)
-        off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
-        bad = np.flatnonzero(out_of_range | off_sum)
-        starts = np.cumsum([0] + [len(tb) for tb in tables])
-        for r, k in zip(bad.tolist(), (np.searchsorted(starts, bad, side="right") - 1).tolist()):
-            failing[ix[k]].append((r - int(starts[k]), bool(out_of_range[r]),
-                                   bool(off_sum[r]), float(sums[r])))
+            off_sum = np.abs(sums - 1.0) > ROW_SUM_TOL
+            if low >= 0 and high <= 1 and not off_sum.any():
+                continue
+            out_of_range = ~((t >= 0) & (t <= 1)).all(axis=1)
+            bad = np.flatnonzero(out_of_range | off_sum)
+            starts = np.cumsum([0] + [len(tb) for tb in tables])
+            for r, k in zip(bad.tolist(), (np.searchsorted(starts, bad, "right") - 1).tolist()):
+                if ix[k] in skip:
+                    continue
+                c = net.cpts[ix[k]]
+                key = tuple(int(x) for x in np.unravel_index(
+                    r - int(starts[k]), tuple(arity[p] for p in c.parents)))
+                label = ",".join(net.var(p).states[s] for p, s in zip(c.parents, key))
+                where = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
+                if out_of_range[r]:
+                    flagged.append((ix[k], Violation("probability-range", where,
+                                                     "entries outside [0, 1]", c.child, key)))
+                if off_sum[r]:
+                    flagged.append((ix[k], Violation(
+                        "row-sum", where, f"row sums to {float(sums[r])!r}, expected 1",
+                        c.child, key)))
 
-    for i, c in enumerate(net.cpts):
-        if c.child not in arity:
-            continue
-        bad_parent = False
-        for p in c.parents:
-            if p not in arity:
-                out.append(Violation("unknown-parent", f"cpt {c.child}",
-                                     f"parent {p!r} is not declared", c.child))
-                bad_parent = True
-        if c.child in c.parents:
-            out.append(Violation("self-loop", f"cpt {c.child}",
-                                 "variable listed as its own parent", c.child))
-            bad_parent = True
-        if len(set(c.parents)) != len(c.parents):
-            out.append(Violation("duplicate-parent", f"cpt {c.child}",
-                                 "parent list has repeats", c.child))
-            bad_parent = True
-        width = arity[c.child]
-        if c.table.shape[1] != width:
-            out.append(Violation("row-length", f"cpt {c.child}",
-                                 f"rows have {c.table.shape[1]} entries, child has {width} states",
-                                 c.child))
-            continue
-        if bad_parent:
-            continue
-        pdims = tuple(arity[p] for p in c.parents)
-        expect = math.prod(pdims)
-        if c.n_rows != expect:
-            out.append(Violation("row-count", f"cpt {c.child}",
-                                 f"has {c.n_rows} rows, parent states require {expect}", c.child))
-            continue
-        for r, out_of_range, off_sum, total in failing[i]:
-            key = tuple(int(x) for x in np.unravel_index(r, pdims)) if pdims else ()
-            label = ",".join(net.var(p).states[s] for p, s in zip(c.parents, key))
-            where = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
-            if out_of_range:
-                out.append(Violation("probability-range", where,
-                                     "entries outside [0, 1]", c.child, key))
-            if off_sum:
-                out.append(Violation("row-sum", where,
-                                     f"row sums to {total!r}, expected 1", c.child, key))
-
+    # In table order: a table with failing rows has no structural violation.
+    out += [v for _, v in sorted(flagged, key=operator.itemgetter(0))]
     if net.topological_order() is None:
         out.append(Violation("cycle", "network",
                              "directed graph has a cycle", ""))

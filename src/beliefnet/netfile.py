@@ -204,8 +204,9 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
         if len(rows) != len(keys):
             miss = next(i for i in range(len(keys)) if i not in rows)
             raise NetfileSyntaxError(f"cpt {child} is missing the row for ({keys[miss]})", line)
-        table = np.array([rows[i][0] for i in range(len(keys))], dtype=np.float64)
+        table = [rows[i][0] for i in range(len(keys))]
         if normalize:
+            table = np.array(table, dtype=np.float64)
             sums = table.sum(axis=1)
             near = (sums > 0) & (np.abs(sums - 1.0) <= NORMALIZE_TOL)
             table[near] /= sums[near, None]

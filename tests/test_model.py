@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import netgen
 from beliefnet import (
@@ -14,6 +17,7 @@ from beliefnet import (
     Variable,
     Violation,
     evidence_weight,
+    infer,
     joint_probability,
     validate,
 )
@@ -43,6 +47,25 @@ def test_cpt_table_is_read_only():
     c = Cpt("X", (), [0.9, 0.1])
     with pytest.raises(ValueError):
         c.table[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("given", [lambda base: base, lambda base: base[:]],
+                         ids=["array", "view"])
+def test_cpt_keeps_its_own_copy_of_the_table(given):
+    # The caller's array stays theirs: writable, and writing to it, or to
+    # the base of the view it gave, changes neither the table behind the
+    # cached verdict nor the answer.
+    prior, base = np.array([0.3, 0.7]), np.array([[0.9, 0.1], [0.2, 0.8]])
+    a, b = Cpt("A", (), given(prior)), Cpt("B", ("A",), given(base))
+    net = BayesianNetwork((Variable("A", ("a", "b")), Variable("B", ("a", "b"))), (a, b))
+    assert validate(net) == []
+    before = infer(net, "B").belief.probabilities.tobytes()
+    assert prior.flags.writeable and base.flags.writeable
+    prior[:] = [2.0, -1.0]
+    base[0] = [2.0, -1.0]
+    assert a.table.tolist() == [[0.3, 0.7]] and b.table.tolist() == [[0.9, 0.1], [0.2, 0.8]]
+    assert validate(net) == []
+    assert infer(net, "B").belief.probabilities.tobytes() == before
 
 
 def test_duplicate_variable_ids_rejected():
@@ -188,16 +211,13 @@ def test_validate_clean_on_fixtures(fixture_dir, fixture):
     assert validate(load_network(fixture_dir / fixture)) == []
 
 
-def _kinds(net):
-    return {v.kind for v in validate(net)}
-
-
 def test_validate_reports_variable_defects():
     net = BayesianNetwork(
         (Variable("A", ("only",)), Variable("B", ("x", "x"))),
         (Cpt("A", (), [1.0]), Cpt("B", (), [0.5, 0.5])))
-    kinds = _kinds(net)
-    assert "state-count" in kinds and "duplicate-state" in kinds
+    assert validate(net) == [
+        Violation("state-count", "variable A", "needs at least 2 states, has 1", "A"),
+        Violation("duplicate-state", "variable B", "state labels are not unique", "B")]
 
 
 def test_validate_reports_cpt_bookkeeping():
@@ -205,16 +225,21 @@ def test_validate_reports_cpt_bookkeeping():
         (Variable("A", ("a", "b")), Variable("B", ("a", "b"))),
         (Cpt("A", (), [0.5, 0.5]), Cpt("A", (), [0.4, 0.6]),
          Cpt("C", (), [0.5, 0.5])))
-    kinds = _kinds(net)
-    assert {"duplicate-cpt", "unknown-child", "missing-cpt"} <= kinds
+    assert validate(net) == [
+        Violation("duplicate-cpt", "cpt A", "2 tables given for one variable", "A"),
+        Violation("unknown-child", "cpt C", "table given for an undeclared variable", "C"),
+        Violation("missing-cpt", "variable B", "no table given", "B")]
 
 
 def test_validate_reports_parent_defects():
     net = BayesianNetwork(
         (Variable("A", ("a", "b")),),
         (Cpt("A", ("A", "Q", "A"), np.full((8, 2), 0.5)),))
-    kinds = _kinds(net)
-    assert {"self-loop", "unknown-parent", "duplicate-parent"} <= kinds
+    assert validate(net) == [
+        Violation("unknown-parent", "cpt A", "parent 'Q' is not declared", "A"),
+        Violation("self-loop", "cpt A", "variable listed as its own parent", "A"),
+        Violation("duplicate-parent", "cpt A", "parent list has repeats", "A"),
+        Violation("cycle", "network", "directed graph has a cycle", "")]
 
 
 def test_validate_reports_table_shape_defects():
@@ -222,8 +247,9 @@ def test_validate_reports_table_shape_defects():
         (Variable("A", ("a", "b")), Variable("B", ("a", "b", "c"))),
         (Cpt("A", (), [0.5, 0.3, 0.2]),                      # too wide
          Cpt("B", ("A",), [[0.2, 0.3, 0.5]])))               # one row short
-    kinds = _kinds(net)
-    assert "row-length" in kinds and "row-count" in kinds
+    assert validate(net) == [
+        Violation("row-length", "cpt A", "rows have 3 entries, child has 2 states", "A"),
+        Violation("row-count", "cpt B", "has 1 rows, parent states require 2", "B")]
 
 
 def test_validate_reports_row_numbers():
@@ -231,19 +257,187 @@ def test_validate_reports_row_numbers():
         (Variable("A", ("a", "b")), Variable("B", ("a", "b"))),
         (Cpt("A", (), [0.7, 0.3]),
          Cpt("B", ("A",), [[0.9, 0.6], [1.2, 0.3]])))
-    violations = validate(net)
-    sums = [v for v in violations if v.kind == "row-sum"]
-    ranges = [v for v in violations if v.kind == "probability-range"]
-    assert {v.row for v in sums} == {(0,), (1,)}
-    assert ranges and ranges[0].row == (1,)
-    assert "cpt B row (a)" in sums[0].where
+    assert validate(net) == [
+        Violation("row-sum", "cpt B row (a)", "row sums to 1.5, expected 1", "B", (0,)),
+        Violation("probability-range", "cpt B row (b)", "entries outside [0, 1]", "B", (1,)),
+        Violation("row-sum", "cpt B row (b)", "row sums to 1.5, expected 1", "B", (1,))]
 
 
 def test_validate_reports_cycle():
     vs = (Variable("A", ("a", "b")), Variable("B", ("a", "b")))
     cpts = (Cpt("A", ("B",), np.full((2, 2), 0.5)),
             Cpt("B", ("A",), np.full((2, 2), 0.5)))
-    assert "cycle" in _kinds(BayesianNetwork(vs, cpts))
+    assert validate(BayesianNetwork(vs, cpts)) == [
+        Violation("cycle", "network", "directed graph has a cycle", "")]
+
+
+def _reference_violations(variables, cpts):
+    """What ``validate`` should report, as (kind, where, detail, subject,
+    row) tuples, worked out table by table and row by row with nothing
+    from the library but the tables' shapes and entries."""
+    arity = {v.id: len(v.states) for v in variables}
+    states = {v.id: v.states for v in variables}
+    found = []
+    for v in variables:
+        if len(v.states) < 2:
+            found.append(("state-count", f"variable {v.id}",
+                          f"needs at least 2 states, has {len(v.states)}", v.id, None))
+        if len(set(v.states)) < len(v.states):
+            found.append(("duplicate-state", f"variable {v.id}",
+                          "state labels are not unique", v.id, None))
+    counts = {}
+    for c in cpts:
+        counts[c.child] = counts.get(c.child, 0) + 1
+    for child, k in counts.items():
+        if child not in arity:
+            found.append(("unknown-child", f"cpt {child}",
+                          "table given for an undeclared variable", child, None))
+        if k > 1:
+            found.append(("duplicate-cpt", f"cpt {child}",
+                          f"{k} tables given for one variable", child, None))
+    found += [("missing-cpt", f"variable {v.id}", "no table given", v.id, None)
+              for v in variables if v.id not in counts]
+    for c in cpts:
+        if c.child not in arity:
+            continue
+        where = f"cpt {c.child}"
+        unknown = [p for p in c.parents if p not in arity]
+        found += [("unknown-parent", where, f"parent {p!r} is not declared", c.child, None)
+                  for p in unknown]
+        looped = c.child in c.parents
+        if looped:
+            found.append(("self-loop", where, "variable listed as its own parent", c.child, None))
+        repeated = len(set(c.parents)) < len(c.parents)
+        if repeated:
+            found.append(("duplicate-parent", where, "parent list has repeats", c.child, None))
+        rows, width = c.table.shape
+        if width != arity[c.child]:
+            found.append(("row-length", where,
+                          f"rows have {width} entries, child has {arity[c.child]} states",
+                          c.child, None))
+            continue
+        if unknown or looped or repeated:
+            continue
+        dims = [arity[p] for p in c.parents]
+        expect = 1
+        for d in dims:
+            expect *= d
+        if rows != expect:
+            found.append(("row-count", where,
+                          f"has {rows} rows, parent states require {expect}", c.child, None))
+            continue
+        keys = itertools.product(*(range(d) for d in dims))
+        for key, row in zip(keys, c.table):
+            label = ",".join(states[p][s] for p, s in zip(c.parents, key))
+            at = f"cpt {c.child} row ({label})" if label else f"cpt {c.child} prior"
+            if not all(0.0 <= x <= 1.0 for x in row.tolist()):
+                found.append(("probability-range", at, "entries outside [0, 1]", c.child, key))
+            total = float(row.sum())    # numpy's own sum of the one row
+            if abs(total - 1.0) > 1e-9:
+                found.append(("row-sum", at, f"row sums to {total!r}, expected 1",
+                              c.child, key))
+    # A directed cycle among the declared parents of each variable's first table.
+    first = {}
+    for c in cpts:
+        first.setdefault(c.child, c.parents)
+    graph = {v.id: [p for p in first.get(v.id, ()) if p in arity] for v in variables}
+    colour = dict.fromkeys(graph, "white")
+
+    def cyclic(u):
+        colour[u] = "grey"
+        for p in graph[u]:
+            if colour[p] == "grey" or (colour[p] == "white" and cyclic(p)):
+                return True
+        colour[u] = "black"
+        return False
+
+    if any(colour[u] == "white" and cyclic(u) for u in graph):
+        found.append(("cycle", "network", "directed graph has a cycle", "", None))
+    return found
+
+
+def _with_parent(c, parent, states):
+    """``c`` with ``parent`` appended to its parents, each row repeated
+    once per state of the new, fastest-varying parent."""
+    return Cpt(c.child, c.parents + (parent,), np.repeat(c.table, states, axis=0))
+
+
+def _mutate(rng, kind, variables, cpts):
+    """Apply one mutation of ``kind`` to the lists of variables and tables,
+    in place; a kind that does not apply to them leaves them as they are."""
+    arity = {v.id: v.arity for v in variables}
+    i = int(rng.integers(len(cpts))) if cpts else None
+    c = cpts[i] if cpts else None
+    table = np.array(c.table) if cpts else None
+    r = int(rng.integers(len(table))) if cpts and len(table) else 0
+    known = c is not None and c.child in arity
+    if kind == "duplicate-table" and cpts:
+        cpts.insert(int(rng.integers(len(cpts) + 1)), Cpt(c.child, c.parents, table))
+    elif kind == "unknown-table":
+        cpts.insert(int(rng.integers(len(cpts) + 1)), Cpt("Ghost", (), [0.25, 0.75]))
+    elif kind == "missing-table" and cpts:
+        del cpts[i]
+    elif kind == "unknown-parent" and cpts:
+        cpts[i] = Cpt(c.child, c.parents + ("Q",), table)
+    elif kind == "self-parent" and known:
+        cpts[i] = _with_parent(c, c.child, arity[c.child])
+    elif kind == "repeated-parent" and known and c.parents and c.parents[0] in arity:
+        cpts[i] = _with_parent(c, c.parents[0], arity[c.parents[0]])
+    elif kind == "added-parent" and known:
+        p = variables[int(rng.integers(len(variables)))].id
+        cpts[i] = _with_parent(c, p, arity[p])
+    elif kind == "reversed-edge" and known and c.parents and c.parents[0] in arity:
+        # The first table of the parent gets the child as its parent: a directed cycle.
+        j = next((j for j, d in enumerate(cpts) if d.child == c.parents[0]), None)
+        if j is not None:
+            cpts[j] = _with_parent(cpts[j], c.child, arity[c.child])
+    elif kind == "wrong-width" and cpts:
+        wider = np.hstack([table, np.zeros((len(table), 1))])
+        cpts[i] = Cpt(c.child, c.parents, wider if rng.random() < 0.5 else table[:, 1:])
+    elif kind == "wrong-row-count" and cpts:
+        cpts[i] = Cpt(c.child, c.parents, np.vstack([table, table[:1]])
+                      if rng.random() < 0.5 or len(table) < 2 else table[:-1])
+    elif kind in ("nan-entry", "out-of-range", "off-sum") and cpts and table.size:
+        k = int(rng.integers(table.shape[1]))
+        if kind == "nan-entry":
+            table[r, k] = np.nan
+        elif kind == "out-of-range":
+            table[r, k] = rng.choice([-0.25, 1.5, -1e-12, np.inf])
+        else:
+            table[r, k] += rng.choice([1e-6, -1e-3, 0.5])
+        cpts[i] = Cpt(c.child, c.parents, table)
+    elif kind == "shuffled":
+        cpts[:] = [cpts[j] for j in rng.permutation(len(cpts))]
+    elif kind == "lone-state" and "L" not in arity:
+        variables.append(Variable("L", ("only",)))
+        cpts.append(Cpt("L", (), [1.0]))
+    elif kind == "repeated-state" and "R" not in arity:
+        variables.append(Variable("R", ("x", "x")))
+        cpts.append(Cpt("R", (), [0.5, 0.5]))
+
+
+_MUTATIONS = ("duplicate-table", "unknown-table", "missing-table", "unknown-parent",
+              "self-parent", "repeated-parent", "added-parent", "reversed-edge",
+              "wrong-width", "wrong-row-count", "nan-entry", "out-of-range", "off-sum",
+              "shuffled", "lone-state", "repeated-state")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6),
+       st.lists(st.sampled_from(_MUTATIONS), max_size=4))
+def test_validate_matches_a_table_by_table_reference_on_mutated_networks(seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    parents = [sorted(set(rng.integers(0, i, size=int(rng.integers(0, min(i, 3) + 1))).tolist()))
+               if i else [] for i in range(n)]
+    base = netgen.assemble(rng, parents, rng.integers(2, 4, size=n).tolist(),
+                           zero_share=0.2 * int(rng.integers(2)))
+    variables, cpts = list(base.variables), list(base.cpts)
+    for kind in kinds:
+        _mutate(rng, kind, variables, cpts)
+    net = BayesianNetwork(tuple(variables), tuple(cpts))
+    want = _reference_violations(variables, cpts)
+    assert [(v.kind, v.where, v.detail, v.subject, v.row) for v in validate(net)] == want
+    declared = {v.id for v in variables}
+    assert net._positive == all(bool((c.table > 0).all()) for c in cpts if c.child in declared)
 
 
 def test_validate_counts_nan_as_out_of_range():

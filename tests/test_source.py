@@ -212,3 +212,37 @@ def test_the_parser_keys_each_row_by_its_tables_label_index_at_one_site():
     built = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "setdefault"]
     assert [node.func.value.id for node in built] == ["index"]
+
+
+def test_one_site_converts_a_cpt_table():
+    # ``Cpt`` keeps its own copy of the table it is given, made by one
+    # conversion, so the caller's array can never change a checked table.
+    # The parser hands it the rows it read, not an array of them, except
+    # under ``normalize``, where it makes one array to rescale the rows.
+    conversions = {"array", "asarray", "ascontiguousarray"}
+
+    def converted(tree):
+        return [ast.unparse(node.func) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "np"
+                and node.func.attr in conversions]
+
+    netfile = ast.parse((SOURCES[0].parent / "netfile.py").read_text())
+    rescales = [node for node in ast.walk(netfile) if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "normalize"]
+    assert len(rescales) == 1 and converted(rescales[0]) == ["np.array"]
+    assert converted(netfile) == ["np.array"]
+    [(_, post_init)] = [(path, node) for path, node in _functions("__post_init__")
+                        if path == "model.py" and "self.table" in ast.unparse(node)]
+    assert converted(post_init) == ["np.array"]
+
+
+def test_validation_walks_the_tables_once():
+    # Every by-child, by-width and structural check of a table is made in
+    # one loop over ``net.cpts``; the row checks read the tables it filed.
+    [(_, find)] = _functions("_find_violations")
+    loops = [node for node in ast.walk(find)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and any(isinstance(sub, ast.Attribute) and sub.attr == "cpts"
+                     for sub in ast.walk(node.iter))]
+    assert len(loops) == 1

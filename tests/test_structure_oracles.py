@@ -15,7 +15,9 @@ import pytest
 
 import netgen
 from beliefnet import (
+    BayesianNetwork,
     ConnectionKind,
+    Cpt,
     Evidence,
     HardEvidence,
     QueryClass,
@@ -216,6 +218,22 @@ def test_classification_matches_one_networkx_d_separation_test_per_evidence_node
 # -- cutset selection ---------------------------------------------------------
 
 
+def _doubled_first_edge(net):
+    """``net`` with its first edge, p -> c, given twice: once as the
+    antiparallel c -> p, a 2-cycle, and once as a repeated parent of c."""
+    p, c = net.edges[0]
+    arity = {v.id: v.arity for v in net.variables}
+
+    def with_parent(cpt, parent):
+        return Cpt(cpt.child, cpt.parents + (parent,),
+                   np.repeat(cpt.table, arity[parent], axis=0))
+
+    return (BayesianNetwork(net.variables, [with_parent(t, c) if t.child == p else t
+                                            for t in net.cpts]),
+            BayesianNetwork(net.variables, [with_parent(t, p) if t.child == c else t
+                                            for t in net.cpts]))
+
+
 def test_polytree_and_cutset_validity_agree_with_networkx():
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(1990)
@@ -225,12 +243,16 @@ def test_polytree_and_cutset_validity_agree_with_networkx():
         ids = [v.id for v in net.variables]
         skeleton = nx.Graph(net.edges)
         skeleton.add_nodes_from(ids)
-        check = is_polytree(net)
-        assert check.is_polytree == nx.is_forest(skeleton), net.edges
-        if not check:
-            ring = check.cycle
-            assert len(ring) >= 3 and len(set(ring)) == len(ring), ring
-            assert all(skeleton.has_edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])), ring
+        # The skeleton counts an edge once: so does the polytree test on a
+        # 2-cycle (its first edge reversed as well) and on a repeated parent.
+        for variant in (net, *_doubled_first_edge(net)):
+            check = is_polytree(variant)
+            assert check.is_polytree == nx.is_forest(skeleton), variant.edges
+            if not check:
+                ring = check.cycle
+                assert len(ring) >= 3 and len(set(ring)) == len(ring), ring
+                assert all(skeleton.has_edge(a, b)
+                           for a, b in zip(ring, ring[1:] + ring[:1])), ring
         for _ in range(8):
             p = rng.uniform(0.0, 0.6)
             cut = {v for v in ids if rng.random() < p}
