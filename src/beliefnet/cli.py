@@ -95,33 +95,36 @@ def _split_pairs(chunks, what):
 
 
 def _parse_evidence(net, hard_chunks, soft_chunks) -> Evidence:
+    """Hard pairs, then soft ones, each checked for its variable, a repeat, then its value."""
     entries = {}
-    for var, state in _split_pairs(hard_chunks, "evidence"):
-        if var not in net:
-            raise _UsageError(f"unknown variable {var!r}")
-        if var in entries:
-            raise _UsageError(f"two evidence entries for {var!r}")
-        try:
-            entries[var] = HardEvidence(net.state_index(var, state))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    for var, spec in _split_pairs(soft_chunks, "soft evidence"):
-        if var not in net:
-            raise _UsageError(f"unknown variable {var!r}")
-        if var in entries:
-            raise _UsageError(f"two evidence entries for {var!r}")
-        try:
-            weights = [float(w) for w in spec.split(":")]
-        except ValueError:
-            raise _UsageError(f"bad weights for {var!r}: {spec!r}") from None
-        if len(weights) != net.arity(var):
-            raise _UsageError(
-                f"soft evidence for {var!r} needs {net.arity(var)} weights, got {len(weights)}")
-        try:
-            entries[var] = SoftEvidence(weights)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+    for soft, chunks in ((False, hard_chunks), (True, soft_chunks)):
+        for var, value in _split_pairs(chunks, "soft evidence" if soft else "evidence"):
+            _require_var(net, var)
+            if var in entries:
+                raise _UsageError(f"two evidence entries for {var!r}")
+            if not soft:
+                entries[var] = HardEvidence(_state(net, var, value))
+                continue
+            try:
+                weights = [float(w) for w in value.split(":")]
+            except ValueError:
+                raise _UsageError(f"bad weights for {var!r}: {value!r}") from None
+            if len(weights) != net.arity(var):
+                raise _UsageError(
+                    f"soft evidence for {var!r} needs {net.arity(var)} weights, got {len(weights)}")
+            try:
+                entries[var] = SoftEvidence(weights)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from None
     return Evidence(entries)
+
+
+def _state(net, var, label) -> int:
+    """The index of state ``label`` of the known variable ``var``."""
+    try:
+        return net.state_index(var, label)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _require_var(net, name):
@@ -197,12 +200,9 @@ def _cmd_cutset(ns) -> int:
 def _cmd_joint(ns) -> int:
     net = load_network(ns.file)
     assignment = {}
-    for var, state in _split_pairs([ns.assign], "assignment"):
+    for var, label in _split_pairs([ns.assign], "assignment"):
         _require_var(net, var)
-        try:
-            assignment[var] = net.state_index(var, state)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        assignment[var] = _state(net, var, label)
     print(f"{joint_probability(net, assignment):.6f}")
     return 0
 

@@ -33,7 +33,6 @@ leaves one row, whose belief is read unmixed (Suermondt & Cooper 1990).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,26 +64,29 @@ class CutsetRun:
     may read 0.0.  It leaves out the normalisers of the cached priors,
     each 1 up to rounding, so it may differ from a full sweep's in the
     last bits.  ``traces`` holds each instantiation's message log, empty
-    for one the evidence rules out; it is formatted when first read.
+    for one the evidence rules out; it is formatted when first read.  The
+    run keeps the array of every instantiation and of those it swept, and
+    builds the tuple keys of both maps when one is first read.
     """
 
     belief: Belief
     cutset: LoopCutset
     instantiation_count: int
-    _combos: tuple[tuple[int, ...], ...] = field(repr=False)
+    _states: np.ndarray = field(repr=False)
     _sweep: _Sweep = field(repr=False)
-    _swept: tuple[tuple[int, ...], ...] = field(repr=False)
+    _swept: np.ndarray = field(repr=False)
 
     @cached_property
     def weights(self) -> dict[tuple[int, ...], float]:
-        out = dict.fromkeys(self._combos, 0.0)
-        out.update(zip(self._swept, self._sweep.mass.tolist()))
+        out = dict.fromkeys(map(tuple, self._states.tolist()), 0.0)
+        out.update(zip(map(tuple, self._swept.tolist()), self._sweep.mass.tolist()))
         return out
 
     @cached_property
     def traces(self) -> dict[tuple[int, ...], tuple[str, ...]]:
         out = dict.fromkeys(self.weights, ())
-        out.update((combo, self._sweep.trace(k)) for k, combo in enumerate(self._swept))
+        out.update((combo, self._sweep.trace(k))
+                   for k, combo in enumerate(map(tuple, self._swept.tolist())))
         return out
 
 
@@ -127,24 +129,24 @@ def _indicators(net: BayesianNetwork, cut, states: np.ndarray) -> list[np.ndarra
 
 
 def _instantiations(net: BayesianNetwork) -> tuple:
-    """The cutset the driver conditions on, every instantiation of it in
-    order, their states as an array and each cut node's indicator rows
-    (``_indicators``).  They depend on the network alone, so ``_once`` keeps
-    them; a query that rules no row out sweeps the rows as they are.
-    A cutset of more than ``_MAX_INSTANTIATIONS`` instantiations raises
-    NetworkTooLargeError before any of them is built."""
+    """The cutset the driver conditions on, a read-only array of its
+    instantiations' states, in row-major order, and each cut node's
+    indicator rows (``_indicators``).  They depend on the network alone, so
+    ``_once`` keeps them; a query that rules no row out sweeps the rows as
+    they are.  A cutset of more than ``_MAX_INSTANTIATIONS`` instantiations
+    raises NetworkTooLargeError before any of them is built."""
     cut = LoopCutset() if is_polytree(net) else select_cutset(net)
     count = math.prod(net.arity(v) for v in cut.nodes)
     if count > _MAX_INSTANTIATIONS:
         raise NetworkTooLargeError(
             f"loop cutset of {len(cut.nodes)} nodes has {count} instantiations, "
             f"conditioning handles at most {_MAX_INSTANTIATIONS}")
-    combos = tuple(itertools.product(*(range(net.arity(v)) for v in cut.nodes)))
-    states = np.array(combos, dtype=np.intp).reshape(len(combos), len(cut))
+    dims = [net.arity(v) for v in cut.nodes]
+    states = np.indices(dims, dtype=np.intp).reshape(len(dims), count).T
     indicators = _indicators(net, cut.nodes, states)
-    for ind in indicators:
-        ind.setflags(write=False)
-    return cut, combos, states, indicators
+    for a in (states, *indicators):
+        a.setflags(write=False)
+    return cut, states, indicators
 
 
 def run_cutset_conditioning(net: BayesianNetwork, target: str,
@@ -161,11 +163,11 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
 def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray]) -> CutsetRun:
     """``run_cutset_conditioning`` of a checked query: ``model._relevance``'s
     plan and bound evidence."""
-    cut, combos, states, indicators = _once(net, _instantiations)
+    cut, states, indicators = _once(net, _instantiations)
     comp = _once(net, _Compiled)
     ok = _allowed(bound, cut.nodes, states)
-    rows, swept = (indicators, combos) if ok is None else (
-        [ind[ok] for ind in indicators], tuple(itertools.compress(combos, ok)))
+    rows, swept = (indicators, states) if ok is None else (
+        [ind[ok] for ind in indicators], states[ok])
     sweep = _run(comp, _toward(net, comp, plan, cut.nodes),
                  _lambdas(comp, bound, cut.nodes, rows))
     w, b = sweep.gathered, sweep.belief(comp.index[plan.target])
@@ -176,7 +178,7 @@ def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray
     if total <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
     mixed = np.ascontiguousarray((w[:, None] * b).T).sum(axis=1) / total if cut.nodes else b[0]
-    return CutsetRun(Belief(plan.target, mixed), cut, len(combos), combos, sweep, swept)
+    return CutsetRun(Belief(plan.target, mixed), cut, len(states), states, sweep, swept)
 
 
 def conditioned_posterior(net: BayesianNetwork, target: str,

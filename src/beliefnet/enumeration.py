@@ -24,6 +24,7 @@ from .model import (
     Belief,
     Evidence,
     _bind_evidence,
+    _bind_query,
     _once,
     joint_probability,
 )
@@ -106,13 +107,7 @@ def marginal_joint(net: BayesianNetwork, targets, e: Evidence = Evidence.empty()
         raise InvalidQueryError("marginal_joint needs at least one target")
     if len(set(targets)) != len(targets):
         raise InvalidQueryError("marginal_joint targets must be distinct")
-    for t in targets:
-        net.var(t)
-    bound = _bind_evidence(net, e)
-    for t in targets:
-        if e.is_hard(t):
-            raise InvalidQueryError(f"target {t!r} carries hard evidence")
-    return _marginal(net, targets, bound)
+    return _marginal(net, targets, _bind_query(net, targets, e))
 
 
 def _marginal(net: BayesianNetwork, targets: list[str], bound) -> np.ndarray:

@@ -287,16 +287,25 @@ class BayesianNetwork:
         return self._cpt_by_child.get(var_id)
 
     def parents(self, var_id: str) -> tuple[str, ...]:
-        c = self.cpt(var_id)
-        return c.parents if c is not None else ()
+        """The declared parents of ``var_id``, each listed once;
+        ``cpt(var_id).parents`` keeps the table's own list."""
+        self.var(var_id)
+        return self._parents[var_id]
 
     @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
-        """Each variable's parents that are declared variables."""
-        declared, by_child = self._by_id, self._cpt_by_child
-        return {u: tuple(filter(declared.__contains__,
-                                by_child[u].parents if u in by_child else ()))
-                for u in declared}
+        """Each variable's declared parents, each listed once, in table
+        order: the one parent relation every graph question reads."""
+        declared, by_child, out = self._by_id, self._cpt_by_child, {}
+        for u in declared:
+            ps = by_child[u].parents if u in by_child else ()
+            # Only a list of several can repeat; a valid one is kept as given.
+            if len(ps) > 1:
+                ps = tuple(dict.fromkeys(filter(declared.__contains__, ps)))
+            elif ps and ps[0] not in declared:
+                ps = ()
+            out[u] = ps
+        return out
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
@@ -312,11 +321,8 @@ class BayesianNetwork:
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for v in self.variables:
-            for p in self.parents(v.id):
-                out.append((p, v.id))
-        return tuple(out)
+        """Every (parent, child) edge of ``_parents``, by child in declaration order."""
+        return tuple((p, u) for u, ps in self._parents.items() for p in ps)
 
     @cached_property
     def _edge_set(self) -> frozenset[tuple[str, str]]:
@@ -330,15 +336,15 @@ class BayesianNetwork:
                 for v in self.variables}
 
     def roots(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if not self.parents(v.id))
+        """The variables without declared parents, in declaration order."""
+        return tuple(u for u, ps in self._parents.items() if not ps)
 
     def topological_order(self) -> tuple[str, ...] | None:
-        """Kahn's algorithm with declaration-order tie-breaking.
+        """Kahn's algorithm over ``_parents`` with declaration-order tie-breaking.
 
         The variables without declared parents come first, in declaration
         order, then each variable as soon as its last parent is placed.
-        Returns None when the directed graph has a cycle.  Parents that
-        are not declared variables are ignored (validate reports them).
+        Returns None when the directed graph has a cycle.
         """
         indeg = {u: len(ps) for u, ps in self._parents.items()}
         order = [u for u, d in indeg.items() if d == 0]
@@ -364,7 +370,9 @@ class BayesianNetwork:
     # -- CPT access ------------------------------------------------------
 
     def cpt_tensor(self, var_id: str) -> np.ndarray:
-        """The CPT reshaped to (parent dims..., child arity)."""
+        """The CPT reshaped to (parent dims..., child arity).  A network that
+        fails ``validate`` raises NetworkValidationError."""
+        _require_valid(self)
         c = self.cpt(var_id)
         if c is None:
             raise MissingValueError(f"variable {var_id!r} has no CPT")
@@ -372,20 +380,14 @@ class BayesianNetwork:
         return c.table.reshape(*pdims, self.arity(var_id))
 
     def cpt_row(self, var_id: str, parent_states: Sequence[int]) -> np.ndarray:
-        """The probability row for one full parent assignment."""
-        c = self.cpt(var_id)
-        if c is None:
-            raise MissingValueError(f"variable {var_id!r} has no CPT")
-        if len(parent_states) != len(c.parents):
+        """The probability row for one full parent assignment: the entry of
+        ``cpt_tensor`` at the parents' states."""
+        t, parents = self.cpt_tensor(var_id), self.cpt(var_id).parents
+        if len(parent_states) != len(parents):
             raise MissingValueError(
-                f"cpt {var_id!r} expects {len(c.parents)} parent states, got {len(parent_states)}"
+                f"cpt {var_id!r} expects {len(parents)} parent states, got {len(parent_states)}"
             )
-        if not c.parents:
-            return c.table[0]
-        pdims = tuple(self.arity(p) for p in c.parents)
-        states = tuple(_checked_state(p, s, d) for s, d, p in zip(parent_states, pdims, c.parents))
-        idx = int(np.ravel_multi_index(states, pdims))
-        return c.table[idx]
+        return t[tuple(_checked_state(p, s, d) for s, d, p in zip(parent_states, t.shape, parents))]
 
     # -- validation ------------------------------------------------------
 
@@ -672,16 +674,23 @@ def _kept(store: dict, key, build):
     return store[key]
 
 
+def _bind_query(net: BayesianNetwork, targets, e: Evidence) -> dict[str, np.ndarray]:
+    """Check the targets, then the network and the evidence (``_bind_evidence``),
+    then that no target has a hard finding; returns the bound evidence."""
+    for t in targets:
+        net.var(t)
+    bound = _bind_evidence(net, e)
+    for t in targets:
+        if e.is_hard(t):
+            raise InvalidQueryError(f"target {t!r} carries hard evidence")
+    return bound
+
+
 def _relevance(net: BayesianNetwork, target: str,
                e: Evidence) -> tuple[_Plan, dict[str, np.ndarray]]:
-    """Check the target, then the network and the evidence (``_bind_evidence``),
-    then that the target has no hard finding.  Returns the plan of the query's
-    pattern and the bound evidence.  The network keeps the last ``_PLANS``
-    plans, found again by the target and the evidence pattern."""
-    net.var(target)
-    bound = _bind_evidence(net, e)
-    if e.is_hard(target):
-        raise InvalidQueryError(f"target {target!r} carries hard evidence")
+    """The query checked and bound (``_bind_query``) and the plan of its pattern,
+    one of the last ``_PLANS`` the network keeps, by target and pattern."""
+    bound = _bind_query(net, (target,), e)
     hard, observed = frozenset(e.hard_states()), frozenset(bound)
     plan = _kept(net._memo.setdefault(_Plan, {}), (target, hard, observed),
                  lambda: _Plan(target, hard, observed, frozenset(_closure(observed, net._parents)),

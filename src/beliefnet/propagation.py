@@ -136,9 +136,7 @@ class _Compiled:
         self.others: list[list[int]] = [[] for _ in self.edges]
         for x, v in enumerate(net.variables):
             ins = self.in_edges[x]
-            table = net.cpt(v.id).table
-            self.cpt.append(table.reshape(*(net.arity(p) for p in net.parents(v.id)), v.arity)
-                            if ins else table)
+            self.cpt.append(net.cpt_tensor(v.id) if ins else net.cpt(v.id).table)
             pi_sub, lambda_subs = _subscripts(len(ins))
             self.pi_subs.append(pi_sub)
             for e, sub in zip(ins, lambda_subs):
@@ -299,25 +297,21 @@ class _Walk:
     def schedule(self, xs, pivot: tuple[int, int, int] | None = None,
                  ordered: bool = False) -> _Schedule:
         """Schedule the components not yet walked that hold a piece of a
-        node in ``xs``, in order of the first such piece, or of their first
-        split node if ``ordered``.  Each is rooted at ``pivot`` if it holds
-        it, else at its first split node, as in the schedule of every
-        component, so the same messages precede ``complete`` and keep their bits."""
+        node in ``xs``, in order of the first such piece, or of their least
+        split node if ``ordered``.  Each is walked from that first piece and
+        rooted at ``pivot`` if it holds it, else at its least split node, as
+        in every schedule, so the same messages precede ``complete``."""
         preset, found, edges, keep = len(self.preset), [], self.comp.edges, self.keep
-        pivot_tree = self.tree(pivot) if pivot else None
         for start in [nd for x in xs for nd in [(x, 0, -1)] + (
                 [(x, 1, f) for y, f, down in self.comp.neighbors[x]
                  if down and (keep is None or y in keep)] if x in self.hard else [])]:
-            if pivot_tree and start in pivot_tree[1]:
-                (order, link), pivot_tree = pivot_tree, None
-                first = min(order) if ordered else start
-            elif start in self._adj:
+            if start in self._adj:
                 continue
-            else:
-                order, link = self.tree(start)
-                first = min(order)
-                if first != start:
-                    order, link = self.tree(first)
+            order, link = self.tree(start)
+            first = min(order)
+            root = pivot if pivot in link else first
+            if root != start:
+                order, link = self.tree(root)
             # Outward from the root; a message leaving the tail side of its edge is a pi message.
             distribute = [(up[0] == edges[e][0], e) for up, e in map(link.get, order[1:])]
             collect = tuple([(not is_pi, e) for is_pi, e in reversed(distribute)])

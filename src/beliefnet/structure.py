@@ -263,9 +263,7 @@ class LoopCutset:
 
 
 def _reduced_skeleton(net: BayesianNetwork, ids: list[str], cut) -> dict[str, list[str]]:
-    """The skeleton left once the edges leaving ``cut`` are dropped.
-    Parents that are not declared variables are ignored (validate
-    reports them)."""
+    """The skeleton of ``net._parents`` left once the edges leaving ``cut`` are dropped."""
     neighbors: dict[str, list[str]] = {v: [] for v in ids}
     for w in ids:
         for u in net._parents[w]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from beliefnet import (
     HardEvidence,
     ImpossibleEvidenceError,
     InvalidQueryError,
+    LoopCutset,
     Method,
     NetworkTooLargeError,
     NotAPolytreeError,
@@ -204,21 +206,50 @@ def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name,
 
 def test_a_run_of_every_row_sweeps_the_networks_own_rows(monkeypatch, loopy8_net):
     # No instantiation ruled out: the sweep reads the kept indicator rows
-    # and instantiations, with no copy made per query.
+    # and instantiation array, with no copy made per query.
     passed = []
     monkeypatch.setattr(cutset, "_lambdas",
                         lambda *a: passed.append(a[3]) or propagation._lambdas(*a))
     e = Evidence({"H": HardEvidence(0)})
     run = run_cutset_conditioning(loopy8_net, "D", e)
-    _, combos, states, indicators = _once(loopy8_net, cutset._instantiations)
-    assert len(combos) == 4 and run._swept is combos and passed[0] is indicators
+    _, states, indicators = _once(loopy8_net, cutset._instantiations)
+    assert len(states) == 4 and run._states is states and run._swept is states
+    assert passed[0] is indicators
     assert cutset._allowed(_bind_evidence(loopy8_net, e), run.cutset.nodes, states) is None
-    assert not any(ind.flags.writeable for ind in indicators)
-    # A finding that rules out rows sweeps only the others.
+    assert not any(a.flags.writeable for a in (states, *indicators))
+    # A finding that rules out rows sweeps exactly the others.
     passed.clear()
     ruled = run_cutset_conditioning(loopy8_net, "D", Evidence({"A": HardEvidence(1)}))
-    assert ruled._swept == ((1, 0), (1, 1)) and len(ruled._sweep.gathered) == 2
+    assert ruled._states is states
+    assert ruled._swept.tolist() == [[1, 0], [1, 1]] and len(ruled._sweep.gathered) == 2
     assert [ind.tolist() for ind in passed[0]] == [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]
+    assert [k for k, w in ruled.weights.items() if ruled.traces[k]] == [(1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("arities", [(), (3,), (3, 2), (2, 4, 3), (4, 2, 2, 3)])
+def test_instantiations_are_kept_and_keyed_in_row_major_order(monkeypatch, arities):
+    # Independent roots of mixed arities and one child of them all, the
+    # roots taken as the cutset: the kept array holds every instantiation
+    # in ``itertools.product``'s order, the last cut node fastest, and a
+    # run's weights and traces are keyed in that order.  With no roots
+    # the network is a polytree, conditioned on the empty cutset.
+    ids = tuple(f"C{j}" for j in range(len(arities)))
+    variables = tuple(Variable(v, tuple(f"s{k}" for k in range(a))) for v, a in zip(ids, arities))
+    rows = math.prod(arities)
+    net = BayesianNetwork(
+        variables + (Variable("T", ("t0", "t1")),),
+        tuple(Cpt(v, (), np.full(a, 1.0 / a)) for v, a in zip(ids, arities))
+        + (Cpt("T", ids, np.tile([0.25, 0.75], (rows, 1))),))
+    if ids:
+        monkeypatch.setattr(cutset, "is_polytree", lambda net: False)
+        monkeypatch.setattr(cutset, "select_cutset", lambda net: LoopCutset(ids))
+    cut, states, _ = cutset._instantiations(net)
+    want = list(itertools.product(*map(range, arities)))
+    assert cut.nodes == ids and states.shape == (rows, len(ids)) and states.dtype == np.intp
+    assert [tuple(row) for row in states.tolist()] == want
+    run = run_cutset_conditioning(net, "T")
+    assert list(run.weights) == list(run.traces) == want
+    assert math.isclose(sum(run.weights.values()), 1.0)
 
 
 def test_every_instantiation_goes_through_one_sweep(monkeypatch):

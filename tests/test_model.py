@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +131,19 @@ def test_cpt_row_errors(converging_net, serial_net):
     for state in (0.5, "0"):
         with pytest.raises(ValueError, match="not an integer"):
             serial_net.cpt_row("Y", (state,))
+
+
+@pytest.mark.parametrize("parents, rows", [(("A",), 3), (("A", "G"), 4)])
+def test_table_readers_reject_an_invalid_network(parents, rows):
+    # A wrong row count, then an undeclared parent: the cached verdict is
+    # raised before the table is reshaped or a parent is looked up.
+    two = ("a", "b")
+    net = BayesianNetwork((Variable("A", two), Variable("B", two)),
+                          (Cpt("A", (), [0.5, 0.5]), Cpt("B", parents, np.full((rows, 2), 0.5))))
+    for read in (lambda: net.cpt_tensor("B"), lambda: net.cpt_row("B", (0,) * len(parents))):
+        with pytest.raises(NetworkValidationError) as exc:
+            read()
+        assert exc.value.violations == validate(net)
 
 
 def test_cpt_tensor_shape(sprinkler_net):
@@ -438,6 +452,62 @@ def test_validate_matches_a_table_by_table_reference_on_mutated_networks(seed, n
     assert [(v.kind, v.where, v.detail, v.subject, v.row) for v in validate(net)] == want
     declared = {v.id for v in variables}
     assert net._positive == all(bool((c.table > 0).all()) for c in cpts if c.child in declared)
+
+
+_GRAPH_MUTATIONS = ("repeated-parent", "unknown-parent", "missing-table", "duplicate-table",
+                    "reversed-edge", "self-parent", "added-parent", "unknown-table", "shuffled")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6),
+       st.lists(st.sampled_from(_GRAPH_MUTATIONS), max_size=4))
+def test_graph_accessors_match_networkx_on_the_declared_distinct_relation(seed, n, kinds):
+    # On any network, valid or not, every graph question answers over one
+    # relation: each declared variable's first table's parents that are
+    # declared, each listed once, in table order.
+    rng = np.random.default_rng(seed)
+    parents = [sorted(set(rng.integers(0, i, size=int(rng.integers(0, min(i, 3) + 1))).tolist()))
+               if i else [] for i in range(n)]
+    base = netgen.assemble(rng, parents, rng.integers(2, 4, size=n).tolist())
+    variables, cpts = list(base.variables), list(base.cpts)
+    for kind in kinds:
+        _mutate(rng, kind, variables, cpts)
+    net = BayesianNetwork(tuple(variables), tuple(cpts))
+    ids = [v.id for v in variables]
+    first = {}
+    for c in cpts:
+        first.setdefault(c.child, c.parents)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from((p, v) for v in ids for p in first.get(v, ()) if p in graph)
+    for v in ids:
+        assert net.parents(v) == tuple(graph.predecessors(v))
+        assert net.children(v) == tuple(graph.successors(v))
+    assert len(net.edges) == graph.number_of_edges() and set(net.edges) == set(graph.edges)
+    assert [w for _, w in net.edges] == sorted((w for _, w in graph.edges), key=ids.index)
+    assert net.roots() == tuple(v for v in ids if graph.in_degree(v) == 0)
+    order = net.topological_order()
+    if nx.is_directed_acyclic_graph(graph):
+        assert sorted(order) == sorted(ids)
+        assert all(order.index(u) < order.index(w) for u, w in graph.edges)
+    else:
+        assert order is None
+
+
+def test_a_repeated_parent_is_one_edge():
+    two = ("a", "b")
+    net = BayesianNetwork((Variable("A", two), Variable("B", two)),
+                          (Cpt("A", (), [0.5, 0.5]), Cpt("B", ("A", "A"), np.full((4, 2), 0.5))))
+    assert validate(net)
+    assert net.cpt("B").parents == ("A", "A")
+    assert net.parents("B") == ("A",) and net.children("A") == ("B",)
+    assert net.edges == (("A", "B"),) and net.roots() == ("A",)
+    assert net.topological_order() == ("A", "B")
+
+
+def test_parents_of_an_unknown_variable_is_an_error(serial_net):
+    for accessor in (serial_net.parents, serial_net.children):
+        with pytest.raises(ValueError, match="unknown variable 'W'"):
+            accessor("W")
 
 
 def test_validate_counts_nan_as_out_of_range():

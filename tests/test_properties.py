@@ -460,6 +460,9 @@ ENGINES = ("classify_query", "conditioned_posterior", "evidence_probability", "e
            "fixed_point_delta", "infer", "instantiation_weight", "joint_probability",
            "marginal_joint", "most_probable_assignment", "posterior", "propagate",
            "run_cutset_conditioning", "weighted_joint")
+# Methods of a network that read a table's layout reject an invalid one as
+# the engines do.
+TABLE_READERS = ("cpt_row", "cpt_tensor")
 # These read only the graph: they raise the cycle violation on a directed
 # cycle and may answer otherwise.
 STRUCTURE_ONLY = ("d_separated", "is_valid_cutset", "select_cutset")
@@ -482,8 +485,8 @@ def test_every_public_callable_that_takes_a_network_is_in_one_group():
 
 
 def _public_calls(net):
-    """Calls of every grouped public callable but the exempt ones, by
-    name; ``infer`` once per method."""
+    """Calls of every grouped public callable but the exempt ones, and of
+    the table readers, by name; ``infer`` once per method."""
     ids = [v.id for v in net.variables]
     x, t = ids[0], ids[-1]
     e = Evidence({x: HardEvidence(0)})
@@ -500,6 +503,9 @@ def _public_calls(net):
         "is_valid_cutset": [lambda: is_valid_cutset(net, [x])],
         "joint_probability": [lambda: joint_probability(net, {v: 0 for v in ids})],
         "select_cutset": [lambda: select_cutset(net)],
+        # Both reject the network before they read the table or the states.
+        "cpt_row": [lambda: net.cpt_row(t, ())],
+        "cpt_tensor": [lambda: net.cpt_tensor(t)],
     })
     return calls
 
@@ -509,8 +515,8 @@ def test_every_public_callable_that_takes_a_network_rejects_random_invalid_ones(
     problems = validate(net)
     cycle = [v for v in problems if v.kind == "cycle"]
     calls = _public_calls(net)
-    assert set(calls) == {*ENGINES, *STRUCTURE_ONLY}
-    for name in ENGINES:
+    assert set(calls) == {*ENGINES, *TABLE_READERS, *STRUCTURE_ONLY}
+    for name in ENGINES + TABLE_READERS:
         for call in calls[name]:
             with pytest.raises(NetworkValidationError) as exc:
                 call()

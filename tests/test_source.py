@@ -139,7 +139,9 @@ def test_a_query_is_checked_and_bound_in_one_place():
 
 
 def test_one_check_rejects_hard_evidence_on_a_target():
-    # Only the joint over several targets checks its targets itself.
+    # The query of one target and the joint over several check their
+    # targets, the network, the evidence and the targets' findings in one
+    # function, so the rule and its order are stated once.
     sites = sorted((path.name, function.name) for path in SOURCES
                    for function in ast.walk(ast.parse(path.read_text(), str(path)))
                    if isinstance(function, ast.FunctionDef)
@@ -147,7 +149,11 @@ def test_one_check_rejects_hard_evidence_on_a_target():
                    if isinstance(node, ast.JoinedStr)
                    and "carries hard evidence" in ast.unparse(node)
                    and ast.unparse(node).startswith(("f'target", 'f"target')))
-    assert sites == [("enumeration.py", "marginal_joint"), ("model.py", "_relevance")]
+    assert sites == [("model.py", "_bind_query")]
+    for name, where in (("_relevance", "model.py"), ("marginal_joint", "enumeration.py")):
+        [(found, function)] = _functions(name)
+        assert found == where and "_bind_query" in _called(function)
+        assert _called(function) & {"_bind_evidence", "is_hard", "var"} == set()
 
 
 def test_one_site_builds_a_schedule():
@@ -246,3 +252,50 @@ def test_validation_walks_the_tables_once():
              and any(isinstance(sub, ast.Attribute) and sub.attr == "cpts"
                      for sub in ast.walk(node.iter))]
     assert len(loops) == 1
+
+
+# Where a ``Cpt``'s own parent list is read: the sites that read a table's
+# layout (validation, ``cpt_tensor``, ``cpt_row``, enumeration's factors and
+# the serializer), the table itself, and ``_parents``, which derives the
+# one parent relation from it.  The compiled network's ``parents`` lists
+# are indices of that relation.
+TABLE_LAYOUT = [("enumeration.py", "_factors"), ("model.py", "__post_init__"),
+                ("model.py", "_find_violations"), ("model.py", "_parents"),
+                ("model.py", "cpt_row"), ("model.py", "cpt_tensor"),
+                ("netfile.py", "serialize_network")]
+
+
+def test_graph_questions_read_one_parent_relation():
+    # ``parents``, ``children``, ``edges``, ``roots``, the skeletons and the
+    # topological order answer from ``_parents``, the declared parents each
+    # listed once; nothing else reads a table's parents as graph structure.
+    sites = set()
+    for path in SOURCES:
+        for function in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            called = {id(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
+            sites.update((path.name, function.name) for node in ast.walk(function)
+                         if isinstance(node, ast.Attribute) and node.attr == "parents"
+                         and isinstance(node.ctx, ast.Load) and id(node) not in called
+                         and not (path.name == "propagation.py"
+                                  and getattr(node.value, "id", None) in ("comp", "self")))
+    assert sorted(sites) == TABLE_LAYOUT
+    for name in ("parents", "children", "edges", "roots", "_children", "topological_order",
+                 "_skeleton", "_reduced_skeleton"):
+        [(_, function)] = _functions(name)
+        read = {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        assert read & {"_parents", "_children"}, name
+
+
+def test_cutset_keeps_one_array_of_instantiations():
+    # The instantiations are one ``np.indices`` array; no tuple of them is
+    # enumerated or kept, and the run's tuple keys are built when read.
+    tree = ast.parse((SOURCES[0].parent / "cutset.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "itertools" not in names and {"product", "compress"}.isdisjoint(attributes)
+    assert "_combos" not in attributes
+    [(_, build)] = _functions("_instantiations")
+    assert "indices" in {getattr(node.func, "attr", None)
+                         for node in ast.walk(build) if isinstance(node, ast.Call)}
