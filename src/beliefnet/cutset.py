@@ -20,11 +20,9 @@ mass P(c, e), up to a factor that every row shares and that cancels in
 the mixture.  ``weights`` holds the whole masses, computed when first
 read; the rest of the sweep is sent only when the traces are read.
 
-The cutset, its instantiations and their indicator rows are built once
-per network, the schedule once per target and evidence pattern (the
-query's plan, ``model._Plan``); a query adds only what values decide.
-A cutset of more than ``_MAX_INSTANTIATIONS`` instantiations raises
-NetworkTooLargeError before any of them is built.
+The cutset and the array of its instantiations are built once per
+network, the schedule once per target and evidence pattern (the query's
+plan, ``model._Plan``); a query adds only what values decide.
 
 On a polytree the driver skips the cutset search: the empty cutset
 leaves one row, whose belief is read unmixed (Suermondt & Cooper 1990).
@@ -47,9 +45,9 @@ from .propagation import _Compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
 # The most instantiations conditioning takes on.  Every one is kept with
-# its sweep: a 6x7 grid's 2**17 took 0.65 s and 313 MB max RSS on its
-# first query in a fresh process (6x6, 2**14: 70 ms and 66 MB), and a
-# 7x7 grid's 2**20 would take about eight times that.
+# its sweep: a 6x7 grid's 2**17 took 0.54 s and 289 MB max RSS on its
+# first query in a fresh process on 2 vCPUs (6x6, 2**14: 58 ms and 63 MB),
+# and a 7x7 grid's 2**20 would take about eight times that.
 _MAX_INSTANTIATIONS = 1 << 17
 
 
@@ -71,10 +69,13 @@ class CutsetRun:
 
     belief: Belief
     cutset: LoopCutset
-    instantiation_count: int
     _states: np.ndarray = field(repr=False)
     _sweep: _Sweep = field(repr=False)
     _swept: np.ndarray = field(repr=False)
+
+    @property
+    def instantiation_count(self) -> int:
+        return len(self._states)
 
     @cached_property
     def weights(self) -> dict[tuple[int, ...], float]:
@@ -107,34 +108,25 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
                          e: Evidence = Evidence.empty()) -> float:
     """P(c, e): the mass of one cutset instantiation joined with the
     evidence.  Zero when the instantiation contradicts the evidence.
-    A state that is not an integer or is out of range raises ValueError."""
+    A state that is not an integer or is out of range raises ValueError,
+    and nodes that leave a loop uncut raise NotAPolytreeError."""
     for var in c:
         net.var(var)
     bound = _bind_evidence(net, e)
     cut = tuple(c)
     states = np.array([[_checked_state(v, c[v], net.arity(v)) for v in cut]],
                       dtype=np.intp).reshape(1, len(cut))
-    ok = _allowed(bound, cut, states)
-    if ok is not None and not ok[0]:
-        return 0.0
     comp = _once(net, _Compiled)
     schedule = _schedule(comp, {*e.hard_states(), *cut})
-    lam = _lambdas(comp, bound, cut, _indicators(net, cut, states))
-    return float(_run(comp, schedule, lam).mass[0])
+    return float(_run(comp, schedule, _lambdas(comp, bound, cut, states)).mass[0])
 
 
-def _indicators(net: BayesianNetwork, cut, states: np.ndarray) -> list[np.ndarray]:
-    """Per cut node, the indicator of its state in each row of ``states``."""
-    return [np.eye(net.arity(v))[states[:, j]] for j, v in enumerate(cut)]
-
-
-def _instantiations(net: BayesianNetwork) -> tuple:
-    """The cutset the driver conditions on, a read-only array of its
-    instantiations' states, in row-major order, and each cut node's
-    indicator rows (``_indicators``).  They depend on the network alone, so
-    ``_once`` keeps them; a query that rules no row out sweeps the rows as
-    they are.  A cutset of more than ``_MAX_INSTANTIATIONS`` instantiations
-    raises NetworkTooLargeError before any of them is built."""
+def _instantiations(net: BayesianNetwork) -> tuple[LoopCutset, np.ndarray]:
+    """The cutset the driver conditions on and a read-only array of its
+    instantiations' states, in row-major order, which ``_once`` keeps; a
+    query that rules no row out sweeps the array as it is.  A cutset of
+    more than ``_MAX_INSTANTIATIONS`` instantiations raises
+    NetworkTooLargeError before any of them is built."""
     cut = LoopCutset() if is_polytree(net) else select_cutset(net)
     count = math.prod(net.arity(v) for v in cut.nodes)
     if count > _MAX_INSTANTIATIONS:
@@ -143,10 +135,8 @@ def _instantiations(net: BayesianNetwork) -> tuple:
             f"conditioning handles at most {_MAX_INSTANTIATIONS}")
     dims = [net.arity(v) for v in cut.nodes]
     states = np.indices(dims, dtype=np.intp).reshape(len(dims), count).T
-    indicators = _indicators(net, cut.nodes, states)
-    for a in (states, *indicators):
-        a.setflags(write=False)
-    return cut, states, indicators
+    states.setflags(write=False)
+    return cut, states
 
 
 def run_cutset_conditioning(net: BayesianNetwork, target: str,
@@ -163,13 +153,12 @@ def run_cutset_conditioning(net: BayesianNetwork, target: str,
 def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray]) -> CutsetRun:
     """``run_cutset_conditioning`` of a checked query: ``model._relevance``'s
     plan and bound evidence."""
-    cut, states, indicators = _once(net, _instantiations)
+    cut, states = _once(net, _instantiations)
     comp = _once(net, _Compiled)
     ok = _allowed(bound, cut.nodes, states)
-    rows, swept = (indicators, states) if ok is None else (
-        [ind[ok] for ind in indicators], states[ok])
+    swept = states if ok is None else states[ok]
     sweep = _run(comp, _toward(net, comp, plan, cut.nodes),
-                 _lambdas(comp, bound, cut.nodes, rows))
+                 _lambdas(comp, bound, cut.nodes, swept))
     w, b = sweep.gathered, sweep.belief(comp.index[plan.target])
     # A polytree's one row is read unmixed.  Each state's column is made
     # contiguous so that NumPy sums it pairwise, not row after row; a row
@@ -178,7 +167,7 @@ def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray
     if total <= 0:
         raise ImpossibleEvidenceError("evidence has probability zero")
     mixed = np.ascontiguousarray((w[:, None] * b).T).sum(axis=1) / total if cut.nodes else b[0]
-    return CutsetRun(Belief(plan.target, mixed), cut, len(states), states, sweep, swept)
+    return CutsetRun(Belief(plan.target, mixed), cut, states, sweep, swept)
 
 
 def conditioned_posterior(net: BayesianNetwork, target: str,

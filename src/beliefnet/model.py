@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -371,11 +371,11 @@ class BayesianNetwork:
 
     def cpt_tensor(self, var_id: str) -> np.ndarray:
         """The CPT reshaped to (parent dims..., child arity).  A network that
-        fails ``validate`` raises NetworkValidationError."""
+        fails ``validate`` raises NetworkValidationError, then an unknown id
+        ValueError."""
         _require_valid(self)
+        self.var(var_id)
         c = self.cpt(var_id)
-        if c is None:
-            raise MissingValueError(f"variable {var_id!r} has no CPT")
         pdims = tuple(self.arity(p) for p in c.parents)
         return c.table.reshape(*pdims, self.arity(var_id))
 
@@ -613,12 +613,22 @@ def _checked_state(var: str, s, arity: int) -> int:
     return s
 
 
+@cache
+def _identity(arity: int) -> np.ndarray:
+    """The read-only identity over ``arity`` states, kept per arity.  Row s
+    is the indicator of state s, and every indicator the engines read, a
+    hard finding's or a cut node's state's, is one of its rows."""
+    eye = np.eye(arity)
+    eye.setflags(write=False)
+    return eye
+
+
 def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     """Bind evidence to a network: one likelihood vector per evidence variable.
 
-    This is Pearl's evidence lambda.  Hard evidence becomes an indicator
-    over the variable's states, soft evidence its likelihood; every
-    vector is read-only.  Every engine binds evidence here, so this is
+    This is Pearl's evidence lambda.  Hard evidence becomes its state's
+    row of ``_identity``, soft evidence its likelihood; every vector is
+    read-only.  Every engine binds evidence here, so this is
     where a network that fails ``validate`` raises NetworkValidationError,
     and where an unknown variable, a hard state out of range and a soft
     vector of the wrong length raise ValueError.
@@ -630,9 +640,7 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
         if isinstance(entry, HardEvidence):
             if entry.state >= arity:
                 raise ValueError(f"hard evidence state {entry.state} out of range for {var!r}")
-            vec = np.zeros(arity)
-            vec[entry.state] = 1.0
-            vec.setflags(write=False)
+            vec = _identity(arity)[entry.state]
         else:
             if entry.likelihood.size != arity:
                 raise ValueError(

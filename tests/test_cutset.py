@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from beliefnet import (
     posterior,
     propagate,
     run_cutset_conditioning,
+    select_cutset,
 )
 from beliefnet import cutset, propagation
 from beliefnet.model import _bind_evidence, _once
@@ -130,9 +133,30 @@ def test_instantiation_weight_takes_a_numpy_integer_state(serial_net):
 
 def test_instantiation_weight_rejects_instantiated_nodes_that_leave_a_loop(sprinkler_net):
     # Nothing cuts the sprinkler's loop, so the sweep's walk reaches a
-    # split node a second way.
+    # split node a second way.  Which nodes are observed decides it, not
+    # their values: an instantiation the evidence rules out is no exception.
     with pytest.raises(NotAPolytreeError, match="loop not cut by the instantiated nodes"):
         instantiation_weight(sprinkler_net, {})
+    with pytest.raises(NotAPolytreeError, match="loop not cut by the instantiated nodes"):
+        instantiation_weight(sprinkler_net, {"X5": 0}, Evidence({"X5": HardEvidence(1)}))
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.3])
+@pytest.mark.parametrize("hard", [True, False], ids=["hard", "soft"])
+def test_an_instantiation_the_evidence_rules_out_weighs_exactly_zero(zero_share, hard):
+    # A hard finding on a cut node in another state, or a soft one that
+    # weighs the cut state zero: the mass is +0.0, and no division by
+    # zero or 0 * inf happens on the way to it.
+    net = netgen.random_loopy(np.random.default_rng(4), 10, zero_share=zero_share)
+    assert net._positive == (not zero_share)
+    nodes = select_cutset(net).nodes
+    var = nodes[-1]
+    c = dict.fromkeys(nodes, 0)
+    finding = HardEvidence(1) if hard else SoftEvidence([0.0] + [1.0] * (net.arity(var) - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = instantiation_weight(net, c, Evidence({var: finding}))
+    assert w == 0.0 and not np.signbit(w)
 
 
 def test_hard_target_rejected(sprinkler_net):
@@ -199,31 +223,45 @@ def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name,
     for combo, lines in run.traces.items():
         if run.weights[combo] == 0 and lines == ():
             continue
-        rows = cutset._indicators(net, run.cutset.nodes, np.array([combo]))
-        lam = propagation._lambdas(comp, bound, run.cutset.nodes, rows)
+        lam = propagation._lambdas(comp, bound, run.cutset.nodes, np.array([combo]))
+        for var, s in zip(run.cutset.nodes, combo):
+            want = np.eye(net.arity(var))[s] * bound.get(var, 1.0)
+            assert lam[comp.index[var]].tolist() == [want.tolist()]
         _same_lines(lines, propagation._run(comp, schedule, lam).trace(0))
 
 
 def test_a_run_of_every_row_sweeps_the_networks_own_rows(monkeypatch, loopy8_net):
-    # No instantiation ruled out: the sweep reads the kept indicator rows
-    # and instantiation array, with no copy made per query.
-    passed = []
-    monkeypatch.setattr(cutset, "_lambdas",
-                        lambda *a: passed.append(a[3]) or propagation._lambdas(*a))
+    # No instantiation ruled out: the lambdas and the run read the kept
+    # instantiation array, with no copy made per query.
+    passed, built = [], []
+
+    def spy(*a):
+        passed.append(a[3])
+        built.append(propagation._lambdas(*a))
+        return built[-1]
+
+    monkeypatch.setattr(cutset, "_lambdas", spy)
     e = Evidence({"H": HardEvidence(0)})
     run = run_cutset_conditioning(loopy8_net, "D", e)
-    _, states, indicators = _once(loopy8_net, cutset._instantiations)
+    _, states = _once(loopy8_net, cutset._instantiations)
     assert len(states) == 4 and run._states is states and run._swept is states
-    assert passed[0] is indicators
+    assert passed[0] is states and not states.flags.writeable
+    assert run.instantiation_count == 4
+    assert "instantiation_count" not in {f.name for f in dataclasses.fields(CutsetRun)}
     assert cutset._allowed(_bind_evidence(loopy8_net, e), run.cutset.nodes, states) is None
-    assert not any(a.flags.writeable for a in (states, *indicators))
-    # A finding that rules out rows sweeps exactly the others.
+    # A finding that rules out rows sweeps, keys and traces exactly the others.
     passed.clear()
+    built.clear()
     ruled = run_cutset_conditioning(loopy8_net, "D", Evidence({"A": HardEvidence(1)}))
-    assert ruled._states is states
+    assert ruled._states is states and ruled.instantiation_count == 4
+    assert passed[0] is ruled._swept
     assert ruled._swept.tolist() == [[1, 0], [1, 1]] and len(ruled._sweep.gathered) == 2
-    assert [ind.tolist() for ind in passed[0]] == [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]
+    index = _once(loopy8_net, propagation._Compiled).index
+    assert [built[0][index[v]].tolist() for v in ruled.cutset.nodes] == \
+        [[[0, 1], [0, 1]], [[1, 0], [0, 1]]]
+    assert list(ruled.weights) == list(ruled.traces) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [k for k, w in ruled.weights.items() if ruled.traces[k]] == [(1, 0), (1, 1)]
+    assert [k for k, w in ruled.weights.items() if w] == [(1, 0), (1, 1)]
 
 
 @pytest.mark.parametrize("arities", [(), (3,), (3, 2), (2, 4, 3), (4, 2, 2, 3)])
@@ -243,7 +281,7 @@ def test_instantiations_are_kept_and_keyed_in_row_major_order(monkeypatch, ariti
     if ids:
         monkeypatch.setattr(cutset, "is_polytree", lambda net: False)
         monkeypatch.setattr(cutset, "select_cutset", lambda net: LoopCutset(ids))
-    cut, states, _ = cutset._instantiations(net)
+    cut, states = cutset._instantiations(net)
     want = list(itertools.product(*map(range, arities)))
     assert cut.nodes == ids and states.shape == (rows, len(ids)) and states.dtype == np.intp
     assert [tuple(row) for row in states.tolist()] == want
@@ -259,6 +297,20 @@ def test_every_instantiation_goes_through_one_sweep(monkeypatch):
     run = run_cutset_conditioning(net, "G35")
     assert run.instantiation_count == 2 ** 14 and len(calls) == 1
     assert len(run._swept) == len(run._sweep.gathered) == 2 ** 14
+
+
+def test_the_kept_instantiations_are_their_states_array_alone():
+    # No indicator row is kept per cut node: the memory the first build
+    # leaves behind is the states array and a little bookkeeping.
+    net = netgen.grid(np.random.default_rng(6), 6, 6)
+    tracemalloc.start()
+    try:
+        _, states = _once(net, cutset._instantiations)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (2 ** 14, 14)
+    assert kept <= states.nbytes + (64 << 10)
 
 
 def _ulps(a, b) -> int:

@@ -505,9 +505,11 @@ def test_a_repeated_parent_is_one_edge():
 
 
 def test_parents_of_an_unknown_variable_is_an_error(serial_net):
-    for accessor in (serial_net.parents, serial_net.children):
-        with pytest.raises(ValueError, match="unknown variable 'W'"):
-            accessor("W")
+    # The table readers name an unknown id as the graph accessors do.
+    for read in (serial_net.parents, serial_net.children, serial_net.cpt_tensor,
+                 lambda v: serial_net.cpt_row(v, ())):
+        with pytest.raises(ValueError, match="^unknown variable 'W'$"):
+            read("W")
 
 
 def test_validate_counts_nan_as_out_of_range():

@@ -291,6 +291,7 @@ def test_graph_questions_read_one_parent_relation():
 def test_cutset_keeps_one_array_of_instantiations():
     # The instantiations are one ``np.indices`` array; no tuple of them is
     # enumerated or kept, and the run's tuple keys are built when read.
+    # The cutset and that array are all that is kept: no indicator rows.
     tree = ast.parse((SOURCES[0].parent / "cutset.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -299,3 +300,26 @@ def test_cutset_keeps_one_array_of_instantiations():
     [(_, build)] = _functions("_instantiations")
     assert "indices" in {getattr(node.func, "attr", None)
                          for node in ast.walk(build) if isinstance(node, ast.Call)}
+    [returned] = [node.value for node in ast.walk(build) if isinstance(node, ast.Return)]
+    assert ast.unparse(returned) == "(cut, states)"
+    unpacked = [ast.unparse(node.targets[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and "_instantiations" in ast.unparse(node.value)]
+    assert unpacked == ["(cut, states)"]
+
+
+def test_one_site_builds_an_indicator():
+    # Every indicator row, a hard finding's or a cut node's state's, is a
+    # row of one cached identity per arity; nothing else builds an identity
+    # or fills a vector of zeros to make one.
+    sites = [(path.name, function.name) for path in SOURCES
+             for function in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Attribute) and node.attr in ("eye", "identity")
+             and getattr(node.value, "id", None) == "np"]
+    assert sites == [("model.py", "_identity")]
+    [(_, bind)] = _functions("_bind_evidence")
+    assert _called(bind) & {"zeros", "zeros_like", "eye", "setflags"} == set()
+    assert "_identity" in _called(bind)
+    [(_, lambdas)] = _functions("_lambdas")
+    assert "_identity" in _called(lambdas)
