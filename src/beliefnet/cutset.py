@@ -45,8 +45,8 @@ from .propagation import _Compiled, _lambdas, _run, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
 # The most instantiations conditioning takes on.  Every one is kept with
-# its sweep: a 6x7 grid's 2**17 took 0.54 s and 289 MB max RSS on its
-# first query in a fresh process on 2 vCPUs (6x6, 2**14: 58 ms and 63 MB),
+# its sweep: a 6x7 grid's 2**17 took 0.56 s and 289 MB max RSS on its
+# first query in a fresh process on 2 vCPUs (6x6, 2**14: 60 ms and 63 MB),
 # and a 7x7 grid's 2**20 would take about eight times that.
 _MAX_INSTANTIATIONS = 1 << 17
 
@@ -108,14 +108,17 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
                          e: Evidence = Evidence.empty()) -> float:
     """P(c, e): the mass of one cutset instantiation joined with the
     evidence.  Zero when the instantiation contradicts the evidence.
-    A state that is not an integer or is out of range raises ValueError,
-    and nodes that leave a loop uncut raise NotAPolytreeError."""
+    A state that is not an integer or is out of range raises ValueError;
+    otherwise nodes that leave a loop uncut raise NotAPolytreeError."""
     for var in c:
         net.var(var)
     bound = _bind_evidence(net, e)
     cut = tuple(c)
     states = np.array([[_checked_state(v, c[v], net.arity(v)) for v in cut]],
                       dtype=np.intp).reshape(1, len(cut))
+    ok = _allowed(bound, cut, states)
+    if ok is not None and not ok[0]:
+        return 0.0
     comp = _once(net, _Compiled)
     schedule = _schedule(comp, {*e.hard_states(), *cut})
     return float(_run(comp, schedule, _lambdas(comp, bound, cut, states)).mass[0])

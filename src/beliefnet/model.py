@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -613,25 +613,15 @@ def _checked_state(var: str, s, arity: int) -> int:
     return s
 
 
-@cache
-def _identity(arity: int) -> np.ndarray:
-    """The read-only identity over ``arity`` states, kept per arity.  Row s
-    is the indicator of state s, and every indicator the engines read, a
-    hard finding's or a cut node's state's, is one of its rows."""
-    eye = np.eye(arity)
-    eye.setflags(write=False)
-    return eye
-
-
 def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     """Bind evidence to a network: one likelihood vector per evidence variable.
 
-    This is Pearl's evidence lambda.  Hard evidence becomes its state's
-    row of ``_identity``, soft evidence its likelihood; every vector is
-    read-only.  Every engine binds evidence here, so this is
-    where a network that fails ``validate`` raises NetworkValidationError,
-    and where an unknown variable, a hard state out of range and a soft
-    vector of the wrong length raise ValueError.
+    This is Pearl's evidence lambda.  Hard evidence becomes an indicator
+    over the variable's states, built in O(arity), soft evidence its
+    likelihood; every vector is read-only.  Every engine binds evidence
+    here, so this is where a network that fails ``validate`` raises
+    NetworkValidationError, and where an unknown variable, a hard state
+    out of range and a soft vector of the wrong length raise ValueError.
     """
     _require_valid(net)
     bound: dict[str, np.ndarray] = {}
@@ -640,7 +630,9 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
         if isinstance(entry, HardEvidence):
             if entry.state >= arity:
                 raise ValueError(f"hard evidence state {entry.state} out of range for {var!r}")
-            vec = _identity(arity)[entry.state]
+            vec = np.zeros(arity)
+            vec[entry.state] = 1.0
+            vec.setflags(write=False)
         else:
             if entry.likelihood.size != arity:
                 raise ValueError(

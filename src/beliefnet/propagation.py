@@ -85,8 +85,8 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import ImpossibleEvidenceError, NotAPolytreeError
-from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _identity,
-                    _kept, _once, _Plan)
+from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _closure, _kept, _once,
+                    _Plan)
 from .structure import is_polytree
 
 
@@ -186,14 +186,14 @@ def _lambdas(comp: _Compiled, bound: Mapping[str, np.ndarray], cut: Sequence[str
              states: np.ndarray | None = None) -> dict[int, np.ndarray]:
     """The evidence lambda of each evidence and cut node, by index, for a
     batch of instantiations of the ``cut`` nodes, one per row of ``states``;
-    any other node's is all ones.  A cut node's lambda is, per row, its
-    state's indicator (``_identity``) weighed by the evidence; every other
-    lambda is one row, shared by the whole batch.  ``bound`` is
-    ``_bind_evidence``'s output."""
+    any other node's is all ones.  A cut node's lambda is, per row, the
+    indicator of its state, weighed by the evidence; every other lambda is
+    one row, shared by the whole batch.  ``bound`` is ``_bind_evidence``'s
+    output."""
     lam = {comp.index[var]: vec[None] for var, vec in bound.items()}
     for j, var in enumerate(cut):
         i = comp.index[var]
-        ind = _identity(comp.cpt[i].shape[-1]).take(states[:, j], axis=0)
+        ind = (states[:, j, None] == np.arange(comp.cpt[i].shape[-1])).astype(float)
         lam[i] = ind * lam[i] if i in lam else ind
     return lam
 

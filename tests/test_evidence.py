@@ -1,5 +1,7 @@
 """Evidence binding: what every engine multiplies in, and what it rejects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,34 @@ def test_a_finding_set_cannot_change_once_made():
     assert len(e) == len(e.entries) == 2
     assert list(e) == list(e.entries) == ["X", "Y"]
     assert e.hard_states() == {"X": 1}
+
+
+def _peak(call):
+    """``call()`` and the most memory it held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_indicator_takes_memory_linear_in_the_arity():
+    # A hard finding's indicator, and a cut node's, is built from its state
+    # alone: on a variable of 10**5 states it takes a few vectors of that
+    # length, not an identity over them (10**10 floats, 80 GB).
+    n = 10 ** 5
+    b = np.random.default_rng(0).random((n, 2))
+    net = BayesianNetwork(
+        (Variable("A", tuple(map(str, range(n)))), Variable("B", ("t", "f"))),
+        (Cpt("A", (), np.full(n, 1 / n)), Cpt("B", ("A",), b / b.sum(axis=1, keepdims=True))))
+    e = Evidence({"A": HardEvidence(n - 1)})
+    instantiation_weight(net, {"A": 0})  # validation and the compiled form
+    bound, peak = _peak(lambda: _bind_evidence(net, e))
+    assert peak <= 32 * n
+    assert np.flatnonzero(bound["A"]).tolist() == [n - 1] and bound["A"][n - 1] == 1.0
+    assert not bound["A"].flags.writeable
+    w, peak = _peak(lambda: instantiation_weight(net, {"A": n - 1}))
+    assert peak <= 64 * n and w == pytest.approx(1 / n, rel=1e-12)
+    np.testing.assert_allclose(posterior(net, "B", e).probabilities,
+                               net.cpt_tensor("B")[n - 1], rtol=1e-12)

@@ -307,19 +307,12 @@ def test_cutset_keeps_one_array_of_instantiations():
     assert unpacked == ["(cut, states)"]
 
 
-def test_one_site_builds_an_indicator():
-    # Every indicator row, a hard finding's or a cut node's state's, is a
-    # row of one cached identity per arity; nothing else builds an identity
-    # or fills a vector of zeros to make one.
-    sites = [(path.name, function.name) for path in SOURCES
-             for function in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(function, ast.FunctionDef)
-             for node in ast.walk(function)
+def test_no_identity_is_built_or_kept():
+    # An indicator, a hard finding's or each of a cut node's rows, is built
+    # from its state in O(rows * arity): an identity over a node's states
+    # would take arity**2 floats, 80 GB for a variable of 10**5 states.
+    sites = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr in ("eye", "identity")
              and getattr(node.value, "id", None) == "np"]
-    assert sites == [("model.py", "_identity")]
-    [(_, bind)] = _functions("_bind_evidence")
-    assert _called(bind) & {"zeros", "zeros_like", "eye", "setflags"} == set()
-    assert "_identity" in _called(bind)
-    [(_, lambdas)] = _functions("_lambdas")
-    assert "_identity" in _called(lambdas)
+    assert sites == []
