@@ -185,10 +185,11 @@ class Belief:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
-        if np.any(p < -1e-12):
+        # min(0.0, the least entry that is not NaN), in one reduction.
+        if np.fmin.reduce(p, initial=0.0) < -1e-12:
             raise ValueError(f"belief for {self.variable!r} has negative entries")
         # Written so that a NaN sum fails too.
-        if not abs(float(p.sum()) - 1.0) <= ROW_SUM_TOL:
+        if not abs(float(np.add.reduce(p)) - 1.0) <= ROW_SUM_TOL:
             raise ValueError(f"belief for {self.variable!r} does not sum to 1")
         p = np.ascontiguousarray(p)
         p.setflags(write=False)
@@ -620,13 +621,16 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     over the variable's states, built in O(arity), soft evidence its
     likelihood; every vector is read-only.  Every engine binds evidence
     here, so this is where a network that fails ``validate`` raises
-    NetworkValidationError, and where an unknown variable, a hard state
-    out of range and a soft vector of the wrong length raise ValueError.
+    NetworkValidationError, where an argument that is not an ``Evidence``
+    raises TypeError, and where an unknown variable, a hard state out of
+    range and a soft vector of the wrong length raise ValueError.
     """
     _require_valid(net)
+    if not isinstance(e, Evidence):
+        raise TypeError(f"evidence must be an Evidence, not {type(e).__name__}")
     bound: dict[str, np.ndarray] = {}
     for var, entry in e.entries.items():
-        arity = net.arity(var)
+        arity = net.var(var).arity
         if isinstance(entry, HardEvidence):
             if entry.state >= arity:
                 raise ValueError(f"hard evidence state {entry.state} out of range for {var!r}")

@@ -40,7 +40,8 @@ subscripts) is compiled once per network.
 The total evidence mass (the probability of all evidence) is recovered
 as the product over swept components of the pivot's pi . lambda dot
 product times the normalisation constants absorbed during the collect
-pass.  The collect pass runs at once; a component the schedule leaves
+pass; the pivot's pi * lambda and its sums, formed once, also give its
+belief.  The collect pass runs at once; a component the schedule leaves
 out sends its own when the mass is first read.  Only two readers need
 the rest of a sweep, and each sends every message still missing:
 ``propagate``, which returns the whole store, and the message log.  The
@@ -70,9 +71,11 @@ order, so it lists what ``propagate``'s does.
 
 A schedule depends on which nodes are observed, not on their values.  A
 query's plan (``model._Plan``) keeps the schedule toward its target, with
-its preset edges and its ``rest``, for every later query observing the
-same nodes; the compiled network keeps the last ``model._PLANS``
-whole-network schedules.
+its preset edges, their priors and its ``rest``, for every later query
+observing the same nodes; the compiled network keeps the last
+``model._PLANS`` whole-network schedules.  A sweep keeps only the
+messages it sends, by edge, so a repeated pattern costs the work its
+values need and nothing per node of the network.
 """
 
 from __future__ import annotations
@@ -213,13 +216,19 @@ class _Schedule:
     Edges leave a node in the order of their heads, so split nodes sort
     by node, piece and head.  ``walk`` built it.  ``preset`` lists the
     edges whose pi message is a cached prior (``_Compiled.prior``),
-    which is never sent.
+    which is never sent; ``priors`` maps them to those rows, so that
+    every sweep of the schedule sets them with one update.
     """
 
     walk: _Walk
     components: tuple[tuple[tuple[int, int, int], tuple[tuple[bool, int], ...],
                             tuple[tuple[bool, int], ...]], ...]
     preset: tuple[int, ...]
+
+    @cached_property
+    def priors(self) -> dict[int, np.ndarray]:
+        """Each preset edge's pi message, its tail's cached prior, looked up on first use."""
+        return {e: self.walk.comp.prior(self.walk.comp.edges[e][0]) for e in self.preset}
 
     @cached_property
     def rest(self) -> _Schedule:
@@ -358,7 +367,9 @@ class _Sweep:
     """The messages of one batched sweep and the node values read from them.
 
     Row k of every array belongs to instantiation k; an array that every
-    row shares may have a single row, which broadcasts.
+    row shares may have a single row, which broadcasts.  ``pi_msg`` and
+    ``lambda_msg`` hold the messages sent, by edge; an edge missing from
+    one has sent no such message.
 
     ``_run`` sends the collect pass, which yields the belief of each
     pivot and the mass the scheduled components gather.  ``complete``
@@ -372,18 +383,20 @@ class _Sweep:
     ``complete`` that is one from a child the walk left out as barren.
     A schedule's preset pi messages are set before its collect pass and
     never sent.  Messages and node values computed before ``complete``
-    keep their values.
+    keep their values, and so does a node's pi * lambda with its sums
+    (``product``), which gives a pivot both its mass and its belief.
     """
 
     def __init__(self, comp: _Compiled, schedule: _Schedule, lam: dict[int, np.ndarray]):
         self.comp, self.schedule, self.lam = comp, schedule, lam
         self.hard = schedule.walk.hard
-        self.pi_msg: list[np.ndarray | None] = [None] * len(comp.edges)
-        self.lambda_msg: list[np.ndarray | None] = [None] * len(comp.edges)
+        self.pi_msg: dict[int, np.ndarray] = {}
+        self.lambda_msg: dict[int, np.ndarray] = {}
         self.gathered: np.ndarray | None = None
         self._all_sent = False
         self._pi: dict[int, np.ndarray] = {}
         self._lambda: dict[int, np.ndarray] = {}
+        self._product: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -411,7 +424,7 @@ class _Sweep:
         lv = self._lambda.get(x)
         if lv is None:
             lv = self.lam.get(x)
-            for m in map(self.lambda_msg.__getitem__, self.comp.out_edges[x]):
+            for m in map(self.lambda_msg.get, self.comp.out_edges[x]):
                 if m is not None:
                     lv = m if lv is None else lv * m
             if lv is None:
@@ -419,20 +432,21 @@ class _Sweep:
             self._lambda[x] = lv
         return lv
 
-    def pi_message(self, e: int) -> tuple[np.ndarray, np.ndarray | float]:
-        """The pi message down edge e and the normalisation mass it absorbed."""
+    def pi_message(self, e: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The pi message down edge e and the normalisation mass it absorbed,
+        None from an observed node, which absorbs none."""
         u = self.comp.edges[e][0]
         if u in self.hard:
             # lam >= 0, so its sign marks the instantiated state of a hard node.
-            return np.sign(self.lam[u]), 1.0
+            return np.sign(self.lam[u]), None
         vec = self.pi_value(u)
         if u in self.lam:
             vec = vec * self.lam[u]
         for f in self.comp.out_edges[u]:
-            if f != e and self.lambda_msg[f] is not None:
+            if f != e and f in self.lambda_msg:
                 vec = vec * self.lambda_msg[f]
-        gamma = vec.sum(axis=-1)
-        if gamma.all():
+        gamma = np.add.reduce(vec, axis=-1)
+        if np.logical_and.reduce(gamma):
             return vec / gamma[:, None], gamma
         # A row of zero mass stays zero.
         return vec / np.where(gamma > 0, gamma, 1.0)[:, None], gamma
@@ -445,26 +459,32 @@ class _Sweep:
         return np.einsum(c.lambda_subs[e], c.cpt[w], lam_w,
                          *[self.pi_msg[f] for f in c.others[e]])
 
-    def send(self, is_pi: bool, e: int) -> np.ndarray | float:
-        """Send one message along edge e; returns the mass a pi message absorbed."""
+    def send(self, is_pi: bool, e: int) -> np.ndarray | None:
+        """Send one message along edge e; returns the mass a pi message
+        absorbed, None for one that absorbed none."""
         if is_pi:
             self.pi_msg[e], gamma = self.pi_message(e)
             return gamma
         self.lambda_msg[e] = self.lambda_message(e)
-        return 1.0
+        return None
 
     def collect(self, schedule: _Schedule) -> np.ndarray:
         """Preset ``schedule``'s cached priors and send its collect passes;
-        per row, the mass they gather."""
-        for e in schedule.preset:
-            self.pi_msg[e] = self.comp.prior(self.comp.edges[e][0])
-        mass = np.ones(1)
+        per row, the mass they gather.  Only absorbed masses are multiplied
+        in, so no product is taken with an exact one."""
+        self.pi_msg.update(schedule.priors)
+        mass = None
         for pivot, collect, _ in schedule.components:
-            scale = 1.0
+            scale = None
             for is_pi, e in collect:
-                scale = scale * self.send(is_pi, e)
-            mass = mass * (self.pivot_mass(pivot) * scale)
-        return mass
+                gamma = self.send(is_pi, e)
+                if gamma is not None:
+                    scale = gamma if scale is None else scale * gamma
+            part = self.pivot_mass(pivot)
+            if scale is not None:
+                part = part * scale
+            mass = part if mass is None else mass * part
+        return np.ones(1) if mass is None else mass
 
     def complete(self) -> None:
         """Send every message not yet sent, in the order of the full schedule."""
@@ -474,21 +494,28 @@ class _Sweep:
         # prior-only node's pi message is its prior.
         self.mass
         for x, e in self.schedule.walk.prior_edge.items():
-            if self.pi_msg[e] is None:
+            if e not in self.pi_msg:
                 self.pi_msg[e] = self.comp.prior(x)
         for _, collect, distribute in self.full.components:
             for is_pi, e in collect + distribute:
-                if (self.pi_msg if is_pi else self.lambda_msg)[e] is None:
+                if e not in (self.pi_msg if is_pi else self.lambda_msg):
                     self.send(is_pi, e)
         self._all_sent = True
+
+    def product(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """x's pi * lambda and, per row, its sum, formed once; an observed
+        x's lambda is its evidence lambda."""
+        if x not in self._product:
+            raw = self.pi_value(x) * (self.lam[x] if x in self.hard else self.lambda_value(x))
+            self._product[x] = raw, np.add.reduce(raw, axis=-1)
+        return self._product[x]
 
     def pivot_mass(self, pivot: tuple[int, int, int]) -> np.ndarray:
         """Per row, the evidence mass the collect pass gathered at the pivot."""
         x, clone, e = pivot
         if clone:
-            return (self.lambda_msg[e] * np.sign(self.lam[x])).sum(axis=-1)
-        lv = self.lam[x] if x in self.hard else self.lambda_value(x)
-        return (self.pi_value(x) * lv).sum(axis=-1)
+            return np.add.reduce(self.lambda_msg[e] * np.sign(self.lam[x]), axis=-1)
+        return self.product(x)[1]
 
     def belief(self, x: int) -> np.ndarray:
         """Per row, x's normalised pi * lambda, or the indicator of its
@@ -496,9 +523,10 @@ class _Sweep:
         whose belief the collect pass yields, or the sweep is complete."""
         if x in self.hard:
             return np.sign(self.lam[x])
-        raw = self.pi_value(x) * self.lambda_value(x)
-        total = raw.sum(axis=-1, keepdims=True)
-        return raw / np.where(total > 0, total, 1.0)
+        raw, total = self.product(x)
+        if np.logical_and.reduce(total > 0):
+            return raw / total[:, None]
+        return raw / np.where(total > 0, total, 1.0)[:, None]
 
     def trace(self, k: int) -> tuple[str, ...]:
         """Row k's message log: one ``MSG`` line per message, in the order
@@ -620,13 +648,18 @@ def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) ->
 
     Recomputes every stored message from the other stored values using
     the same update rules; on a polytree the sweep is a fixed point and
-    the delta is numerically zero.
+    the delta is numerically zero.  A loopy network raises
+    NotAPolytreeError as ``propagate`` does, and a store whose edges are
+    not the network's raises ValueError.
     """
     bound = _bind_evidence(net, e)
+    _require_polytree(net)
+    if tuple(store.pi_messages) != net.edges:
+        raise ValueError("message store's edges are not the network's")
     comp = _once(net, _Compiled)
     probe = _Sweep(comp, _schedule(comp, e.hard_states()), _lambdas(comp, bound))
-    probe.pi_msg = [store.pi_messages[edge][None] for edge in comp.edge_index]
-    probe.lambda_msg = [store.lambda_messages[edge][None] for edge in comp.edge_index]
+    probe.pi_msg = {e: store.pi_messages[edge][None] for edge, e in comp.edge_index.items()}
+    probe.lambda_msg = {e: store.lambda_messages[edge][None] for edge, e in comp.edge_index.items()}
     worst = 0.0
     for i, edge in enumerate(comp.edge_index):
         vec, _ = probe.pi_message(i)

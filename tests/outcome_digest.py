@@ -1,0 +1,142 @@
+"""Hash what the library answers, family by family, to show that a change
+keeps every bit of every outcome.
+
+Usage::
+
+    python tests/outcome_digest.py <checkout>/src
+
+The library is imported from the given ``src``; the inputs come from this
+checkout, read only: seeds 9-11 of the benchmark's ``library_queries``
+(``bench/workloads.py``), and every target of every file in ``fixtures/``
+with empty evidence and with each single hard finding, under every
+method.  One line per family gives how many outcomes it hashed and their
+SHA-256, so two checkouts answer alike when ``diff`` of their outputs is
+empty.  ``misuse`` holds the errors of calls that pass the wrong kind of
+argument: evidence that is not an ``Evidence``, and a message store of
+another network.  The file name does not match ``test_*.py``, so pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(Path(sys.argv[1]).resolve()), str(ROOT / "bench")]
+
+import beliefnet as bn  # noqa: E402
+from beliefnet import cli  # noqa: E402
+
+import workloads  # noqa: E402
+
+SEEDS = (9, 10, 11)
+hashes: dict = {}
+counts: Counter = Counter()
+
+
+def record(family: str, key: str, value) -> None:
+    """Hash one outcome under its key; an array by its bytes, anything else by its repr."""
+    data = value.tobytes() if hasattr(value, "tobytes") else repr(value).encode()
+    hashes.setdefault(family, hashlib.sha256()).update(f"{key}\0{len(data)}\0".encode() + data)
+    counts[family] += 1
+
+
+def attempt(key: str, call, family: str = "errors"):
+    """``call()``, or None after hashing the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - every error is an outcome
+        record(family, key, f"{type(exc).__name__}: {exc}")
+        return None
+
+
+def query(key: str, net, target: str, e, method=bn.Method.AUTO) -> None:
+    """A query's belief twice (its plan cold, then warm), its classification, its trace."""
+    for rep in ("cold", "warm"):
+        r = attempt(f"{key}/{rep}", lambda: bn.infer(net, target, e, method))
+        if r is not None:
+            record("beliefs", f"{key}/{rep}", r.belief.probabilities)
+            record("classifications", key, r.classification)
+    r = attempt(f"{key}/traced", lambda: bn.infer(net, target, e, method, trace=True))
+    if r is not None:
+        record("beliefs", f"{key}/traced", r.belief.probabilities)
+        record("traces", key, r.trace)
+
+
+def library_queries(seed: int) -> None:
+    for i, case in enumerate(workloads.LibraryQueries(ROOT, seed).setup()):
+        key, net, target, e = f"lq{seed}/{i}/{case.label}", case.net, case.query.target, case.evidence
+        query(key, net, target, e)
+        run = attempt(f"{key}/weights", lambda: bn.run_cutset_conditioning(net, target, e))
+        if run is not None:
+            record("weights", key, list(run.weights.items()))
+        if case.grid:
+            record("beliefs", f"{key}/enum", case.enumerate())
+
+
+def cli_run(key: str, argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    record("cli", key, (code, out.getvalue(), err.getvalue()))
+
+
+def fixture(path: Path) -> None:
+    net = bn.load_network(path)
+    findings = [((), bn.Evidence.empty())] + [
+        ((v.id, s), bn.Evidence({v.id: bn.HardEvidence(s)}))
+        for v in net.variables for s in range(v.arity)]
+    for finding, e in findings:
+        key = f"{path.name}/{finding}"
+        store = attempt(f"{key}/propagate", lambda: bn.propagate(net, e))
+        if store is not None:
+            record("propagate", key, (store.evidence_mass, store.trace,
+                                      [store.beliefs[v].probabilities.tobytes() for v in store.beliefs],
+                                      bn.fixed_point_delta(net, e, store)))
+        flag = ["--evidence", f"{finding[0]}={net.var(finding[0]).states[finding[1]]}"] \
+            if finding else []
+        for v in net.variables:
+            attempt(f"{key}/{v.id}/classify", lambda: record(
+                "classifications", f"{key}/{v.id}/direct", bn.classify_query(net, v.id, e)))
+            for method in bn.Method:
+                query(f"{key}/{v.id}/{method.value}", net, v.id, e, method)
+                for trace in ([], ["--trace"]):
+                    cli_run(f"{key}/{v.id}/{method.value}{trace}",
+                            ["query", str(path), "--target", v.id, "--method", method.value,
+                             *flag, *trace])
+            cli_run(f"{key}/{v.id}/classify", ["classify", str(path), "--target", v.id, *flag])
+
+
+def misuse() -> None:
+    serial = bn.load_network(ROOT / "fixtures" / "serial.bn")
+    for name, e in (("dict", {"X": bn.HardEvidence(0)}), ("none", None)):
+        for engine, call in (
+                ("infer", lambda: bn.infer(serial, "Z", e)),
+                ("classify_query", lambda: bn.classify_query(serial, "Z", e)),
+                ("posterior", lambda: bn.posterior(serial, "Z", e)),
+                ("propagate", lambda: bn.propagate(serial, e)),
+                ("instantiation_weight", lambda: bn.instantiation_weight(serial, {"Y": 0}, e))):
+            attempt(f"{name}/{engine}", call, "misuse")
+    for net, other in (("serial", "converging"), ("loopy8", "serial")):
+        store = bn.propagate(bn.load_network(ROOT / "fixtures" / f"{other}.bn"))
+        attempt(f"{net}/{other}", lambda: bn.fixed_point_delta(
+            bn.load_network(ROOT / "fixtures" / f"{net}.bn"), bn.Evidence.empty(), store), "misuse")
+
+
+def main() -> None:
+    for seed in SEEDS:
+        library_queries(seed)
+    for path in sorted((ROOT / "fixtures").glob("*.bn")):
+        fixture(path)
+    misuse()
+    for family in sorted(hashes):
+        print(f"{family:16} {counts[family]:7} {hashes[family].hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

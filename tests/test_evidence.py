@@ -49,6 +49,9 @@ BAD_EVIDENCE = {
     "unknown-variable": Evidence({"Typo": HardEvidence(0)}),
     "hard-state-range": Evidence({"X": HardEvidence(2)}),
     "soft-length": Evidence({"X": SoftEvidence([0.5, 0.2, 0.3])}),
+    # Not an ``Evidence`` at all: TypeError, where the others raise ValueError.
+    "dict": {"X": HardEvidence(0)},
+    "none": None,
 }
 
 ENGINES = {
@@ -66,7 +69,7 @@ ENGINES = {
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("bad", BAD_EVIDENCE)
 def test_every_engine_rejects_bad_evidence(serial_net, engine, bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError if isinstance(BAD_EVIDENCE[bad], Evidence) else TypeError):
         ENGINES[engine](serial_net, BAD_EVIDENCE[bad])
 
 

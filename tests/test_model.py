@@ -216,6 +216,18 @@ def test_belief_checks():
     for p in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(ValueError):
             Belief("X", p)
+    # Which check fails decides the message: a negative entry is named first,
+    # even beside a NaN; an empty vector and a NaN sum do not sum to 1.
+    negative, unsummed = "belief for 'X' has negative entries", "belief for 'X' does not sum to 1"
+    cases = {(): unsummed, (-np.inf, 2.0): negative, (-1e-11, 1.0 + 1e-11): negative,
+             (np.nan, -1.0, 2.0): negative, (2.0, -1.0, np.nan): negative}
+    cases.update({tuple(np.where(np.arange(3) == k, np.nan, 0.5)): unsummed for k in range(3)})
+    for p, message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            Belief("X", p)
+        assert str(exc.value) == message
+    for p in ([-0.0, 1.0], [-1e-13, 1.0 + 1e-13]):
+        assert Belief("X", p).probabilities.tolist() == p
 
 
 @pytest.mark.parametrize("fixture", ["serial.bn", "diverging.bn", "converging.bn",

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -154,6 +155,15 @@ def test_fixed_point(serial_net, converging_net):
     assert fixed_point_delta(serial_net, e, propagate(serial_net, e)) < 1e-12
     e = Evidence({"Y": SoftEvidence([0.9, 0.2])})
     assert fixed_point_delta(converging_net, e, propagate(converging_net, e)) < 1e-12
+
+
+def test_fixed_point_delta_rejects_a_loopy_network_and_a_store_of_another(
+        serial_net, converging_net, loopy8_net):
+    # A loopy network is named by its witness loop, as ``propagate`` names it.
+    with pytest.raises(NotAPolytreeError, match="multiply connected"):
+        fixed_point_delta(loopy8_net, Evidence.empty(), propagate(serial_net))
+    with pytest.raises(ValueError, match="edges"):
+        fixed_point_delta(serial_net, Evidence.empty(), propagate(converging_net))
 
 
 def test_propagate_rejects_loopy_network(sprinkler_net):
@@ -348,6 +358,25 @@ class _CountedReads(list):
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+
+def test_a_warm_query_takes_memory_independent_of_the_network_size():
+    # A second query of a known pattern sends the one message it needs,
+    # from the observed parent; nothing it allocates grows with the
+    # 5,000-node chain.
+    n = 5000
+    net = netgen.assemble(np.random.default_rng(5), [[]] + [[i] for i in range(n - 1)], [2] * n)
+    target, observed = net.variables[-1].id, net.variables[-2].id
+    infer(net, target, Evidence({observed: HardEvidence(0)}))
+    e = Evidence({observed: HardEvidence(1)})
+    tracemalloc.start()
+    try:
+        belief = infer(net, target, e).belief.probabilities
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    assert belief.tolist() == net.cpt(target).table[1].tolist()
 
 
 def test_a_long_chain_answers_from_the_cached_priors_alone(monkeypatch):
