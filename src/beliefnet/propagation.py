@@ -658,8 +658,8 @@ def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) ->
         raise ValueError("message store's edges are not the network's")
     comp = _once(net, _Compiled)
     probe = _Sweep(comp, _schedule(comp, e.hard_states()), _lambdas(comp, bound))
-    probe.pi_msg = {e: store.pi_messages[edge][None] for edge, e in comp.edge_index.items()}
-    probe.lambda_msg = {e: store.lambda_messages[edge][None] for edge, e in comp.edge_index.items()}
+    probe.pi_msg = {i: store.pi_messages[edge][None] for edge, i in comp.edge_index.items()}
+    probe.lambda_msg = {i: store.lambda_messages[edge][None] for edge, i in comp.edge_index.items()}
     worst = 0.0
     for i, edge in enumerate(comp.edge_index):
         vec, _ = probe.pi_message(i)
