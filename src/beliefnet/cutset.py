@@ -1,32 +1,18 @@
 """Exact inference on loopy networks by cutset conditioning.
 
 A loop cutset is a set of nodes whose instantiation cuts every loop.
-Conditioning enumerates all joint instantiations c of the cutset, runs
-the polytree sweep with c merged into the evidence as hard findings,
-and mixes the conditioned beliefs with weights
+Each joint instantiation c of the cutset, merged into the evidence as
+hard findings, is swept as on a polytree, and the target's conditioned
+beliefs are mixed with weights
 
-    w_c = P(cutset = c, evidence)
+    w_c = P(cutset = c, evidence),
 
-which is exactly the evidence mass the sweep reports.  The mixture
-posterior matches full enumeration.  Every instantiation observes the
-same nodes, so all of them share one message schedule and run as the
-rows of one batched sweep; instantiations the evidence rules out are not
-swept.  The mixture sums each state's column pairwise (NumPy's ``sum``),
-which keeps it within a few ulps of the exactly summed mixture.
-
-Each row's sweep is the collect pass toward the target
-(``propagation._toward``).  It yields the target's belief and the row's
-mass P(c, e), up to a factor that every row shares and that cancels in
-the mixture.  ``weights`` holds the whole masses, computed when first
-read; the rest of the sweep is sent only when the traces are read.
-
-The cutset and the array of its instantiations are built once per
-network, the schedule once per target and evidence pattern (the query's
-plan, ``model._Plan``); a query adds only what values decide.
-
-On a polytree the driver skips the cutset search: the empty cutset
-leaves one row, whose belief is read unmixed (Suermondt & Cooper 1990).
-``infer`` runs this one driver (``_condition``), so ``bp`` is this case.
+the evidence mass of c's sweep.  The mixture matches full enumeration.
+Every instantiation observes the same nodes, so all of them run as the
+rows of one batched sweep toward the target (``propagation._toward``);
+rows the evidence rules out are not swept.  On a polytree the driver
+skips the search: the empty cutset leaves one row, whose belief is read
+unmixed (Suermondt & Cooper 1990).
 """
 
 from __future__ import annotations
@@ -62,9 +48,7 @@ class CutsetRun:
     may read 0.0.  It leaves out the normalisers of the cached priors,
     each 1 up to rounding, so it may differ from a full sweep's in the
     last bits.  ``traces`` holds each instantiation's message log, empty
-    for one the evidence rules out; it is formatted when first read.  The
-    run keeps the array of every instantiation and of those it swept, and
-    builds the tuple keys of both maps when one is first read.
+    for one the evidence rules out; it is formatted when first read.
     """
 
     belief: Belief

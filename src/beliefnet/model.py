@@ -614,6 +614,13 @@ def _checked_state(var: str, s, arity: int) -> int:
     return s
 
 
+def _checked_evidence(e: Evidence) -> Evidence:
+    """``e``, or TypeError when it is not an ``Evidence``, such as a plain dict or None."""
+    if not isinstance(e, Evidence):
+        raise TypeError(f"evidence must be an Evidence, not {type(e).__name__}")
+    return e
+
+
 def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     """Bind evidence to a network: one likelihood vector per evidence variable.
 
@@ -626,10 +633,8 @@ def _bind_evidence(net: BayesianNetwork, e: Evidence) -> dict[str, np.ndarray]:
     range and a soft vector of the wrong length raise ValueError.
     """
     _require_valid(net)
-    if not isinstance(e, Evidence):
-        raise TypeError(f"evidence must be an Evidence, not {type(e).__name__}")
     bound: dict[str, np.ndarray] = {}
-    for var, entry in e.entries.items():
+    for var, entry in _checked_evidence(e).entries.items():
         arity = net.var(var).arity
         if isinstance(entry, HardEvidence):
             if entry.state >= arity:

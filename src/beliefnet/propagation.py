@@ -1,81 +1,29 @@
-"""Two-phase message passing on singly connected networks.
+"""Pearl's two-phase message passing, batched, on singly connected networks.
 
-Each node X holds two vectors over its states: lambda(X), the support
-arriving from evidence at or below X, and pi(X), the prior support
-arriving from above.  Neighbours exchange messages along edges:
+Each node X holds pi(X), the support from above, and lambda(X), the
+support from evidence at or below it.  The pi message X -> child c is
+pi(X) times X's evidence lambda and the lambda messages from its other
+children, normalised; the lambda message X -> parent U sums lambda(X)
+against the CPT contracted with the pi messages from X's other parents.
+A collect pass toward a pivot and a distribute pass back send every
+message once, which on a polytree is a fixed point; the collect pass
+alone yields the pivot's belief and the evidence mass.
 
-* pi message X -> child c:   pi(X) * evidence-lambda(X) * product of
-  lambda messages from X's other children, normalised to sum to one;
-* lambda message X -> parent U_i:  sum over X's states of lambda(X)
-  times the CPT contracted with the pi messages from X's other parents.
+An observed node passes on its finding only, never what one neighbour
+sent it to another, so the schedule splits it (``_Schedule``) and the
+swept graph is a forest whenever the unobserved part of the network is
+singly connected: the cutset-conditioning driver sweeps its networks
+with the cut nodes observed.  Every message carries a leading axis of
+instantiations, one row per evidence pattern over the same observed
+nodes, so conditioning sweeps all its instantiations at once.
 
-One collect pass toward a pivot node and one distribute pass back
-compute every message exactly once; on a polytree that single sweep is
-a fixed point.  The belief at X is the normalised product pi(X) *
-lambda(X); at the pivot the collect pass alone yields it.
-
-Evidence enters as each node's evidence-lambda: the vector that
-``model._bind_evidence`` binds for an evidence variable, all ones for
-any other.
-
-Observed nodes cut the flow: a message leaving an observed node carries
-only its instantiated state (for pi) or its own evidence weight (for
-lambda); support that arrived from one neighbour is never reflected to
-another.  Internally the schedule splits each observed node, bundling
-its incoming edges on one piece and hanging every outgoing edge on an
-indicator clone, so the swept graph is a forest whenever the unobserved
-part of the network is singly connected.  The same engine therefore
-also serves the cutset-conditioning driver, which instantiates enough
-nodes to cut every loop.
-
-A sweep is batched.  Every message carries a leading instantiation
-axis, one row per evidence pattern over the same set of observed
-nodes, and every pi value (``_Compiled.contract_pi``) and lambda
-message (``_Sweep.lambda_message``) is one ``np.einsum`` of the node's
-CPT with the incoming messages.  ``propagate`` sweeps one
-row; cutset conditioning sweeps all its instantiations at once.  The
-network's index form (parents, children, CPT tensors, contraction
-subscripts) is compiled once per network.
-
-The total evidence mass (the probability of all evidence) is recovered
-as the product over swept components of the pivot's pi . lambda dot
-product times the normalisation constants absorbed during the collect
-pass; the pivot's pi * lambda and its sums, formed once, also give its
-belief.  The collect pass runs at once; a component the schedule leaves
-out sends its own when the mass is first read.  Only two readers need
-the rest of a sweep, and each sends every message still missing:
-``propagate``, which returns the whole store, and the message log.  The
-log is formatted from the messages when first read, so a run nobody
-traces formats nothing.
-
-``propagate`` sweeps the whole network.  A query for one target runs
-the cutset-conditioning driver, on a polytree with the empty cutset,
-which reads the target's belief off a collect pass toward it.  One
-breadth-first walk out from the target builds that pass (``_toward``)
-and reaches only what the target's belief needs (the requisite nodes
-of Bayes-ball; Shachter 1998).  A child that is not the target, an
-evidence or a cut node, nor an ancestor of one, is barren: no evidence
-lies at or below it, so its lambda message is all ones (Shachter 1986;
-Baker & Boult 1990).  A parent whose ancestral in-tree no evidence
-reaches is prior-only: its pi message is its prior marginal, which the
-compiled network computes once with the sweep's own pi contraction and
-keeps (lazy propagation's reuse of evidence-free potentials; Madsen &
-Jensen 1999).  Which nodes are barren and which prior-only depends on
-the evidence pattern and the cut alone, so a schedule toward a target
-decides them all before it walks, the prior-only ones in one
-parents-first pass.  A component that hard findings cut off from the target
-and from every cut node cannot change the target's belief; if no CPT
-entry is zero, the walk reaches it only when the mass is read.
-Reading the log sends the missing messages in the whole network's
-order, so it lists what ``propagate``'s does.
-
-A schedule depends on which nodes are observed, not on their values.  A
-query's plan (``model._Plan``) keeps the schedule toward its target, with
-its preset edges, their priors and its ``rest``, for every later query
-observing the same nodes; the compiled network keeps the last
-``model._PLANS`` whole-network schedules.  A sweep keeps only the
-messages it sends, by edge, so a repeated pattern costs the work its
-values need and nothing per node of the network.
+A query for one target sweeps only what its belief needs (``_toward``),
+the requisite nodes of Bayes-ball (Shachter 1998).  A barren child sends
+an all-ones lambda message (Shachter 1986; Baker & Boult 1990), and a
+prior-only parent its prior marginal, computed once per network (lazy
+propagation's reuse of evidence-free potentials; Madsen & Jensen 1999).
+The rest of the sweep is sent only for ``propagate`` and the message
+log, which read every message, in the whole network's order.
 """
 
 from __future__ import annotations
@@ -99,26 +47,19 @@ from .structure import is_polytree
 class _Compiled:
     """A network in the index form the sweep reads, built once per network.
 
-    Edges are numbered as in ``net.edges`` (``edge_index``).
-    ``in_edges[x]`` lists the edges from x's parents in CPT order,
-    ``out_edges[x]`` those to its children, and ``neighbors[x]`` holds
-    (neighbour, edge, the edge leaves x) for each, by neighbour.
-    ``cpt[x]`` is the CPT tensor over (parents..., x), a root's prior
-    kept as one row; ``ones[x]`` is x's lambda without evidence, one
-    read-only row shared by the nodes of x's arity.  ``pi_subs[x]``
-    contracts the pi messages from x's parents with its CPT;
-    ``lambda_subs[e]`` contracts the CPT of the child of edge e with its
-    lambda and the pi messages from its other parents (``others[e]``).
-    Both come from ``_subscripts`` by parent count and position.
-    ``parents[x]`` lists x's parents, and ``order`` every node in
-    ``net.topological_order()``.  ``priors`` keeps each prior marginal
-    that ``prior`` has computed, and ``schedules`` the whole-network
-    schedules that ``_schedule`` has built.
+    Nodes and edges are numbered as in ``net.variables`` and ``net.edges``.
+    ``in_edges[x]`` lists the edges from x's parents in CPT order, and
+    ``neighbors[x]`` holds (neighbour, edge, the edge leaves x) by
+    neighbour.  ``cpt[x]`` is the CPT tensor over (parents..., x), a
+    root's prior as one row; ``ones[x]``, x's lambda without evidence, is
+    one read-only row shared by the nodes of its arity.  ``lambda_subs[e]``
+    contracts the CPT of edge e's child with its lambda and the pi
+    messages from its other parents (``others[e]``).
     """
 
     def __init__(self, net: BayesianNetwork):
         self.ids = tuple(v.id for v in net.variables)
-        self.index = {x: i for i, x in enumerate(self.ids)}
+        self.index = net._order
         self.edge_index = {edge: e for e, edge in enumerate(net.edges)}
         self.edges = tuple((self.index[u], self.index[w]) for u, w in net.edges)
         self.in_edges: list[list[int]] = [[] for _ in self.ids]
@@ -156,10 +97,10 @@ class _Compiled:
 
     def prior(self, x: int) -> np.ndarray:
         """The pi message x sends a child, as one row, when no evidence
-        lies at or above x and its other children are barren.  Where x's
-        ancestors form an in-tree, as a prior-only node's do, it is x's
-        prior marginal.  It depends on no evidence, so it is computed
-        once per network, ancestors first, by a walk that does not recurse."""
+        lies at or above x and its other children are barren: x's prior
+        marginal where its ancestors form an in-tree, as a prior-only
+        node's do.  It is computed once per network, ancestors first,
+        without recursion."""
         stack = [] if x in self.priors else [x]
         while stack:
             y = stack.pop()
@@ -168,8 +109,15 @@ class _Compiled:
                 stack += [y, *missing]
             elif y not in self.priors:
                 pi = self.contract_pi(y, [self.priors[u] for u in self.parents[y]])
-                self.priors[y] = pi / pi.sum(axis=-1)[:, None]
+                self.priors[y] = _normalised(pi, np.add.reduce(pi, axis=-1))
         return self.priors[x]
+
+
+def _normalised(raw: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Each row of ``raw`` divided by its sum ``total``; a row of zero mass stays zero."""
+    if np.logical_and.reduce(total > 0):
+        return raw / total[:, None]
+    return raw / np.where(total > 0, total, 1.0)[:, None]
 
 
 @cache
@@ -211,13 +159,10 @@ class _Schedule:
     Per connected component of the split skeleton: its pivot, then the
     messages of the collect pass and of the distribute pass, each as
     (is a pi message, edge) in the order sent.  A split node is
-    (x, 0, -1) for node x, or its incoming piece when x is observed, and
-    (x, 1, e) for the clone of observed x that carries its edge e.
-    Edges leave a node in the order of their heads, so split nodes sort
-    by node, piece and head.  ``walk`` built it.  ``preset`` lists the
-    edges whose pi message is a cached prior (``_Compiled.prior``),
-    which is never sent; ``priors`` maps them to those rows, so that
-    every sweep of the schedule sets them with one update.
+    (x, 0, -1) for node x, the piece holding its incoming edges when x is
+    observed, and (x, 1, e) for the clone of observed x that carries its
+    edge e; split nodes sort by node, piece and head.  ``preset`` lists
+    the edges whose pi message is a cached prior, never sent.
     """
 
     walk: _Walk
@@ -242,11 +187,9 @@ class _Walk:
     is kept and nothing is preset.  Toward a target, ``keep`` is K, the
     ``seeds`` (target, evidence and cut nodes) and their ancestors, and
     ``prior_edge`` maps each prior-only node of K (no seed, one child in K
-    and only prior-only parents) to its edge to that child, all decided at
-    once, parents first.  A node's neighbours are classified when the walk
-    first reaches it: a child outside K is barren and skipped; an observed
-    parent gives the clone that carries the edge; a prior-only parent's
-    edge is preset; any other neighbour is walked.
+    and only prior-only parents) to its edge to that child, decided
+    parents first before the walk.  A child outside K is barren and
+    skipped, and a prior-only parent's edge is preset.
     """
 
     def __init__(self, comp: _Compiled, hard: frozenset[int], keep=None, seeds=frozenset()):
@@ -368,23 +311,12 @@ class _Sweep:
 
     Row k of every array belongs to instantiation k; an array that every
     row shares may have a single row, which broadcasts.  ``pi_msg`` and
-    ``lambda_msg`` hold the messages sent, by edge; an edge missing from
-    one has sent no such message.
-
-    ``_run`` sends the collect pass, which yields the belief of each
-    pivot and the mass the scheduled components gather.  ``complete``
-    sends every message not yet sent, in the order of ``full``, the
-    schedule of the whole network; the log and ``propagate`` call it
-    before they read anything else.  Every message has the same value
-    whenever it is sent, because all it depends on was sent before it;
-    node values are kept once computed.
-
-    A lambda message not yet sent counts as all ones: before
-    ``complete`` that is one from a child the walk left out as barren.
-    A schedule's preset pi messages are set before its collect pass and
-    never sent.  Messages and node values computed before ``complete``
-    keep their values, and so does a node's pi * lambda with its sums
-    (``product``), which gives a pivot both its mass and its belief.
+    ``lambda_msg`` hold the messages sent, by edge.  A lambda message not
+    sent counts as all ones: before ``complete`` that is one from a
+    barren child.  Every message has the same value whenever it is sent,
+    because all it reads was sent before it, and node values are kept
+    once computed.  A component's evidence mass is its pivot's pi . lambda
+    times the normalisers its collect pass absorbed.
     """
 
     def __init__(self, comp: _Compiled, schedule: _Schedule, lam: dict[int, np.ndarray]):
@@ -446,10 +378,7 @@ class _Sweep:
             if f != e and f in self.lambda_msg:
                 vec = vec * self.lambda_msg[f]
         gamma = np.add.reduce(vec, axis=-1)
-        if np.logical_and.reduce(gamma):
-            return vec / gamma[:, None], gamma
-        # A row of zero mass stays zero.
-        return vec / np.where(gamma > 0, gamma, 1.0)[:, None], gamma
+        return _normalised(vec, gamma), gamma
 
     def lambda_message(self, e: int) -> np.ndarray:
         """The lambda message up edge e, over the states of its parent."""
@@ -523,10 +452,7 @@ class _Sweep:
         whose belief the collect pass yields, or the sweep is complete."""
         if x in self.hard:
             return np.sign(self.lam[x])
-        raw, total = self.product(x)
-        if np.logical_and.reduce(total > 0):
-            return raw / total[:, None]
-        return raw / np.where(total > 0, total, 1.0)[:, None]
+        return _normalised(*self.product(x))
 
     def trace(self, k: int) -> tuple[str, ...]:
         """Row k's message log: one ``MSG`` line per message, in the order
@@ -579,11 +505,9 @@ class MessageStore:
 
     Both message maps are keyed by the directed edge (parent, child);
     ``pi_messages[(u, v)]`` is what u sent down to v and
-    ``lambda_messages[(u, v)]`` is what v sent up to u, both vectors
-    over u's states for lambda and over u's states for pi (a pi message
-    ranges over the sender's states, which is the parent u).
-    ``evidence_mass`` is the probability of all evidence combined.  The
-    maps read the run's messages: each value is computed when first read.
+    ``lambda_messages[(u, v)]`` is what v sent up to u, both over u's
+    states.  ``evidence_mass`` is the probability of all evidence.  Each
+    map's values are computed from the run's messages when first read.
     """
 
     pi_node: Mapping[str, np.ndarray]
@@ -649,21 +573,23 @@ def fixed_point_delta(net: BayesianNetwork, e: Evidence, store: MessageStore) ->
     Recomputes every stored message from the other stored values using
     the same update rules; on a polytree the sweep is a fixed point and
     the delta is numerically zero.  A loopy network raises
-    NotAPolytreeError as ``propagate`` does, and a store whose edges are
-    not the network's raises ValueError.
+    NotAPolytreeError as ``propagate`` does.  The store may come from any
+    network with this one's variables, edges and table shapes, and then
+    measures how far its messages are from this network's fixed point;
+    any other store raises ValueError.
     """
     bound = _bind_evidence(net, e)
     _require_polytree(net)
-    if tuple(store.pi_messages) != net.edges:
-        raise ValueError("message store's edges are not the network's")
-    comp = _once(net, _Compiled)
+    comp, theirs = _once(net, _Compiled), store._sweep.comp
+    if (theirs.ids, theirs.edges) != (comp.ids, comp.edges) \
+            or [t.shape for t in theirs.cpt] != [t.shape for t in comp.cpt]:
+        raise ValueError("message store's variables, edges or table shapes are not the network's")
     probe = _Sweep(comp, _schedule(comp, e.hard_states()), _lambdas(comp, bound))
-    probe.pi_msg = {i: store.pi_messages[edge][None] for edge, i in comp.edge_index.items()}
-    probe.lambda_msg = {i: store.lambda_messages[edge][None] for edge, i in comp.edge_index.items()}
+    probe.pi_msg, probe.lambda_msg = store._sweep.pi_msg, store._sweep.lambda_msg
     worst = 0.0
-    for i, edge in enumerate(comp.edge_index):
+    for i in range(len(comp.edges)):
         vec, _ = probe.pi_message(i)
-        worst = max(worst, float(np.max(np.abs(vec - store.pi_messages[edge]))))
+        worst = max(worst, float(np.max(np.abs(vec - probe.pi_msg[i]))))
         vec = probe.lambda_message(i)
-        worst = max(worst, float(np.max(np.abs(vec - store.lambda_messages[edge]))))
+        worst = max(worst, float(np.max(np.abs(vec - probe.lambda_msg[i]))))
     return worst

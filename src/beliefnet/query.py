@@ -6,18 +6,8 @@ the target: evidence among the target's ancestors pushes belief forward
 (diagnostic), evidence elsewhere acts between causes of a shared
 effect.  Evidence nodes that are d-separated from the target given the
 rest contribute nothing and are skipped; disagreeing directions make
-the query mixed.
-
-``infer`` checks the query and binds its evidence once
-(``model._relevance``) and hands the plan and the bound evidence to the
-conditioning driver (``cutset._condition``), to enumeration and to the
-classifier (``_classify``).  The plan (``model._Plan``), kept per target
-and evidence pattern for every later query observing the same nodes with
-any values, holds the ancestor sets, the driver's schedule and the
-read-only classification; the network keeps the last ``model._PLANS`` plans.
-Message passing (``bp``) is conditioning on the empty cutset, which the
-driver picks on a polytree; under ``bp``, once the query is checked,
-``infer`` checks that the network is a polytree.
+the query mixed.  Message passing (``bp``) is conditioning on the empty
+cutset, which the driver (``cutset._condition``) picks on a polytree.
 """
 
 from __future__ import annotations

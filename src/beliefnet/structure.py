@@ -10,16 +10,9 @@ intermediate node that obeys the usual rules:
 
 Soft evidence opens converging nodes but never blocks a chain, because
 a likelihood on a variable leaves the variable itself unobserved.
-
 d-separation is decided by a Bayes-ball pass (Shachter 1998; Koller &
-Friedman, Alg. 3.1): a search over (node, direction of arrival) states
-that follows exactly the unblocked trails from the source, in time
-linear in the size of the graph.  The same pass classifies a query: a
-ball sent from the target, given all of the evidence, reaches exactly
-the evidence nodes that are d-connected to the target given the other
-findings, so one pass serves every evidence node.  Only reading a
-connected verdict's active path searches simple paths, for the first
-active one.
+Friedman, Alg. 3.1) over (node, direction of arrival) states, in time
+linear in the size of the graph; the same pass classifies a query.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from enum import Enum
 from functools import cached_property, partial
 
 from .errors import InvalidQueryError, NotAPathError
-from .model import BayesianNetwork, Evidence, _closure, _once, _require_acyclic
+from .model import BayesianNetwork, Evidence, _checked_evidence, _closure, _once, _require_acyclic
 
 
 class ConnectionKind(Enum):
@@ -158,10 +151,13 @@ def d_separated(net: BayesianNetwork, x: str, z: str, e: Evidence) -> Separation
     x and z must be distinct and themselves free of hard evidence.  A
     connected verdict carries the first active path in depth-first,
     declaration order, found when it is first read.  An unknown
-    endpoint or evidence variable raises ValueError, and a cyclic graph
-    NetworkValidationError.
+    endpoint raises ValueError, then an evidence argument that is not an
+    ``Evidence`` TypeError, an unknown evidence variable ValueError, and
+    a cyclic graph NetworkValidationError.
     """
-    for v in (x, z, *e.entries):
+    for v in (x, z):
+        net.var(v)
+    for v in _checked_evidence(e).entries:
         net.var(v)
     if x == z:
         raise InvalidQueryError("d-separation endpoints must be distinct")
@@ -235,12 +231,8 @@ def is_polytree(net: BayesianNetwork) -> PolytreeCheck:
 
 
 def _check_polytree(net: BayesianNetwork) -> PolytreeCheck:
-    nodes = [v.id for v in net.variables]
-    neighbors = net._skeleton
-    cycle = _skeleton_cycle(nodes, neighbors)
-    if cycle is None:
-        return PolytreeCheck(True)
-    return PolytreeCheck(False, cycle)
+    cycle = _skeleton_cycle([v.id for v in net.variables], net._skeleton)
+    return PolytreeCheck(cycle is None, cycle)
 
 
 @dataclass(frozen=True)
@@ -313,7 +305,6 @@ def select_cutset(net: BayesianNetwork) -> LoopCutset:
 
 def _search_cutset(net: BayesianNetwork) -> LoopCutset:
     ids = [v.id for v in net.variables]
-    order = {v: i for i, v in enumerate(ids)}
     edges = net._edge_set
     level = {frozenset()}
     while True:
@@ -323,12 +314,12 @@ def _search_cutset(net: BayesianNetwork) -> LoopCutset:
             neighbors = _reduced_skeleton(net, ids, cut)
             cycle = _skeleton_cycle(ids, neighbors)
             if cycle is None:
-                found.append(sorted(order[v] for v in cut))
+                found.append(sorted(net._order[v] for v in cut))
                 continue
             # Only a tail, a node with an outgoing loop edge, cuts the loop.
             tails = [a if (a, b) in edges else b for a, b in zip(cycle, cycle[1:] + cycle[:1])]
             if len(ids) > 20:
-                tails = [max(tails, key=lambda v: (len(neighbors[v]), -order[v]))]
+                tails = [max(tails, key=lambda v: (len(neighbors[v]), -net._order[v]))]
             grown.update(cut | {t} for t in tails)
         if found:
             return LoopCutset(tuple(ids[i] for i in min(found)))

@@ -7,11 +7,19 @@ Usage::
 
 The library is imported from the given ``src``; the inputs come from this
 checkout, read only: seeds 9-11 of the benchmark's ``library_queries``
-(``bench/workloads.py``), and every target of every file in ``fixtures/``
-with empty evidence and with each single hard finding, under every
-method.  One line per family gives how many outcomes it hashed and their
-SHA-256, so two checkouts answer alike when ``diff`` of their outputs is
-empty.  ``misuse`` holds the errors of calls that pass the wrong kind of
+(``bench/workloads.py``), and every file in ``fixtures/`` with empty
+evidence and with each single hard finding.  Queries run on every target
+under every method.  Outside queries, ``dsep`` holds ``d_separated``'s
+verdicts and active paths on every ordered pair of fixture nodes;
+``structure`` the ``is_polytree`` witnesses, ``select_cutset`` and
+``instantiation_weight`` of every cutset instantiation, on the fixtures
+and the benchmark's networks; ``enumeration`` ``marginal_joint`` of every
+ordered pair, ``most_probable_assignment``, ``evidence_probability`` and
+``serialize_network`` on every fixture; and ``cli_tools`` the ``dsep``,
+``cutset``, ``validate`` and ``joint`` commands on every fixture.  One line
+per family gives how many outcomes it hashed and their SHA-256, so two
+checkouts answer alike when ``diff`` of their outputs is empty.
+``misuse`` holds the outcomes of calls that pass the wrong kind of
 argument: evidence that is not an ``Evidence``, and a message store of
 another network.  The file name does not match ``test_*.py``, so pytest
 does not collect it.
@@ -22,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -55,6 +64,13 @@ def attempt(key: str, call, family: str = "errors"):
         return None
 
 
+def outcome(family: str, key: str, call):
+    """Hash ``call()``, or the type and message of what it raised."""
+    value = attempt(key, call, family)
+    if value is not None:
+        record(family, key, value)
+
+
 def query(key: str, net, target: str, e, method=bn.Method.AUTO) -> None:
     """A query's belief twice (its plan cold, then warm), its classification, its trace."""
     for rep in ("cold", "warm"):
@@ -68,7 +84,27 @@ def query(key: str, net, target: str, e, method=bn.Method.AUTO) -> None:
         record("traces", key, r.trace)
 
 
+def separation(net, x: str, z: str, e):
+    """``d_separated``'s verdict and active path."""
+    verdict = bn.d_separated(net, x, z, e)
+    return verdict.separated, verdict.active_path
+
+
+def cutset(key: str, net, findings) -> None:
+    """The polytree witness, the cutset and, under each of ``findings``,
+    the weight of every instantiation of the cutset."""
+    record("structure", f"{key}/polytree", bn.is_polytree(net))
+    cut = bn.select_cutset(net)
+    record("structure", f"{key}/cutset", cut)
+    for finding, e in findings:
+        for states in itertools.product(*(range(net.arity(v)) for v in cut.nodes)):
+            c = dict(zip(cut.nodes, states))
+            outcome("structure", f"{key}/{finding}/{states}",
+                    lambda: bn.instantiation_weight(net, c, e))
+
+
 def library_queries(seed: int) -> None:
+    findings: dict = {}     # by the network's id: the network and its cases' evidence
     for i, case in enumerate(workloads.LibraryQueries(ROOT, seed).setup()):
         key, net, target, e = f"lq{seed}/{i}/{case.label}", case.net, case.query.target, case.evidence
         query(key, net, target, e)
@@ -77,22 +113,43 @@ def library_queries(seed: int) -> None:
             record("weights", key, list(run.weights.items()))
         if case.grid:
             record("beliefs", f"{key}/enum", case.enumerate())
+        findings.setdefault(id(net), (net, []))[1].append((i, e))
+    for net, cases in findings.values():
+        cutset(f"lq{seed}/{cases[0][0]}", net, cases)
 
 
-def cli_run(key: str, argv: list[str]) -> None:
+def cli_run(key: str, argv: list[str], family: str = "cli") -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    record("cli", key, (code, out.getvalue(), err.getvalue()))
+    record(family, key, (code, out.getvalue(), err.getvalue()))
 
 
 def fixture(path: Path) -> None:
     net = bn.load_network(path)
+    ids = [v.id for v in net.variables]
     findings = [((), bn.Evidence.empty())] + [
         ((v.id, s), bn.Evidence({v.id: bn.HardEvidence(s)}))
         for v in net.variables for s in range(v.arity)]
+    cutset(path.name, net, findings)
+    record("enumeration", f"{path.name}/serialized", bn.serialize_network(net))
+    for command in (["validate"], ["cutset"]):
+        cli_run(f"{path.name}/{command}", [command[0], str(path)], "cli_tools")
+    for states in itertools.product(*(v.states for v in net.variables)):
+        cli_run(f"{path.name}/joint/{states}",
+                ["joint", str(path), "--assign", ",".join(map("=".join, zip(ids, states)))],
+                "cli_tools")
+    for x, z in itertools.permutations(ids, 2):
+        for given in ["", *ids]:
+            cli_run(f"{path.name}/dsep/{x}/{z}/{given}",
+                    ["dsep", str(path), x, z, *(["--given", given] if given else [])], "cli_tools")
     for finding, e in findings:
         key = f"{path.name}/{finding}"
+        for x, z in itertools.permutations(ids, 2):
+            outcome("dsep", f"{key}/{x}/{z}", lambda: separation(net, x, z, e))
+            outcome("enumeration", f"{key}/{x}/{z}", lambda: bn.marginal_joint(net, [x, z], e))
+        outcome("enumeration", f"{key}/mpa", lambda: bn.most_probable_assignment(net, e))
+        outcome("enumeration", f"{key}/mass", lambda: bn.evidence_probability(net, e))
         store = attempt(f"{key}/propagate", lambda: bn.propagate(net, e))
         if store is not None:
             record("propagate", key, (store.evidence_mass, store.trace,
@@ -120,12 +177,27 @@ def misuse() -> None:
                 ("classify_query", lambda: bn.classify_query(serial, "Z", e)),
                 ("posterior", lambda: bn.posterior(serial, "Z", e)),
                 ("propagate", lambda: bn.propagate(serial, e)),
-                ("instantiation_weight", lambda: bn.instantiation_weight(serial, {"Y": 0}, e))):
+                ("instantiation_weight", lambda: bn.instantiation_weight(serial, {"Y": 0}, e)),
+                ("d_separated", lambda: bn.d_separated(serial, "X", "Z", e))):
             attempt(f"{name}/{engine}", call, "misuse")
     for net, other in (("serial", "converging"), ("loopy8", "serial")):
         store = bn.propagate(bn.load_network(ROOT / "fixtures" / f"{other}.bn"))
         attempt(f"{net}/{other}", lambda: bn.fixed_point_delta(
             bn.load_network(ROOT / "fixtures" / f"{net}.bn"), bn.Evidence.empty(), store), "misuse")
+    # Copies of serial.bn: Y with three states, other tables of the same
+    # shapes, and the same variables and tables.
+    x, _, z = serial.variables
+    three = bn.BayesianNetwork(
+        (x, bn.Variable("Y", ("a", "b", "c")), z),
+        (serial.cpt("X"), bn.Cpt("Y", ("X",), [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]),
+         bn.Cpt("Z", ("Y",), [[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]])))
+    other = bn.BayesianNetwork(serial.variables,
+                               (bn.Cpt("X", (), [0.5, 0.5]), serial.cpt("Y"), serial.cpt("Z")))
+    equal = bn.BayesianNetwork(serial.variables, serial.cpts)
+    for name, net, store in (("three/serial", three, serial), ("serial/three", serial, three),
+                             ("serial/other", serial, other), ("serial/equal", serial, equal)):
+        outcome("misuse", name,
+                lambda: bn.fixed_point_delta(net, bn.Evidence.empty(), bn.propagate(store)))
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ from beliefnet import (
     Variable,
     classify_query,
     conditioned_posterior,
+    d_separated,
     evidence_weight,
     fixed_point_delta,
     infer,
@@ -66,11 +67,17 @@ ENGINES = {
 }
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("bad", BAD_EVIDENCE)
+# ``d_separated`` reads no table, so a state's range and a likelihood's
+# length are no concern of it; it rejects every other kind of bad evidence.
+CHECKS = {**ENGINES, "d_separated": lambda net, e: d_separated(net, "X", "Z", e)}
+
+
+@pytest.mark.parametrize("bad, engine", [
+    *((bad, engine) for bad in BAD_EVIDENCE for engine in ENGINES),
+    *((bad, "d_separated") for bad in ("unknown-variable", "dict", "none"))])
 def test_every_engine_rejects_bad_evidence(serial_net, engine, bad):
     with pytest.raises(ValueError if isinstance(BAD_EVIDENCE[bad], Evidence) else TypeError):
-        ENGINES[engine](serial_net, BAD_EVIDENCE[bad])
+        CHECKS[engine](serial_net, BAD_EVIDENCE[bad])
 
 
 def test_a_numpy_integer_state_is_the_same_finding(serial_net):

@@ -164,6 +164,23 @@ def test_fixed_point_delta_rejects_a_loopy_network_and_a_store_of_another(
         fixed_point_delta(loopy8_net, Evidence.empty(), propagate(serial_net))
     with pytest.raises(ValueError, match="edges"):
         fixed_point_delta(serial_net, Evidence.empty(), propagate(converging_net))
+    # Y with three states: the same edges, other table shapes.
+    x, _, z = serial_net.variables
+    three = BayesianNetwork(
+        (x, Variable("Y", ("a", "b", "c")), z),
+        (serial_net.cpt("X"), Cpt("Y", ("X",), [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]),
+         Cpt("Z", ("Y",), [[0.5, 0.5], [0.2, 0.8], [0.7, 0.3]])))
+    for net, other in ((serial_net, three), (three, serial_net)):
+        with pytest.raises(ValueError, match="table shapes are not the network's"):
+            fixed_point_delta(net, Evidence.empty(), propagate(other))
+    # A store of an equal copy is accepted; one of other tables of the same
+    # shapes measures how far it is from this network's fixed point.
+    equal = BayesianNetwork(serial_net.variables, serial_net.cpts)
+    assert fixed_point_delta(serial_net, Evidence.empty(), propagate(equal)) < 1e-12
+    other = BayesianNetwork(serial_net.variables,
+                            (Cpt("X", (), [0.5, 0.5]), serial_net.cpt("Y"), serial_net.cpt("Z")))
+    assert fixed_point_delta(serial_net, Evidence.empty(),
+                             propagate(other)) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_propagate_rejects_loopy_network(sprinkler_net):

@@ -92,6 +92,21 @@ def test_every_contraction_runs_through_one_of_two_kernels():
                              ("propagation.py", "lambda_message")]
 
 
+def test_one_function_keeps_a_row_of_zero_mass_zero():
+    # A pi message, a belief and a cached prior are normalised by one rule,
+    # so the guard that divides a row of zero mass by 1 is written once.
+    sites = [(path.name, function.name) for path in SOURCES
+             for function in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(function, ast.FunctionDef)
+             for node in ast.walk(function)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "where"
+             and len(node.args) == 3 and isinstance(node.args[0], ast.Compare)
+             and isinstance(node.args[0].ops[0], ast.Gt)
+             and ast.unparse(node.args[0].comparators[0]) == "0"
+             and ast.unparse(node.args[2]) == "1.0"]
+    assert sites == [("propagation.py", "_normalised")]
+
+
 def test_one_site_reads_whether_every_table_is_positive():
     # Only the schedule toward a target may leave out the components cut
     # off from it, and only on a positive network, where they cannot
