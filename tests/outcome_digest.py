@@ -15,7 +15,9 @@ verdicts and active paths on every ordered pair of fixture nodes;
 ``instantiation_weight`` of every cutset instantiation, on the fixtures
 and the benchmark's networks; ``enumeration`` ``marginal_joint`` of every
 ordered pair, ``most_probable_assignment``, ``evidence_probability`` and
-``serialize_network`` on every fixture; and ``cli_tools`` the ``dsep``,
+``serialize_network`` on every fixture, and on every benchmark grid query
+``evidence_probability``, ``most_probable_assignment`` and the SHA-256 of
+``weighted_joint``'s bytes; and ``cli_tools`` the ``dsep``,
 ``cutset``, ``validate`` and ``joint`` commands on every fixture.  One line
 per family gives how many outcomes it hashed and their SHA-256, so two
 checkouts answer alike when ``diff`` of their outputs is empty.
@@ -113,6 +115,10 @@ def library_queries(seed: int) -> None:
             record("weights", key, list(run.weights.items()))
         if case.grid:
             record("beliefs", f"{key}/enum", case.enumerate())
+            outcome("enumeration", f"{key}/mass", lambda: bn.evidence_probability(net, e))
+            outcome("enumeration", f"{key}/mpa", lambda: bn.most_probable_assignment(net, e))
+            outcome("enumeration", f"{key}/joint",
+                    lambda: hashlib.sha256(bn.weighted_joint(net, e).tobytes()).hexdigest())
         findings.setdefault(id(net), (net, []))[1].append((i, e))
     for net, cases in findings.values():
         cutset(f"lq{seed}/{cases[0][0]}", net, cases)

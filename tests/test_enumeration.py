@@ -207,3 +207,23 @@ def test_hard_findings_fix_their_axes(monkeypatch):
     most_probable_assignment(net, e)
     assert weighted_joint(net, e).shape == (2,) * n
     assert sizes == [2 ** 10] * 5
+
+
+def test_soft_findings_of_any_scale_answer_as_unscaled(serial_net):
+    # Two likelihoods scaled by 1e-200 multiply to below the smallest
+    # double, but a posterior does not depend on a likelihood's scale:
+    # each is rescaled by a power of two before the joint is built.
+    def soft(scale):
+        return Evidence({"X": SoftEvidence(np.array([0.3, 0.7]) * scale),
+                         "Z": SoftEvidence(np.array([0.9, 0.2]) * scale)})
+
+    tiny, plain = soft(1e-200), soft(1.0)
+    for answer in (lambda e: posterior(serial_net, "Y", e).probabilities,
+                   lambda e: marginal_joint(serial_net, ["Z", "Y"], e),
+                   lambda e: infer(serial_net, "Y", e, "enum").belief.probabilities):
+        np.testing.assert_array_max_ulp(answer(tiny), answer(plain), maxulp=1)
+    assert most_probable_assignment(serial_net, tiny) == most_probable_assignment(serial_net, plain)
+    # The evidence's probability keeps its scale.
+    quarter = soft(0.25)
+    assert evidence_probability(serial_net, quarter) == evidence_probability(serial_net, plain) / 16
+    assert np.array_equal(weighted_joint(serial_net, quarter), weighted_joint(serial_net, plain) / 16)

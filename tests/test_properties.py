@@ -2,6 +2,7 @@
 every engine rejects an invalid network with a typed error."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,57 @@ def test_enumeration_matches_the_full_joint_it_narrows(query):
     states = np.unravel_index(int(np.argmax(joint)), joint.shape)
     assert most_probable_assignment(net, e)[0] == \
         {v.id: int(s) for v, s in zip(net.variables, states)}
+
+
+# Joints past 2**15 entries, which the builder expands in place chunk by
+# chunk: grids, and a polytree declaring children before their parents,
+# so that one table brings two or three new axes at once.
+LARGE_JOINTS = {
+    "grid4x4": lambda: netgen.grid(np.random.default_rng(44), 4, 4),
+    "grid4x5": lambda: netgen.grid(np.random.default_rng(45), 4, 5),
+    "polytree17": lambda: netgen.random_polytree(np.random.default_rng(8), 17, max_states=3),
+}
+
+
+def _large_joint_findings(net):
+    """Queries on a large joint: a target, then evidence that is empty,
+    hard (narrowing axes), soft with a zero weight, and soft with a zero
+    weight on the target."""
+    target, hard, soft, other = (v.id for v in net.variables[2:6])
+    zero_first = [0.0] + [1.5] * (net.arity(soft) - 1)
+    return target, [
+        Evidence.empty(),
+        Evidence({hard: HardEvidence(1), other: HardEvidence(0)}),
+        Evidence({soft: SoftEvidence(zero_first), hard: HardEvidence(0)}),
+        Evidence({target: SoftEvidence([0.0] + [0.5] * (net.arity(target) - 1)),
+                  soft: SoftEvidence([0.25] * net.arity(soft))}),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_JOINTS))
+def test_large_joints_match_the_full_joint_bit_for_bit(name):
+    net = LARGE_JOINTS[name]()
+    assert net.joint_state_count > 1 << 15
+    target, findings = _large_joint_findings(net)
+    for e in findings:
+        joint = _reference_joint(net, e)
+        assert weighted_joint(net, e).tobytes() == joint.tobytes()
+        want = _reference_marginal(net, joint, [target])
+        assert _ulps(posterior(net, target, e).probabilities, want) <= ENUMERATION_ULPS
+
+
+def test_the_joint_is_built_in_one_buffer():
+    # The product is expanded and multiplied in place: a query holds the
+    # joint and at most a few small rows, never a second joint.
+    net = LARGE_JOINTS["grid4x5"]()
+    posterior(net, "G0")
+    tracemalloc.start()
+    try:
+        posterior(net, "G7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * net.joint_state_count + (512 << 10)
 
 
 DEFECTS = ("missing-cpt", "cycle", "row-sum", "probability-range", "unknown-parent",
