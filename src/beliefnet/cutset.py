@@ -98,8 +98,7 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
         net.var(var)
     bound = _bind_evidence(net, e)
     cut = tuple(c)
-    states = np.array([[_checked_state(v, c[v], net.arity(v)) for v in cut]],
-                      dtype=np.intp).reshape(1, len(cut))
+    states = np.array([[_checked_state(v, c[v], net.arity(v)) for v in cut]], dtype=np.intp)
     ok = _allowed(bound, cut, states)
     if ok is not None and not ok[0]:
         return 0.0

@@ -274,10 +274,7 @@ class BayesianNetwork:
 
     @cached_property
     def joint_state_count(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     def state_index(self, var_id: str, label: str) -> int:
         return self.var(var_id).state_index(label)
@@ -324,10 +321,6 @@ class BayesianNetwork:
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every (parent, child) edge of ``_parents``, by child in declaration order."""
         return tuple((p, u) for u, ps in self._parents.items() for p in ps)
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
 
     @cached_property
     def _skeleton(self) -> dict[str, tuple[str, ...]]:

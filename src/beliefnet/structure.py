@@ -42,24 +42,19 @@ def classify_connection(net: BayesianNetwork, a: str, v: str, b: str) -> Connect
         net.var(x)
     if len({a, v, b}) != 3:
         raise NotAPathError(f"nodes must be distinct, got {a!r}, {v!r}, {b!r}")
-    edges = net._edge_set
+    parents = net._parents
 
-    def arc(u: str, w: str) -> str:
-        if (u, w) in edges:
-            return "out"    # u -> w
-        if (w, u) in edges:
-            return "in"     # w -> u
-        raise NotAPathError(f"{u!r} and {w!r} are not adjacent")
+    def into_v(u: str) -> bool:
+        """Does the u - v edge point into v?  v -> u is read first."""
+        if v in parents[u]:
+            return False
+        if u in parents[v]:
+            return True
+        raise NotAPathError(f"{v!r} and {u!r} are not adjacent")
 
-    left = arc(v, a)    # direction of the a-v edge seen from v
-    right = arc(v, b)
-    if left == "in" and right == "out":
-        return ConnectionKind.SERIAL        # a -> v -> b
-    if left == "out" and right == "in":
-        return ConnectionKind.SERIAL        # b -> v -> a
-    if left == "out" and right == "out":
-        return ConnectionKind.DIVERGING     # a <- v -> b
-    return ConnectionKind.CONVERGING        # a -> v <- b
+    # Edges into v: none diverge, one passes through, both converge.
+    return (ConnectionKind.DIVERGING, ConnectionKind.SERIAL,
+            ConnectionKind.CONVERGING)[into_v(a) + into_v(b)]
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,6 @@ def _reached(net: BayesianNetwork, x: str, hard, opened: set[str]) -> set[str]:
     return up | down
 
 
-def _blocks(edges, a: str, v: str, b: str, hard, opened: set[str]) -> bool:
-    """Does v block the path segment a - v - b?"""
-    if (a, v) in edges and (b, v) in edges:     # a -> v <- b
-        return v not in opened
-    return v in hard
-
-
 def _first_active_path(net: BayesianNetwork, x: str, z: str, e: Evidence,
                        opened: set[str]) -> tuple[str, ...]:
     """The first active simple x-z path, in depth-first order over
@@ -129,17 +117,20 @@ def _first_active_path(net: BayesianNetwork, x: str, z: str, e: Evidence,
     A prefix that is already blocked is not extended: it leads to no
     active path, so skipping it leaves the order of the active ones.
     """
-    edges, neighbors, hard = net._edge_set, net._skeleton, e.hard_states()
+    parents, neighbors, hard = net._parents, net._skeleton, e.hard_states()
     stack = [[x]]
     while stack:
         path = stack.pop()
         node = path[-1]
         if node == z:
             return tuple(path)
+        into = parents[node]
         for nb in reversed(neighbors[node]):
             if nb in path:
                 continue
-            if len(path) > 1 and _blocks(edges, path[-2], node, nb, hard, opened):
+            # A collider, both edges into node, blocks unless opened; any other node if hard.
+            if len(path) > 1 and ((node not in opened) if path[-2] in into and nb in into
+                                  else node in hard):
                 continue
             stack.append(path + [nb])
     raise AssertionError("d-connected nodes have an active simple path")
@@ -193,29 +184,23 @@ def _skeleton_cycle(nodes: list[str], neighbors: dict[str, list[str]]) -> tuple[
     for start in nodes:
         if start in seen:
             continue
-        parent[start] = None
         stack = [(start, None)]
         while stack:
             u, par = stack.pop()
-            if u in seen:
-                continue
             seen.add(u)
             parent[u] = par
             for w in reversed(neighbors[u]):
                 if w == par:
                     continue
                 if w in seen:
-                    # Back edge u-w closes a cycle through the tree path.
+                    # A seen neighbour other than the parent pushed u before the
+                    # parent did, so it is a tree ancestor: u - w closes a cycle.
+                    # A node pushed twice returns here at its first pop.
                     chain = [u]
                     while chain[-1] != w:
-                        nxt = parent[chain[-1]]
-                        if nxt is None:
-                            break
-                        chain.append(nxt)
-                    if chain[-1] == w:
-                        return tuple(reversed(chain))
-                else:
-                    stack.append((w, u))
+                        chain.append(parent[chain[-1]])
+                    return tuple(reversed(chain))
+                stack.append((w, u))
     return None
 
 
@@ -304,8 +289,7 @@ def select_cutset(net: BayesianNetwork) -> LoopCutset:
 
 
 def _search_cutset(net: BayesianNetwork) -> LoopCutset:
-    ids = [v.id for v in net.variables]
-    edges = net._edge_set
+    ids, parents = [v.id for v in net.variables], net._parents
     level = {frozenset()}
     while True:
         found: list[list[int]] = []
@@ -317,7 +301,7 @@ def _search_cutset(net: BayesianNetwork) -> LoopCutset:
                 found.append(sorted(net._order[v] for v in cut))
                 continue
             # Only a tail, a node with an outgoing loop edge, cuts the loop.
-            tails = [a if (a, b) in edges else b for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            tails = [a if a in parents[b] else b for a, b in zip(cycle, cycle[1:] + cycle[:1])]
             if len(ids) > 20:
                 tails = [max(tails, key=lambda v: (len(neighbors[v]), -net._order[v]))]
             grown.update(cut | {t} for t in tails)

@@ -137,6 +137,14 @@ def revalued(rng, net, e):
     return Evidence(entries)
 
 
+def with_parent(net, child, parent):
+    """``net`` with ``parent`` appended to ``child``'s table, its rows repeated
+    once per state of ``parent``: a self-loop, a cycle or a repeated parent."""
+    return BayesianNetwork(net.variables, [
+        Cpt(t.child, t.parents + (parent,), np.repeat(t.table, net.arity(parent), axis=0))
+        if t.child == child else t for t in net.cpts])
+
+
 def twin(net):
     """The same network as a new object, which keeps nothing that queries on ``net`` built."""
     return BayesianNetwork(net.variables, net.cpts, net.name)

@@ -10,11 +10,17 @@ checkout, read only: seeds 9-11 of the benchmark's ``library_queries``
 (``bench/workloads.py``), and every file in ``fixtures/`` with empty
 evidence and with each single hard finding.  Queries run on every target
 under every method.  Outside queries, ``dsep`` holds ``d_separated``'s
-verdicts and active paths on every ordered pair of fixture nodes;
-``structure`` the ``is_polytree`` witnesses, ``select_cutset`` and
-``instantiation_weight`` of every cutset instantiation, on the fixtures
-and the benchmark's networks; ``enumeration`` ``marginal_joint`` of every
-ordered pair, ``most_probable_assignment``, ``evidence_probability`` and
+verdicts and active paths on every ordered pair of fixture nodes, and of
+ten 12-node ``netgen.random_loopy`` networks under one hard and one soft
+finding; ``connections`` ``classify_connection`` on every ordered triple
+of each fixture's ids and one unknown id, and of ``loopy8.bn`` with a
+self-loop, a 2-cycle or a repeated parent added; ``structure`` the
+``is_polytree`` witnesses, ``select_cutset`` and ``instantiation_weight``
+of every cutset instantiation, on the fixtures and the benchmark's
+networks, and the witnesses and cutsets of those three variants and of
+``random_loopy`` networks of 25 and 40 nodes, seeds 0-99 each;
+``enumeration`` ``marginal_joint`` of every ordered pair,
+``most_probable_assignment``, ``evidence_probability`` and
 ``serialize_network`` on every fixture, and on every benchmark grid query
 ``evidence_probability``, ``most_probable_assignment`` and the SHA-256 of
 ``weighted_joint``'s bytes; and ``cli_tools`` the ``dsep``,
@@ -38,11 +44,14 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(Path(sys.argv[1]).resolve()), str(ROOT / "bench")]
+sys.path[:0] = [str(Path(sys.argv[1]).resolve()), str(ROOT / "bench"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
 
 import beliefnet as bn  # noqa: E402
 from beliefnet import cli  # noqa: E402
 
+import netgen  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (9, 10, 11)
@@ -105,6 +114,39 @@ def cutset(key: str, net, findings) -> None:
                     lambda: bn.instantiation_weight(net, c, e))
 
 
+def connections(key: str, net, ids) -> None:
+    """``classify_connection``'s kind, or its error, on every ordered triple of ``ids``."""
+    for a, v, b in itertools.product(ids, repeat=3):
+        outcome("connections", f"{key}/{a}/{v}/{b}", lambda: bn.classify_connection(net, a, v, b))
+
+
+def graphs() -> None:
+    """Structure outside the fixtures and the benchmark: cycles and repeated
+    parents, the greedy cutset search, and d-separation with soft findings."""
+    loopy = bn.load_network(ROOT / "fixtures" / "loopy8.bn")
+    p, c = loopy.edges[0]
+    for name, net in (("selfloop", netgen.with_parent(loopy, c, c)),
+                      ("twocycle", netgen.with_parent(loopy, p, c)),
+                      ("repeated", netgen.with_parent(loopy, c, p))):
+        connections(name, net, [v.id for v in net.variables])
+        outcome("structure", f"{name}/polytree", lambda: bn.is_polytree(net))
+        outcome("structure", f"{name}/cutset", lambda: bn.select_cutset(net))
+    for n in (25, 40):
+        for seed in range(100):
+            net = netgen.random_loopy(np.random.default_rng(seed), n)
+            record("structure", f"loopy{n}/{seed}/polytree", bn.is_polytree(net))
+            record("structure", f"loopy{n}/{seed}/cutset", bn.select_cutset(net))
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        net = netgen.random_loopy(rng, 12)
+        ids = [v.id for v in net.variables]
+        hard, soft = (ids[i] for i in rng.choice(len(ids), size=2, replace=False))
+        e = bn.Evidence({hard: bn.HardEvidence(0),
+                         soft: bn.SoftEvidence(rng.uniform(0.1, 1.0, net.arity(soft)))})
+        for x, z in itertools.permutations(ids, 2):
+            outcome("dsep", f"loopy12/{seed}/{x}/{z}", lambda: separation(net, x, z, e))
+
+
 def library_queries(seed: int) -> None:
     findings: dict = {}     # by the network's id: the network and its cases' evidence
     for i, case in enumerate(workloads.LibraryQueries(ROOT, seed).setup()):
@@ -138,6 +180,7 @@ def fixture(path: Path) -> None:
         ((v.id, s), bn.Evidence({v.id: bn.HardEvidence(s)}))
         for v in net.variables for s in range(v.arity)]
     cutset(path.name, net, findings)
+    connections(path.name, net, [*ids, "unknown"])
     record("enumeration", f"{path.name}/serialized", bn.serialize_network(net))
     for command in (["validate"], ["cutset"]):
         cli_run(f"{path.name}/{command}", [command[0], str(path)], "cli_tools")
@@ -212,6 +255,7 @@ def main() -> None:
     for path in sorted((ROOT / "fixtures").glob("*.bn")):
         fixture(path)
     misuse()
+    graphs()
     for family in sorted(hashes):
         print(f"{family:16} {counts[family]:7} {hashes[family].hexdigest()}")
 

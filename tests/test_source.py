@@ -281,9 +281,10 @@ TABLE_LAYOUT = [("enumeration.py", "_factors"), ("model.py", "__post_init__"),
 
 
 def test_graph_questions_read_one_parent_relation():
-    # ``parents``, ``children``, ``edges``, ``roots``, the skeletons and the
-    # topological order answer from ``_parents``, the declared parents each
-    # listed once; nothing else reads a table's parents as graph structure.
+    # ``parents``, ``children``, ``edges``, ``roots``, the skeletons, the
+    # topological order and every edge-direction test answer from
+    # ``_parents``, the declared parents each listed once; nothing else reads
+    # a table's parents as graph structure, and no copy of the edges is kept.
     sites = set()
     for path in SOURCES:
         for function in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -297,10 +298,21 @@ def test_graph_questions_read_one_parent_relation():
                                   and getattr(node.value, "id", None) in ("comp", "self")))
     assert sorted(sites) == TABLE_LAYOUT
     for name in ("parents", "children", "edges", "roots", "_children", "topological_order",
-                 "_skeleton", "_reduced_skeleton"):
+                 "_skeleton", "_reduced_skeleton", "classify_connection", "_first_active_path",
+                 "_search_cutset"):
         [(_, function)] = _functions(name)
         read = {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
         assert read & {"_parents", "_children"}, name
+    # The network's only edge member is ``edges``; the other edge names read
+    # are the message schedule's.
+    [network] = [node for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ClassDef) and node.name == "BayesianNetwork"]
+    assert [node.name for node in network.body
+            if isinstance(node, ast.FunctionDef) and "edge" in node.name] == ["edges"]
+    for path in SOURCES:
+        read = {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Attribute) and "edge" in node.attr}
+        assert read <= {"edges", "edge_index", "in_edges", "out_edges", "prior_edge"}, path.name
 
 
 def test_cutset_keeps_one_array_of_instantiations():

@@ -1,6 +1,7 @@
 """Structural answers cross-checked against independent references.
 
-d-separation is checked against networkx and against an explicit
+Connection types are checked against a networkx digraph's edge
+directions, d-separation against networkx and against an explicit
 enumeration of simple paths, query classification against one
 networkx d-separation test per evidence node, the polytree and cutset
 validity tests against networkx forest tests, and cutset selection
@@ -15,11 +16,10 @@ import pytest
 
 import netgen
 from beliefnet import (
-    BayesianNetwork,
     ConnectionKind,
-    Cpt,
     Evidence,
     HardEvidence,
+    NotAPathError,
     QueryClass,
     classify_connection,
     classify_query,
@@ -31,6 +31,8 @@ from beliefnet import (
 )
 
 GRIDS = ((3, 3), (3, 4), (4, 4), (3, 5), (3, 6), (4, 5))
+# Connection kinds by how many of a connection's two edges point into its middle node.
+KINDS = (ConnectionKind.DIVERGING, ConnectionKind.SERIAL, ConnectionKind.CONVERGING)
 
 
 def _random_net(rng, k):
@@ -41,6 +43,59 @@ def _random_net(rng, k):
     if kind == 1:
         return netgen.random_loopy(rng, int(rng.integers(4, 15)))
     return netgen.grid(rng, *GRIDS[int(rng.integers(len(GRIDS)))])
+
+
+# -- connection types ---------------------------------------------------------
+
+
+def _networkx_connections(nx, net):
+    """Every ordered triple of ``net``'s ids mapped to its kind read off a
+    networkx digraph of ``net.edges``, or to NotAPathError.  An endpoint is
+    upstream of v when it is v's predecessor and not its successor: on a
+    2-cycle the v -> u edge is read first."""
+    graph = nx.DiGraph(net.edges)
+    ids = [v.id for v in net.variables]
+    graph.add_nodes_from(ids)
+    out = {}
+    for v in ids:
+        adjacent = set(nx.all_neighbors(graph, v))
+        upstream = set(graph.predecessors(v)) - set(graph.successors(v))
+        for a, b in itertools.product(ids, repeat=2):
+            out[a, v, b] = (KINDS[len({a, b} & upstream)]
+                            if len({a, v, b}) == 3 and {a, b} <= adjacent else NotAPathError)
+    return out
+
+
+def _connection(net, a, v, b):
+    try:
+        return classify_connection(net, a, v, b)
+    except NotAPathError:
+        return NotAPathError
+
+
+def test_connection_types_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(1988)
+    seen, pinned = set(), 0
+    for k in range(45):
+        net = _random_net(rng, k)
+        two_cycle, repeated = _doubled_first_edge(net)
+        for variant in (net, two_cycle, repeated):
+            for (a, v, b), want in _networkx_connections(nx, variant).items():
+                assert _connection(variant, a, v, b) == want, (variant.edges, a, v, b)
+                seen.add(want)
+        # The 2-cycle p <-> c reads as p -> c from p and as c -> p from c: from
+        # p the kind is the DAG's, from c one edge fewer points into c.
+        p, c = net.edges[0]
+        for x in {*net.parents(p), *net.children(p)} - {c}:
+            assert classify_connection(two_cycle, x, p, c) is classify_connection(net, x, p, c)
+            pinned += 1
+        for y in {*net.parents(c), *net.children(c)} - {p}:
+            kind = classify_connection(net, y, c, p)
+            assert classify_connection(two_cycle, y, c, p) is KINDS[KINDS.index(kind) - 1]
+            pinned += 1
+    assert seen == {*ConnectionKind, NotAPathError}
+    assert pinned > 50
 
 
 # -- d-separation -------------------------------------------------------------
@@ -222,16 +277,7 @@ def _doubled_first_edge(net):
     """``net`` with its first edge, p -> c, given twice: once as the
     antiparallel c -> p, a 2-cycle, and once as a repeated parent of c."""
     p, c = net.edges[0]
-    arity = {v.id: v.arity for v in net.variables}
-
-    def with_parent(cpt, parent):
-        return Cpt(cpt.child, cpt.parents + (parent,),
-                   np.repeat(cpt.table, arity[parent], axis=0))
-
-    return (BayesianNetwork(net.variables, [with_parent(t, c) if t.child == p else t
-                                            for t in net.cpts]),
-            BayesianNetwork(net.variables, [with_parent(t, p) if t.child == c else t
-                                            for t in net.cpts]))
+    return netgen.with_parent(net, p, c), netgen.with_parent(net, c, p)
 
 
 def test_polytree_and_cutset_validity_agree_with_networkx():
