@@ -47,9 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="check a network file")
+    v.set_defaults(run=_cmd_validate)
     v.add_argument("file")
 
     q = sub.add_parser("query", help="posterior over one variable")
+    q.set_defaults(run=_cmd_query)
     q.add_argument("file")
     q.add_argument("--target", required=True)
     q.add_argument("--evidence", action="append", default=[],
@@ -61,37 +63,43 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print the answering run's message log to stderr")
 
     d = sub.add_parser("dsep", help="test d-separation between two variables")
+    d.set_defaults(run=_cmd_dsep)
     d.add_argument("file")
     d.add_argument("x")
     d.add_argument("z")
     d.add_argument("--given", default="", help="comma-separated observed variables")
 
     c = sub.add_parser("classify", help="name the direction of reasoning of a query")
+    c.set_defaults(run=_cmd_classify)
     c.add_argument("file")
     c.add_argument("--target", required=True)
     c.add_argument("--evidence", action="append", default=[])
     c.add_argument("--soft", action="append", default=[])
 
     cu = sub.add_parser("cutset", help="show the selected loop cutset")
+    cu.set_defaults(run=_cmd_cutset)
     cu.add_argument("file")
 
     j = sub.add_parser("joint", help="chain-rule probability of one full assignment")
+    j.set_defaults(run=_cmd_joint)
     j.add_argument("file")
     j.add_argument("--assign", required=True, help="X=s,Y=s,... covering every variable")
 
     return p
 
 
-def _split_pairs(chunks, what):
+def _items(chunks):
+    """The stripped, non-empty items of comma-separated lists."""
     for chunk in chunks:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            var, sep, value = item.partition("=")
-            if not sep:
-                raise _UsageError(f"bad {what} {item!r}, expected VAR=VALUE")
-            yield var.strip(), value.strip()
+        yield from filter(None, map(str.strip, chunk.split(",")))
+
+
+def _split_pairs(chunks, what):
+    for item in _items(chunks):
+        var, sep, value = item.partition("=")
+        if not sep:
+            raise _UsageError(f"bad {what} {item!r}, expected VAR=VALUE")
+        yield var.strip(), value.strip()
 
 
 def _parse_evidence(net, hard_chunks, soft_chunks) -> Evidence:
@@ -165,10 +173,7 @@ def _cmd_dsep(ns) -> int:
     _require_var(net, ns.x)
     _require_var(net, ns.z)
     entries = {}
-    for name in ns.given.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    for name in _items([ns.given]):
         _require_var(net, name)
         entries[name] = HardEvidence(0)
     verdict = d_separated(net, ns.x, ns.z, Evidence(entries))
@@ -207,16 +212,6 @@ def _cmd_joint(ns) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "query": _cmd_query,
-    "dsep": _cmd_dsep,
-    "classify": _cmd_classify,
-    "cutset": _cmd_cutset,
-    "joint": _cmd_joint,
-}
-
-
 def run(argv=None) -> int:
     """Parse arguments, run one subcommand, return the exit code."""
     parser = _build_parser()
@@ -225,7 +220,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.command](ns)
+        return ns.run(ns)
     except NetworkValidationError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ImpossibleEvidenceError, NetworkTooLargeError
 from .model import (BayesianNetwork, Belief, Evidence, _bind_evidence, _checked_state, _once,
                     _Plan, _relevance)
-from .propagation import _Compiled, _lambdas, _run, _schedule, _Sweep, _toward
+from .propagation import _Compiled, _lambdas, _schedule, _Sweep, _toward
 from .structure import LoopCutset, is_polytree, select_cutset
 
 # The most instantiations conditioning takes on.  Every one is kept with
@@ -104,7 +104,7 @@ def instantiation_weight(net: BayesianNetwork, c: Mapping[str, int],
         return 0.0
     comp = _once(net, _Compiled)
     schedule = _schedule(comp, {*e.hard_states(), *cut})
-    return float(_run(comp, schedule, _lambdas(comp, bound, cut, states)).mass[0])
+    return float(_Sweep(comp, schedule, _lambdas(comp, bound, cut, states)).gathered[0])
 
 
 def _instantiations(net: BayesianNetwork) -> tuple[LoopCutset, np.ndarray]:
@@ -143,8 +143,8 @@ def _condition(net: BayesianNetwork, plan: _Plan, bound: Mapping[str, np.ndarray
     comp = _once(net, _Compiled)
     ok = _allowed(bound, cut.nodes, states)
     swept = states if ok is None else states[ok]
-    sweep = _run(comp, _toward(net, comp, plan, cut.nodes),
-                 _lambdas(comp, bound, cut.nodes, swept))
+    sweep = _Sweep(comp, _toward(net, comp, plan, cut.nodes),
+                   _lambdas(comp, bound, cut.nodes, swept))
     w, b = sweep.gathered, sweep.belief(comp.index[plan.target])
     # A polytree's one row is read unmixed.  Each state's column is made
     # contiguous so that NumPy sums it pairwise, not row after row; a row

@@ -297,12 +297,7 @@ class BayesianNetwork:
         declared, by_child, out = self._by_id, self._cpt_by_child, {}
         for u in declared:
             ps = by_child[u].parents if u in by_child else ()
-            # Only a list of several can repeat; a valid one is kept as given.
-            if len(ps) > 1:
-                ps = tuple(dict.fromkeys(filter(declared.__contains__, ps)))
-            elif ps and ps[0] not in declared:
-                ps = ()
-            out[u] = ps
+            out[u] = tuple(dict.fromkeys(filter(declared.__contains__, ps)))
         return out
 
     @cached_property

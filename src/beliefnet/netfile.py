@@ -104,9 +104,7 @@ def parse_network(text: str, *, normalize: bool = False) -> BayesianNetwork:
     first: tuple[str, ...] = ()
 
     for line_no, line in lines:
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        line = line.strip()
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
 

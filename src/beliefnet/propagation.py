@@ -324,11 +324,19 @@ class _Sweep:
         self.hard = schedule.walk.hard
         self.pi_msg: dict[int, np.ndarray] = {}
         self.lambda_msg: dict[int, np.ndarray] = {}
-        self.gathered: np.ndarray | None = None
+        # Backs ``gathered``: a cached_property's first read slows every later attribute lookup.
+        self._gathered: np.ndarray | None = None
         self._all_sent = False
         self._pi: dict[int, np.ndarray] = {}
         self._lambda: dict[int, np.ndarray] = {}
         self._product: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def gathered(self) -> np.ndarray:
+        """Per row, the mass of the components swept, whose collect passes it sends."""
+        if self._gathered is None:
+            self._gathered = self.collect(self.schedule)
+        return self._gathered
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -470,14 +478,6 @@ class _Sweep:
         return tuple(lines)
 
 
-def _run(comp: _Compiled, schedule: _Schedule, lam: dict[int, np.ndarray]) -> _Sweep:
-    """Send the collect pass of the schedule; ``gathered`` holds each
-    row's mass of the components swept."""
-    sweep = _Sweep(comp, schedule, lam)
-    sweep.gathered = sweep.collect(schedule)
-    return sweep
-
-
 # -- public API ------------------------------------------------------------
 
 
@@ -506,7 +506,8 @@ class MessageStore:
     Both message maps are keyed by the directed edge (parent, child);
     ``pi_messages[(u, v)]`` is what u sent down to v and
     ``lambda_messages[(u, v)]`` is what v sent up to u, both over u's
-    states.  ``evidence_mass`` is the probability of all evidence.  Each
+    states.  ``evidence_mass`` is the probability of all evidence, a
+    product of floats, so one below about 1e-308 may read 0.0.  Each
     map's values are computed from the run's messages when first read.
     """
 
@@ -545,17 +546,18 @@ def propagate(net: BayesianNetwork, e: Evidence = Evidence.empty(),
     The network must be singly connected; otherwise NotAPolytreeError
     carries a witness loop.  The pivot defaults to the first-declared
     node of each connected component, and any other choice yields the
-    same beliefs.  Evidence of probability zero raises
-    ImpossibleEvidenceError.
+    same beliefs.  ImpossibleEvidenceError is raised when some connected
+    component's collect pass gathers zero mass; ``evidence_mass``, the
+    product over components, may underflow to 0.0 without it.
     """
     bound = _bind_evidence(net, e)
     _require_polytree(net)
     if pivot is not None:
         net.var(pivot)
     comp = _once(net, _Compiled)
-    sweep = _run(comp, _schedule(comp, e.hard_states(), pivot), _lambdas(comp, bound))
-    mass = float(sweep.mass[0])
-    if mass <= 0:
+    sweep = _Sweep(comp, _schedule(comp, e.hard_states(), pivot), _lambdas(comp, bound))
+    mass = float(sweep.gathered[0])
+    if any(sweep.pivot_mass(root)[0] <= 0 for root, _, _ in sweep.schedule.components):
         raise ImpossibleEvidenceError("evidence has probability zero")
     sweep.complete()
     return MessageStore(

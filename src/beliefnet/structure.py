@@ -174,14 +174,14 @@ class PolytreeCheck:
         return self.is_polytree
 
 
-def _skeleton_cycle(nodes: list[str], neighbors: dict[str, list[str]]) -> tuple[str, ...] | None:
-    """Find one cycle in an undirected simple graph, or None.
-
-    Returns the cycle's nodes in order, without repeating the start.
+def _skeleton_cycle(neighbors: dict[str, list[str]]) -> tuple[str, ...] | None:
+    """Find one cycle in an undirected simple graph, or None, searching
+    from each node in the key order of ``neighbors``.  Returns the
+    cycle's nodes in order, without repeating the start.
     """
     seen: set[str] = set()
     parent: dict[str, str | None] = {}
-    for start in nodes:
+    for start in neighbors:
         if start in seen:
             continue
         stack = [(start, None)]
@@ -216,7 +216,7 @@ def is_polytree(net: BayesianNetwork) -> PolytreeCheck:
 
 
 def _check_polytree(net: BayesianNetwork) -> PolytreeCheck:
-    cycle = _skeleton_cycle([v.id for v in net.variables], net._skeleton)
+    cycle = _skeleton_cycle(net._skeleton)
     return PolytreeCheck(cycle is None, cycle)
 
 
@@ -239,11 +239,11 @@ class LoopCutset:
         return iter(self.nodes)
 
 
-def _reduced_skeleton(net: BayesianNetwork, ids: list[str], cut) -> dict[str, list[str]]:
+def _reduced_skeleton(net: BayesianNetwork, cut) -> dict[str, list[str]]:
     """The skeleton of ``net._parents`` left once the edges leaving ``cut`` are dropped."""
-    neighbors: dict[str, list[str]] = {v: [] for v in ids}
-    for w in ids:
-        for u in net._parents[w]:
+    neighbors: dict[str, list[str]] = {v: [] for v in net._parents}
+    for w, ps in net._parents.items():
+        for u in ps:
             if u not in cut:
                 neighbors[u].append(w)
                 neighbors[w].append(u)
@@ -264,8 +264,7 @@ def is_valid_cutset(net: BayesianNetwork, nodes) -> bool:
     cut = set(nodes)
     for c in cut:
         net.var(c)
-    ids = [v.id for v in net.variables]
-    return _skeleton_cycle(ids, _reduced_skeleton(net, ids, cut)) is None
+    return _skeleton_cycle(_reduced_skeleton(net, cut)) is None
 
 
 def select_cutset(net: BayesianNetwork) -> LoopCutset:
@@ -295,8 +294,8 @@ def _search_cutset(net: BayesianNetwork) -> LoopCutset:
         found: list[list[int]] = []
         grown: set[frozenset[str]] = set()
         for cut in level:
-            neighbors = _reduced_skeleton(net, ids, cut)
-            cycle = _skeleton_cycle(ids, neighbors)
+            neighbors = _reduced_skeleton(net, cut)
+            cycle = _skeleton_cycle(neighbors)
             if cycle is None:
                 found.append(sorted(net._order[v] for v in cut))
                 continue

@@ -24,7 +24,11 @@ networks, and the witnesses and cutsets of those three variants and of
 ``serialize_network`` on every fixture, and on every benchmark grid query
 ``evidence_probability``, ``most_probable_assignment`` and the SHA-256 of
 ``weighted_joint``'s bytes; and ``cli_tools`` the ``dsep``,
-``cutset``, ``validate`` and ``joint`` commands on every fixture.  One line
+``cutset``, ``validate`` and ``joint`` commands on every fixture.
+``propagate`` holds the full sweep of every fixture under each
+finding, and of a 400-node observed chain whose evidence mass
+underflows, alone and with one more finding that makes its evidence
+impossible.  One line
 per family gives how many outcomes it hashed and their SHA-256, so two
 checkouts answer alike when ``diff`` of their outputs is empty.
 ``misuse`` holds the outcomes of calls that pass the wrong kind of
@@ -173,6 +177,34 @@ def cli_run(key: str, argv: list[str], family: str = "cli") -> None:
     record(family, key, (code, out.getvalue(), err.getvalue()))
 
 
+def propagated(key: str, net, e, family: str = "errors") -> None:
+    """Hash ``propagate``'s evidence mass, log, beliefs and fixed-point delta
+    under ``propagate``, or what it raised under ``family``."""
+    store = attempt(f"{key}/propagate", lambda: bn.propagate(net, e), family)
+    if store is not None:
+        record("propagate", key, (store.evidence_mass, store.trace,
+                                  [store.beliefs[v].probabilities.tobytes() for v in store.beliefs],
+                                  bn.fixed_point_delta(net, e, store)))
+
+
+def chain() -> None:
+    """``propagate`` on a 400-node chain observed at every node but the
+    last, whose evidence mass underflows, and on the chain with a copy Z
+    of X398 observed in the other state, which makes the evidence
+    impossible; both outcomes, errors too, go to ``propagate``."""
+    n, two, flip = 400, ("s0", "s1"), [[0.9, 0.1], [0.1, 0.9]]
+    variables = tuple(bn.Variable(f"X{i}", two) for i in range(n))
+    tables = (bn.Cpt("X0", (), [0.5, 0.5]),
+              *(bn.Cpt(f"X{i}", (f"X{i - 1}",), flip) for i in range(1, n)))
+    findings = {f"X{i}": bn.HardEvidence(i % 2) for i in range(n - 1)}
+    propagated(f"chain{n}", bn.BayesianNetwork(variables, tables), bn.Evidence(findings),
+               "propagate")
+    copy = bn.BayesianNetwork(variables + (bn.Variable("Z", two),),
+                              tables + (bn.Cpt("Z", (f"X{n - 2}",), [[1.0, 0.0], [0.0, 1.0]]),))
+    propagated(f"chain{n}/Z", copy, bn.Evidence({**findings, "Z": bn.HardEvidence(1)}),
+               "propagate")
+
+
 def fixture(path: Path) -> None:
     net = bn.load_network(path)
     ids = [v.id for v in net.variables]
@@ -199,11 +231,7 @@ def fixture(path: Path) -> None:
             outcome("enumeration", f"{key}/{x}/{z}", lambda: bn.marginal_joint(net, [x, z], e))
         outcome("enumeration", f"{key}/mpa", lambda: bn.most_probable_assignment(net, e))
         outcome("enumeration", f"{key}/mass", lambda: bn.evidence_probability(net, e))
-        store = attempt(f"{key}/propagate", lambda: bn.propagate(net, e))
-        if store is not None:
-            record("propagate", key, (store.evidence_mass, store.trace,
-                                      [store.beliefs[v].probabilities.tobytes() for v in store.beliefs],
-                                      bn.fixed_point_delta(net, e, store)))
+        propagated(key, net, e)
         flag = ["--evidence", f"{finding[0]}={net.var(finding[0]).states[finding[1]]}"] \
             if finding else []
         for v in net.variables:
@@ -256,6 +284,7 @@ def main() -> None:
         fixture(path)
     misuse()
     graphs()
+    chain()
     for family in sorted(hashes):
         print(f"{family:16} {counts[family]:7} {hashes[family].hexdigest()}")
 

@@ -124,7 +124,7 @@ def test_query_trace_runs_inference_once(fixture_dir, capsys, monkeypatch,
         return wrapped
 
     for module in (propagation, cutset):
-        monkeypatch.setattr(module, "_run", counting(module._run, "sweep"))
+        monkeypatch.setattr(module, "_Sweep", counting(module._Sweep, "sweep"))
     monkeypatch.setattr(cutset, "select_cutset", counting(cutset.select_cutset, "cutset"))
     code = run(["query", _fx(fixture_dir, name), "--target", target, *evidence, "--trace"])
     _, err = capsys.readouterr()
@@ -169,6 +169,29 @@ def test_dsep_unknown_variable(fixture_dir, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--evidence", "X"], "bad evidence 'X', expected VAR=VALUE"),
+    (["--soft", "Y=a:b"], "bad weights for 'Y': 'a:b'"),
+    (["--evidence", "X=maybe"], "variable 'X' has no state 'maybe'"),
+], ids=["no-equals", "bad-weights", "unknown-state"])
+def test_query_rejects_malformed_evidence(fixture_dir, capsys, flags, message):
+    code = run(["query", _fx(fixture_dir, "serial.bn"), "--target", "Z", *flags])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, padded", [
+    (["query", "serial.bn", "--target", "Z", "--evidence"], ["X=true", "X=true,"]),
+    (["dsep", "serial.bn", "X", "Z", "--given"], ["Y", "Y, ,"]),
+], ids=["evidence", "given"])
+def test_empty_items_of_a_comma_list_are_skipped(fixture_dir, capsys, argv, padded):
+    argv = [_fx(fixture_dir, a) if a.endswith(".bn") else a for a in argv]
+    answers = []
+    for item in padded:
+        answers.append((run(argv + [item]), *capsys.readouterr()))
+    assert answers[0] == answers[1] and answers[0][0] == 0
 
 
 def test_classify(fixture_dir, capsys):

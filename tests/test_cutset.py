@@ -227,7 +227,7 @@ def test_each_batched_trace_matches_a_one_instantiation_sweep(fixture_dir, name,
         for var, s in zip(run.cutset.nodes, combo):
             want = np.eye(net.arity(var))[s] * bound.get(var, 1.0)
             assert lam[comp.index[var]].tolist() == [want.tolist()]
-        _same_lines(lines, propagation._run(comp, schedule, lam).trace(0))
+        _same_lines(lines, propagation._Sweep(comp, schedule, lam).trace(0))
 
 
 def test_a_run_of_every_row_sweeps_the_networks_own_rows(monkeypatch, loopy8_net):
@@ -293,7 +293,7 @@ def test_instantiations_are_kept_and_keyed_in_row_major_order(monkeypatch, ariti
 def test_every_instantiation_goes_through_one_sweep(monkeypatch):
     net = netgen.grid(np.random.default_rng(6), 6, 6)
     calls = []
-    monkeypatch.setattr(cutset, "_run", lambda *a: calls.append(a) or propagation._run(*a))
+    monkeypatch.setattr(cutset, "_Sweep", lambda *a: calls.append(a) or propagation._Sweep(*a))
     run = run_cutset_conditioning(net, "G35")
     assert run.instantiation_count == 2 ** 14 and len(calls) == 1
     assert len(run._swept) == len(run._sweep.gathered) == 2 ** 14

@@ -148,6 +148,26 @@ def test_row_outside_block():
     assert err.line == 3 and "outside a cpt block" in str(err)
 
 
+def test_row_needs_colon():
+    err = _syntax_error("network t\nvariable A : a, b\ncpt A\n0.5, 0.5\n")
+    assert str(err) == "line 4: expected ':' between parent states and probabilities"
+
+
+def test_a_table_naming_its_own_variable_as_parent_is_a_self_loop():
+    with pytest.raises(NetworkValidationError) as exc:
+        parse_network("network t\nvariable A : a, b\ncpt A | A\na : 0.5, 0.5\nb : 0.5, 0.5\n")
+    assert str(exc.value.violations[0]) == (
+        "self-loop at line 3, cpt A: variable listed as its own parent")
+
+
+def test_serialize_writes_a_table_less_variable_without_a_cpt_block():
+    net = BayesianNetwork((Variable("A", ("a", "b")), Variable("B", ("x", "y"))),
+                          (Cpt("A", (), [0.5, 0.5]),))
+    lines = serialize_network(net).splitlines()
+    assert "variable B : x, y" in lines
+    assert [line for line in lines if line.startswith("cpt")] == ["cpt A"]
+
+
 def test_row_label_count():
     text = ("network t\nvariable A : a, b\nvariable B : a, b\n"
             "cpt B | A\n: 0.5, 0.5\n")

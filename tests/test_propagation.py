@@ -37,6 +37,7 @@ def test_propagate_no_evidence_gives_priors(serial_net):
     assert store.beliefs["X"][0] == pytest.approx(0.9, abs=1e-12)
     assert store.beliefs["Y"][0] == pytest.approx(0.768, abs=1e-12)
     assert store.beliefs["Z"][0] == pytest.approx(0.73192, abs=1e-12)
+    assert len(store.beliefs) == len(serial_net.variables)
 
 
 def test_propagate_forward(serial_net):
@@ -552,23 +553,48 @@ def test_leaving_components_out_changes_no_trace_and_moves_no_answer(
             assert abs(run.weights[combo] - w) <= 1e-15 * w
 
 
+def _observed_chain(n=400, extra=()):
+    """X0 -> ... -> X(n-1), binary, with every node but the last observed
+    in alternating states; ``extra`` holds (variables, tables) of one more
+    component."""
+    flip = [[0.9, 0.1], [0.1, 0.9]]
+    variables, tables = extra or ((), ())
+    net = BayesianNetwork(
+        (*(Variable(f"X{i}", ("s0", "s1")) for i in range(n)), *variables),
+        (Cpt("X0", (), [0.5, 0.5]),
+         *(Cpt(f"X{i}", (f"X{i - 1}",), flip) for i in range(1, n)), *tables))
+    return net, {f"X{i}": HardEvidence(i % 2) for i in range(n - 1)}
+
+
 def test_a_long_observed_chain_answers_though_its_evidence_mass_underflows():
     # P(e) = 0.5 * 0.1**398 is below the smallest float, but the target
     # X399 needs only its own component of the split chain: the cut-off
     # components, each of positive mass, are swept when the weights are
-    # read, and their product reads 0.0.
-    n = 400
-    flip = [[0.9, 0.1], [0.1, 0.9]]
-    net = BayesianNetwork(
-        tuple(Variable(f"X{i}", ("s0", "s1")) for i in range(n)),
-        (Cpt("X0", (), [0.5, 0.5]),
-         *(Cpt(f"X{i}", (f"X{i - 1}",), flip) for i in range(1, n))))
-    e = Evidence({f"X{i}": HardEvidence(i % 2) for i in range(n - 1)})
+    # read, and their product reads 0.0.  ``propagate`` sweeps them all,
+    # and decides impossibility per component, not on the product.
+    net, findings = _observed_chain()
+    e = Evidence(findings)
+    want = infer(net, "X399", e).belief.probabilities
     for method in (Method.POLYTREE, Method.CUTSET):
-        belief = infer(net, f"X{n - 1}", e, method).belief.probabilities
+        belief = infer(net, "X399", e, method).belief.probabilities
         assert np.max(np.abs(belief - [0.9, 0.1])) <= 1e-12
-    run = run_cutset_conditioning(net, f"X{n - 1}", e)
+    run = run_cutset_conditioning(net, "X399", e)
     assert run.weights[()] == 0.0
+    store = propagate(net, e)
+    assert store.evidence_mass == 0.0
+    assert np.max(np.abs(store.beliefs["X399"].probabilities - [0.9, 0.1])) <= 1e-12
+    assert np.max(np.abs(store.beliefs["X399"].probabilities - want)) <= 1e-12
+
+
+def test_propagate_raises_when_one_component_of_an_underflowing_chain_is_impossible():
+    net, findings = _observed_chain(extra=(
+        (Variable("A", ("a", "b")), Variable("B", ("a", "b"))),
+        (Cpt("A", (), [0.3, 0.7]), Cpt("B", ("A",), [[1.0, 0.0], [0.0, 1.0]]))))
+    with pytest.raises(ImpossibleEvidenceError):
+        propagate(net, Evidence({**findings, "A": HardEvidence(0), "B": HardEvidence(1)}))
+    store = propagate(net, Evidence({**findings, "A": HardEvidence(1), "B": HardEvidence(1)}))
+    assert store.evidence_mass == 0.0
+    assert store.beliefs["A"].probabilities.tolist() == [0.0, 1.0]
 
 
 def _zero_branch_net():

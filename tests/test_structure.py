@@ -248,7 +248,7 @@ def test_select_cutset_checks_each_candidate_cut_once(monkeypatch, fixture_dir):
     seen = []
     real = structure._reduced_skeleton
     monkeypatch.setattr(structure, "_reduced_skeleton",
-                        lambda net, ids, cut: seen.append(frozenset(cut)) or real(net, ids, cut))
+                        lambda net, cut: seen.append(frozenset(cut)) or real(net, cut))
     # Fresh networks: the cutset is searched once per network and kept.
     for net in (load_network(fixture_dir / "loopy8.bn"),
                 netgen.grid(np.random.default_rng(16), 4, 4)):
